@@ -1,21 +1,27 @@
 """Statevector simulation of parameterized circuits and Pauli expectation values.
 
 States are 2^n complex vectors; qubit 0 is the leftmost tensor factor, so it
-owns the most significant bit of a basis-state index. Expectation values are
-evaluated term by term through amplitude manipulation; the dense matrix route
-exists only as a test oracle. Shot-noise estimates sample the Born
-distribution in each term's eigenbasis with a seeded generator.
+owns the most significant bit of a basis-state index. One kernel simulates
+every circuit: `run_batch` takes B parameter vectors as a (B, n_params)
+array, builds the 2x2 matrices of all G gates for the whole batch in one
+vectorized step as a (B, G, 2, 2) array, and returns the (B, 2^n) amplitudes.
+A gate on qubit q views the batch as (B, 2^q, 2, 2^(n-q-1)) and multiplies
+axis 2 by its matrix; a controlled gate does the same on the control = 1
+half. `run` is the batch of one. Exact expectation values contract a batch
+of states with the dense Hamiltonian matrix. Shot-noise estimates sample the
+Born distribution in each term's eigenbasis with a seeded generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ParamLengthMismatchError, QubitMismatchError
-from .hamiltonian import PauliHamiltonian
+from .hamiltonian import PauliHamiltonian, to_matrix
 
 EXPECTATION_IMAG_TOL = 1e-10
 
@@ -74,6 +80,16 @@ class Circuit:
         if len(seen) != self.n_params:
             raise ValueError("every parameter slot must be referenced exactly once")
 
+    @cached_property
+    def angle_slots(self) -> np.ndarray:
+        """(G, 3) slots of each gate's U3 angles; slot n_params stands for angle 0.
+
+        RY is U3(theta, 0, 0); CNOT's row is unused.
+        """
+        zero = self.n_params
+        rows = [(g.param_slots + (zero,) * 3)[:3] for g in self.gates]
+        return np.array(rows, dtype=int).reshape(-1, 3)
+
 
 @dataclass(frozen=True)
 class StateVector:
@@ -87,15 +103,21 @@ class StateVector:
             raise ValueError("amplitude count must be 2^n_qubits")
 
 
+# Maps (theta, phi, lam) onto the phases (0, lam, phi, phi + lam) of U3's entries.
+_PHASE_MIX = np.array([[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 0, 1]], dtype=float)
+
+
+def _u3_matrices(angles: np.ndarray) -> np.ndarray:
+    """U3 matrices, shape S + (2, 2), for (theta, phi, lam) angles of shape S + (3,)."""
+    half = angles[..., :1] / 2
+    c, s = np.cos(half), np.sin(half)
+    entries = np.concatenate([c, -s, s, c], axis=-1) * np.exp(1j * (angles @ _PHASE_MIX))
+    return entries.reshape(angles.shape[:-1] + (2, 2))
+
+
 def u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
     """General single-qubit rotation; U3(0,0,0) = I, U3(pi,0,pi) = X."""
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array(
-        [
-            [c, -np.exp(1j * lam) * s],
-            [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c],
-        ]
-    )
+    return _u3_matrices(np.array([theta, phi, lam], dtype=float))
 
 
 def ry_matrix(theta: float) -> np.ndarray:
@@ -103,68 +125,50 @@ def ry_matrix(theta: float) -> np.ndarray:
     return u3_matrix(theta, 0.0, 0.0)
 
 
-def _apply_1q(state: np.ndarray, matrix: np.ndarray, qubit: int) -> np.ndarray:
-    moved = np.moveaxis(state, qubit, 0)
-    return np.moveaxis(np.tensordot(matrix, moved, axes=([1], [0])), 0, qubit)
-
-
-def _apply_controlled(state: np.ndarray, matrix: np.ndarray, control: int, target: int) -> np.ndarray:
-    out = state.copy()
-    sel: list = [slice(None)] * state.ndim
-    sel[control] = 1
-    sub = out[tuple(sel)]
-    # dropping the control axis shifts later axis indices down by one
-    t = target - 1 if target > control else target
-    out[tuple(sel)] = _apply_1q(sub, matrix, t)
-    return out
+def _apply(state: np.ndarray, matrix: np.ndarray, qubit: int) -> np.ndarray:
+    """A (B, 2, 2) or (2, 2) matrix on one qubit of every row of a (B, 2^m) state."""
+    batch, dim = state.shape
+    block = state.reshape(batch, 2**qubit, 2, dim >> (qubit + 1))
+    return np.matmul(matrix.reshape(-1, 1, 2, 2), block).reshape(batch, dim)
 
 
 _X_MATRIX = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
-def run(circuit: Circuit, params: np.ndarray) -> StateVector:
-    """Apply the circuit's gates in order to |0...0>.
+def run_batch(circuit: Circuit, params: np.ndarray) -> np.ndarray:
+    """Apply the circuit's gates in order to |0...0> for each row of params.
 
-    CNOT flips the target where the control is 1; CU3 applies the U3 matrix
-    on the target under the same condition.
+    params has shape (B, n_params); the result holds the B states as (B, 2^n)
+    amplitudes. CNOT flips the target where the control is 1; CU3 applies
+    the U3 matrix on the target under the same condition.
     """
     params = np.asarray(params, dtype=float)
-    if params.shape != (circuit.n_params,):
+    if params.ndim != 2 or params.shape[1] != circuit.n_params:
         raise ParamLengthMismatchError(
-            f"circuit has {circuit.n_params} parameter slots, got {params.shape}"
+            f"circuit has {circuit.n_params} parameter slots, got params of shape {params.shape}"
         )
-    n = circuit.n_qubits
-    state = np.zeros([2] * n, dtype=complex)
-    state[(0,) * n] = 1.0
-    for g in circuit.gates:
-        angles = params[list(g.param_slots)]
-        if g.kind is GateKind.U3:
-            state = _apply_1q(state, u3_matrix(*angles), g.qubits[0])
-        elif g.kind is GateKind.RY:
-            state = _apply_1q(state, ry_matrix(angles[0]), g.qubits[0])
-        elif g.kind is GateKind.CNOT:
-            state = _apply_controlled(state, _X_MATRIX, g.qubits[0], g.qubits[1])
-        else:
-            state = _apply_controlled(state, u3_matrix(*angles), g.qubits[0], g.qubits[1])
-    return StateVector(n, state.reshape(-1))
-
-
-def apply_pauli_string(amplitudes: np.ndarray, letters: str) -> np.ndarray:
-    """P|psi> for a Pauli string, acting axis by axis on the reshaped state."""
-    n = len(letters)
-    t = amplitudes.reshape([2] * n)
-    for q, letter in enumerate(letters):
-        if letter == "I":
+    batch, dim = params.shape[0], 2**circuit.n_qubits
+    angles = np.concatenate([params, np.zeros((batch, 1))], axis=1)[:, circuit.angle_slots]
+    matrices = _u3_matrices(angles)
+    state = np.zeros((batch, dim), dtype=complex)
+    state[:, 0] = 1.0
+    for i, g in enumerate(circuit.gates):
+        matrix = _X_MATRIX if g.kind is GateKind.CNOT else matrices[:, i]
+        if len(g.qubits) == 1:
+            state = _apply(state, matrix, g.qubits[0])
             continue
-        shape = [1] * n
-        shape[q] = 2
-        if letter == "X":
-            t = np.flip(t, axis=q)
-        elif letter == "Y":
-            t = np.flip(t, axis=q) * np.array([-1j, 1j]).reshape(shape)
-        else:  # Z
-            t = t * np.array([1.0, -1.0]).reshape(shape)
-    return t.reshape(-1)
+        control, target = g.qubits
+        # the control = 1 half is a state of the other qubits, which keep their order
+        half = state.reshape(batch, 2**control, 2, dim >> (control + 1))[:, :, 1]
+        sub_target = target - 1 if target > control else target
+        half[...] = _apply(half.reshape(batch, dim // 2), matrix, sub_target).reshape(half.shape)
+    return state
+
+
+def run(circuit: Circuit, params: np.ndarray) -> StateVector:
+    """The circuit's state for one parameter vector: run_batch on a batch of one."""
+    amplitudes = run_batch(circuit, np.asarray(params, dtype=float)[None])
+    return StateVector(circuit.n_qubits, amplitudes[0])
 
 
 def _check_qubits(state: StateVector, h: PauliHamiltonian):
@@ -174,16 +178,19 @@ def _check_qubits(state: StateVector, h: PauliHamiltonian):
         )
 
 
+def batch_expectation(amplitudes: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Exact <psi|H|psi> for every row of a (B, 2^n) amplitude batch, H dense."""
+    values = np.sum((amplitudes.conj() @ matrix) * amplitudes, axis=1)
+    residue = np.max(np.abs(values.imag), initial=0.0)
+    if residue > EXPECTATION_IMAG_TOL:
+        raise ValueError(f"expectation has imaginary residue {residue:.3e}")
+    return values.real
+
+
 def expectation(state: StateVector, h: PauliHamiltonian) -> float:
-    """Exact <psi|H|psi>, summed term by term."""
+    """Exact <psi|H|psi> through the dense matrix of H."""
     _check_qubits(state, h)
-    psi = state.amplitudes
-    value = 0.0 + 0.0j
-    for t in h.terms:
-        value += t.coefficient * np.vdot(psi, apply_pauli_string(psi, t.string))
-    if abs(value.imag) > EXPECTATION_IMAG_TOL:
-        raise ValueError(f"expectation has imaginary residue {value.imag:.3e}")
-    return float(value.real)
+    return float(batch_expectation(state.amplitudes[None], to_matrix(h))[0])
 
 
 # Basis changes that map each Pauli's eigenbasis onto the computational basis:
@@ -212,12 +219,12 @@ def sampled_expectation(state: StateVector, h: PauliHamiltonian, shots: int, see
         if not support:
             total += term.coefficient
             continue
-        rotated = state.amplitudes.reshape([2] * n)
+        rotated = state.amplitudes[None]
         for q in support:
             letter = term.string[q]
             if letter in _MEASURE_ROTATION:
-                rotated = _apply_1q(rotated, _MEASURE_ROTATION[letter], q)
-        probs = np.abs(rotated.reshape(-1)) ** 2
+                rotated = _apply(rotated, _MEASURE_ROTATION[letter], q)
+        probs = np.abs(rotated[0]) ** 2
         probs = probs / probs.sum()
         # eigenvalue of an outcome = parity of its bits on the term's support
         mask = sum(1 << (n - 1 - q) for q in support)

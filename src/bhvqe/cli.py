@@ -347,14 +347,16 @@ def cmd_vqe(cfg: RunConfig, trace_path: str | None) -> int:
     return EXIT_NUMERIC if total and failures == total else EXIT_OK
 
 
-def _max_workers() -> int:
+def _max_workers(n_tasks: int) -> int:
+    """Worker processes for n_tasks runs: BHVQE_THREADS, capped by the cores and the tasks."""
     raw = os.environ.get("BHVQE_THREADS")
     if raw is None:
         return 1
     try:
-        return max(1, int(raw))
+        requested = int(raw)
     except ValueError as exc:
         raise ConfigError(f"BHVQE_THREADS must be an integer, got {raw!r}") from exc
+    return max(1, min(requested, os.cpu_count() or 1, n_tasks))
 
 
 def _sweep_records(cfg: RunConfig) -> list[SweepRecord]:
@@ -381,7 +383,7 @@ def _sweep_records(cfg: RunConfig) -> list[SweepRecord]:
             cfg.shots,
             ansatz=_ansatz_kind(cfg),
             seeds=list(cfg.seeds),
-            max_workers=_max_workers(),
+            max_workers=_max_workers(len(masses) * len(radii) * len(cfg.seeds)),
             **shared,
         )
     else:
@@ -453,13 +455,21 @@ def cmd_fit(in_path: str, curve: str) -> int:
     """Fit the quartic energy curve to a sweep CSV and print coefficients."""
     with open(in_path, encoding="utf-8", newline="") as handle:
         rows = list(csv.DictReader(handle))
-    regressor = "mass" if curve == "mass" else "radius"
+    # a curve is one family: exact rows that share the other grid coordinate
+    regressor, family = ("mass", "radius") if curve == "mass" else ("radius", "mass")
     points = []
+    families = set()
     try:
         for row in rows:
-            points.append((float(row[regressor]), float(row["energy"])))
+            if row["method"] == METHOD_EXACT:
+                points.append((float(row[regressor]), float(row["energy"])))
+                families.add(float(row[family]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"input CSV is not a sweep table: {exc}") from exc
+    if len(families) > 1:
+        raise ConfigError(
+            f"exact rows mix {len(families)} {family} values; fit one {family} at a time"
+        )
     fit = fit_energy_vs_mass(points) if curve == "mass" else fit_energy_vs_radius(points)
     print(f"a={fit.a:.9g} b=1 c={fit.c:.9g} rms={fit.rms_residual:.9g}")
     return EXIT_OK

@@ -244,8 +244,8 @@ def sweep(
     Exact sweeps yield one record per grid point; variational sweeps yield
     one per (grid point, seed), with per-run seeds derived deterministically
     from the base seed and the point index. Records come back in grid order
-    (mass-major, then radius, then seed). max_workers > 1 distributes the
-    variational runs over worker processes.
+    (mass-major, then radius, then seed); seeds=None runs cfg.seed alone.
+    max_workers > 1 distributes the variational runs over worker processes.
     """
     if not mass_grid or not radius_grid:
         raise DomainError("mass and radius grids must be non-empty")
@@ -257,7 +257,9 @@ def sweep(
         raise DomainError("variational sweeps need an ansatz")
     layout = layout if layout is not None else HamiltonianLayout(variant=PAPER_CHAIN)
     lattice = lattice if lattice is not None else LatticeSpec()
-    seeds = list(seeds) if seeds else [cfg.seed]
+    seeds = [cfg.seed] if seeds is None else list(seeds)
+    if method == METHOD_VQE and not seeds:
+        raise DomainError("variational sweeps need at least one seed")
 
     points = _resolve_points(mass_grid, radius_grid, radius_mode, g_const)
     hams = [

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import hamiltonian as ham
 from .ansatz import AnsatzKind, build
-from .circuits import expectation, run, sampled_expectation
+from .circuits import StateVector, batch_expectation, run, run_batch, sampled_expectation
 from .errors import NonFiniteObjectiveError
 
 
@@ -164,12 +164,24 @@ def vqe_run(
     spsa_rng = np.random.default_rng(spsa_ss)
 
     if shots == 0:
-        objective = lambda th: expectation(run(circuit, th), h)  # noqa: E731
+        matrix = ham.to_matrix(h)
+
+        def energies(states: np.ndarray) -> np.ndarray:
+            return batch_expectation(states, matrix)
     else:
         shot_rng = np.random.default_rng(shot_ss)
 
-        def objective(th):
-            return sampled_expectation(run(circuit, th), h, shots, int(shot_rng.integers(2**63)))
+        def energies(states: np.ndarray) -> np.ndarray:
+            # one shot seed per state, drawn in row order
+            return np.array([
+                sampled_expectation(
+                    StateVector(h.n_qubits, psi), h, shots, int(shot_rng.integers(2**63))
+                )
+                for psi in states
+            ])
+
+    def objective(th: np.ndarray) -> float:
+        return energies(run(circuit, th).amplitudes[None])[0]
 
     best_energy = math.inf
     best_params = np.zeros(circuit.n_params)
@@ -177,10 +189,9 @@ def vqe_run(
     converged = False
     remaining = cfg.max_iter
     while remaining > 0:
-        candidates = [
-            init_rng.uniform(-np.pi, np.pi, circuit.n_params) for _ in range(INIT_CANDIDATES)
-        ]
-        theta0 = min(candidates, key=objective)
+        candidates = init_rng.uniform(-np.pi, np.pi, (INIT_CANDIDATES, circuit.n_params))
+        # argmin keeps the first of tied candidates
+        theta0 = candidates[np.argmin(energies(run_batch(circuit, candidates)))]
         segment = spsa_minimize(objective, theta0, replace(cfg, max_iter=remaining), rng=spsa_rng)
         trace.extend(segment.trace)
         remaining -= segment.iterations_used

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bhvqe.ansatz import AnsatzKind, build
 from bhvqe.circuits import (
@@ -9,9 +11,10 @@ from bhvqe.circuits import (
     Gate,
     GateKind,
     StateVector,
-    apply_pauli_string,
+    batch_expectation,
     expectation,
     run,
+    run_batch,
     ry_matrix,
     sampled_expectation,
     u3_matrix,
@@ -24,6 +27,76 @@ from bhvqe.linalg import PauliTerm
 PI = math.pi
 
 CHAIN_H = assemble(None, HamiltonianLayout(variant=PAPER_CHAIN), LatticeSpec(4))
+
+# Every ansatz family at every width from its minimum up to the 6-qubit cap.
+FAMILY_WIDTHS = [
+    (family, n) for family, lowest in (("ansatz1", 2), ("ansatz2", 2), ("ansatz3", 1))
+    for n in range(lowest, 7)
+]
+
+
+def _u3_reference(theta, phi, lam):
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    return np.array(
+        [
+            [c, -np.exp(1j * lam) * s],
+            [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c],
+        ]
+    )
+
+
+def _apply_1q(state, matrix, qubit):
+    """Reference 1-qubit gate on a (2,)*n tensor: moveaxis + tensordot."""
+    moved = np.moveaxis(state, qubit, 0)
+    return np.moveaxis(np.tensordot(matrix, moved, axes=([1], [0])), 0, qubit)
+
+
+def _apply_controlled(state, matrix, control, target):
+    """Reference controlled gate: the 1-qubit reference on the control = 1 slice."""
+    out = state.copy()
+    sel = [slice(None)] * state.ndim
+    sel[control] = 1
+    sub = out[tuple(sel)]
+    # dropping the control axis shifts later axis indices down by one
+    t = target - 1 if target > control else target
+    out[tuple(sel)] = _apply_1q(sub, matrix, t)
+    return out
+
+
+def reference_run(circuit, params):
+    """Gate-by-gate statevector of one parameter vector, independent of run_batch."""
+    n = circuit.n_qubits
+    state = np.zeros([2] * n, dtype=complex)
+    state[(0,) * n] = 1.0
+    for g in circuit.gates:
+        angles = params[list(g.param_slots)]
+        if g.kind is GateKind.U3:
+            state = _apply_1q(state, _u3_reference(*angles), g.qubits[0])
+        elif g.kind is GateKind.RY:
+            state = _apply_1q(state, _u3_reference(angles[0], 0.0, 0.0), g.qubits[0])
+        elif g.kind is GateKind.CNOT:
+            state = _apply_controlled(state, np.array([[0, 1], [1, 0]]), *g.qubits)
+        else:
+            state = _apply_controlled(state, _u3_reference(*angles), *g.qubits)
+    return state.reshape(-1)
+
+
+def apply_pauli_string(amplitudes, letters):
+    """Reference P|psi> for a Pauli string, acting axis by axis on the reshaped state."""
+    n = len(letters)
+    t = amplitudes.reshape([2] * n)
+    for q, letter in enumerate(letters):
+        if letter == "I":
+            continue
+        shape = [1] * n
+        shape[q] = 2
+        if letter == "X":
+            t = np.flip(t, axis=q)
+        elif letter == "Y":
+            t = np.flip(t, axis=q) * np.array([-1j, 1j]).reshape(shape)
+        else:  # Z
+            t = t * np.array([1.0, -1.0]).reshape(shape)
+    return t.reshape(-1)
 
 
 def single_qubit_layer(n_qubits):
@@ -102,6 +175,69 @@ def test_gate_and_circuit_validation():
         Circuit(1, (Gate(GateKind.U3, (1,), (0, 1, 2)),), 3)
     with pytest.raises(ValueError):
         StateVector(2, np.zeros(3))
+
+
+@pytest.mark.parametrize("family,n_qubits", FAMILY_WIDTHS)
+@settings(max_examples=8, deadline=None)
+@given(batch=st.sampled_from([1, 2, 16]), seed=st.integers(0, 2**32 - 1))
+def test_run_batch_matches_reference_kernel(family, n_qubits, batch, seed):
+    circuit = build(AnsatzKind.from_name(family), n_qubits)
+    params = np.random.default_rng(seed).uniform(-2 * PI, 2 * PI, (batch, circuit.n_params))
+    states = run_batch(circuit, params)
+    assert states.shape == (batch, 2**n_qubits)
+    for row, theta in zip(states, params):
+        np.testing.assert_allclose(row, reference_run(circuit, theta), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(row, run(circuit, theta).amplitudes, rtol=0, atol=1e-14)
+
+
+def test_run_batch_controlled_gate_below_its_control():
+    # CU3 and CNOT whose target precedes the control, which no ansatz builds
+    gates = (
+        Gate(GateKind.U3, (0,), (0, 1, 2)),
+        Gate(GateKind.U3, (2,), (3, 4, 5)),
+        Gate(GateKind.CU3, (2, 0), (6, 7, 8)),
+        Gate(GateKind.CNOT, (1, 0)),
+        Gate(GateKind.CNOT, (2, 1)),
+    )
+    circuit = Circuit(3, gates, 9)
+    params = np.random.default_rng(31).uniform(-PI, PI, (4, 9))
+    for row, theta in zip(run_batch(circuit, params), params):
+        np.testing.assert_allclose(row, reference_run(circuit, theta), rtol=0, atol=1e-12)
+
+
+def test_run_batch_shapes():
+    circuit = single_qubit_layer(2)
+    for params in (np.zeros(6), np.zeros((3, 5)), np.zeros((1, 2, 6))):
+        with pytest.raises(ParamLengthMismatchError):
+            run_batch(circuit, params)
+    for family in ("ansatz1", "ansatz2", "ansatz3"):
+        circuit = build(AnsatzKind.from_name(family), 3)
+        assert run_batch(circuit, np.zeros((0, circuit.n_params))).shape == (0, 8)
+
+
+def _random_hamiltonian(rng, n_qubits):
+    strings = {"".join(rng.choice(list("IXYZ"), n_qubits)) for _ in range(6)}
+    return PauliHamiltonian(n_qubits, tuple(PauliTerm(rng.normal(), s) for s in sorted(strings)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_qubits=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_expectation_matches_term_sum_and_dense_route(n_qubits, seed):
+    rng = np.random.default_rng(seed)
+    h = _random_hamiltonian(rng, n_qubits)
+    states = rng.normal(size=(3, 2**n_qubits)) + 1j * rng.normal(size=(3, 2**n_qubits))
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    dense = to_matrix(h)
+    batch = batch_expectation(states, dense)
+    for psi, value in zip(states, batch):
+        by_terms = sum(
+            t.coefficient * np.vdot(psi, apply_pauli_string(psi, t.string)) for t in h.terms
+        )
+        direct = np.vdot(psi, dense @ psi).real
+        exact = expectation(StateVector(n_qubits, psi), h)
+        assert abs(exact - by_terms) < 1e-12
+        assert abs(exact - direct) < 1e-12
+        assert abs(exact - value) < 1e-12
 
 
 def test_apply_pauli_string_basics():

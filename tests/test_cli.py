@@ -1,12 +1,15 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+from bhvqe import cli
 from bhvqe.cli import CSV_COLUMNS, SOLAR_MASS_PLANCK, main
+from bhvqe.errors import ConfigError
 
 PI = math.pi
 
@@ -241,6 +244,21 @@ def test_sweep_rejects_bad_thread_count(tmp_path, capsys, monkeypatch):
     assert "BHVQE_THREADS" in err
 
 
+def test_thread_count_is_capped_by_cores_and_tasks(monkeypatch):
+    # the resolver alone: no pool is started
+    cores = os.cpu_count() or 1
+    monkeypatch.delenv("BHVQE_THREADS", raising=False)
+    assert cli._max_workers(8) == 1
+    monkeypatch.setenv("BHVQE_THREADS", "100000")
+    assert cli._max_workers(10**9) == cores
+    assert cli._max_workers(1) == 1
+    monkeypatch.setenv("BHVQE_THREADS", "0")
+    assert cli._max_workers(8) == 1
+    monkeypatch.setenv("BHVQE_THREADS", "2.5")
+    with pytest.raises(ConfigError):
+        cli._max_workers(8)
+
+
 def test_sweep_requires_out_path(tmp_path, capsys):
     cfg = write_config(tmp_path, {"seeds": []})
     code, _, err = run_cli(capsys, "sweep", "--config", cfg)
@@ -288,6 +306,27 @@ def test_fit_needs_three_points(tmp_path, capsys):
     code, _, err = run_cli(capsys, "fit", "--in", str(out_path), "--curve", "mass")
     assert code == 3
     assert "3" in err
+
+
+def test_fit_uses_exact_rows_of_one_family(tmp_path, capsys):
+    base = {"mass_grid": [1.0, 2.0, 4.0], "seeds": [0], "spsa": {"max_iter": 20}}
+    mixed = tmp_path / "mixed.csv"
+    cfg = write_config(tmp_path, {**base, "radius_grid": [10.0, 20.0]}, name="mixed.json")
+    assert run_cli(capsys, "sweep", "--config", cfg, "--out", str(mixed))[0] == 0
+    code, _, err = run_cli(capsys, "fit", "--in", str(mixed), "--curve", "mass")
+    assert code == 2
+    assert "radius" in err
+    code, _, err = run_cli(capsys, "fit", "--in", str(mixed), "--curve", "radius")
+    assert code == 2
+    assert "mass" in err
+    # one radius: the short-budget vqe rows are skipped, so c is exactly GM/2r / M = 1/(2r)
+    single = tmp_path / "single.csv"
+    cfg = write_config(tmp_path, {**base, "radius_grid": [10.0]}, name="single.json")
+    assert run_cli(capsys, "sweep", "--config", cfg, "--out", str(single))[0] == 0
+    code, out, _ = run_cli(capsys, "fit", "--in", str(single), "--curve", "mass")
+    assert code == 0
+    fields = dict(part.split("=") for part in out.split())
+    assert abs(float(fields["c"]) - 0.05) / 0.05 < 1e-6
 
 
 def test_fit_missing_input(tmp_path, capsys):

@@ -237,3 +237,10 @@ def test_sweep_validation():
         sweep([1.0], [1.0], METHOD_EXACT, SpsaConfig(), radius_mode="parsecs")
     with pytest.raises(DomainError):
         sweep([1.0], [1.0], METHOD_VQE, SpsaConfig())  # no ansatz
+
+
+def test_sweep_rejects_empty_seed_list():
+    with pytest.raises(DomainError):
+        sweep([1.0], [1.0], METHOD_VQE, SpsaConfig(), ansatz=A3, seeds=[])
+    records = sweep([1.0, 2.0], [1.0], METHOD_EXACT, SpsaConfig(), seeds=[])
+    assert [rec.seed for rec in records] == [None, None]

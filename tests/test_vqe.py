@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from bhvqe.ansatz import AnsatzKind
+from bhvqe import vqe
+from bhvqe.ansatz import AnsatzKind, build
+from bhvqe.circuits import expectation, run
 from bhvqe.errors import NonFiniteObjectiveError
 from bhvqe.hamiltonian import (
     PAPER_CHAIN,
@@ -15,7 +17,7 @@ from bhvqe.hamiltonian import (
 )
 from bhvqe.lattice import LatticeSpec
 from bhvqe.linalg import PauliTerm
-from bhvqe.vqe import SpsaConfig, spsa_minimize, vqe_run
+from bhvqe.vqe import SpsaConfig, VqeResult, spsa_minimize, vqe_run
 
 PI = math.pi
 
@@ -124,6 +126,25 @@ def test_vqe_respects_variational_bound():
         result = vqe_run(CHAIN_H, A3, SpsaConfig(seed=seed, max_iter=120))
         assert result.best_energy >= ground - 1e-10
         assert min(result.trace) >= ground - 1e-10
+
+
+@pytest.mark.parametrize("h", [PauliHamiltonian(4, ()), CHAIN_H], ids=["all-tied", "chain"])
+def test_vqe_screen_picks_first_lowest_candidate(monkeypatch, h):
+    starts = []
+
+    def one_step(objective, theta0, cfg, rng=None):
+        starts.append(np.array(theta0))
+        return VqeResult(best_params=theta0, best_energy=0.0, trace=(0.0,), iterations_used=1)
+
+    monkeypatch.setattr(vqe, "spsa_minimize", one_step)
+    vqe_run(h, A3, SpsaConfig(seed=4))
+    # the candidate stream vqe_run draws: first child of the seed, one start at a time
+    circuit = build(A3, h.n_qubits)
+    init_rng = np.random.default_rng(np.random.SeedSequence(4).spawn(3)[0])
+    candidates = [init_rng.uniform(-PI, PI, circuit.n_params) for _ in range(vqe.INIT_CANDIDATES)]
+    expected = min(candidates, key=lambda th: expectation(run(circuit, th), h))
+    assert len(starts) == 1
+    np.testing.assert_array_equal(starts[0], expected)
 
 
 def test_vqe_deterministic_by_seed():
