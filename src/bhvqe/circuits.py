@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParamLengthMismatchError, QubitMismatchError
-from .hamiltonian import PauliHamiltonian, to_matrix
+from .hamiltonian import PauliHamiltonian, pauli_masks, popcount_table, to_matrix
 
 EXPECTATION_IMAG_TOL = 1e-10
 
@@ -199,6 +199,15 @@ _HAD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _MEASURE_ROTATION = {"X": _HAD, "Y": _HAD @ np.diag([1, -1j])}
 
 
+def parity_eigenvalues(dim: int) -> np.ndarray:
+    """(dim, dim) table whose row `mask` holds (-1)^popcount(mask & k) for every outcome k.
+
+    That row is the +/-1 eigenvalue of each outcome, measured in the
+    eigenbasis of a Pauli string with support `mask`.
+    """
+    return 1.0 - 2.0 * (popcount_table(dim) & 1)
+
+
 def sampled_expectation(state: StateVector, h: PauliHamiltonian, shots: int, seed: int) -> float:
     """Shot-noise estimate of <psi|H|psi>.
 
@@ -210,25 +219,20 @@ def sampled_expectation(state: StateVector, h: PauliHamiltonian, shots: int, see
     _check_qubits(state, h)
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    n = state.n_qubits
-    dim = 2**n
+    eigenvalues = parity_eigenvalues(2**state.n_qubits)
+    x, z = pauli_masks(h)
     rng = np.random.default_rng(seed)
     total = 0.0
-    for term in h.terms:
-        support = [q for q, letter in enumerate(term.string) if letter != "I"]
-        if not support:
+    for term, mask in zip(h.terms, (x | z).tolist()):
+        if not mask:
             total += term.coefficient
             continue
         rotated = state.amplitudes[None]
-        for q in support:
-            letter = term.string[q]
+        for q, letter in enumerate(term.string):
             if letter in _MEASURE_ROTATION:
                 rotated = _apply(rotated, _MEASURE_ROTATION[letter], q)
         probs = np.abs(rotated[0]) ** 2
         probs = probs / probs.sum()
-        # eigenvalue of an outcome = parity of its bits on the term's support
-        mask = sum(1 << (n - 1 - q) for q in support)
-        eigs = np.array([1.0 - 2.0 * (bin(i & mask).count("1") & 1) for i in range(dim)])
         counts = rng.multinomial(shots, probs)
-        total += term.coefficient * float(counts @ eigs) / shots
+        total += term.coefficient * float(counts @ eigenvalues[mask]) / shots
     return total

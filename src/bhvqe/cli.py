@@ -34,6 +34,7 @@ from .ansatz import AnsatzKind
 from .errors import BhvqeError, ConfigError
 from .hamiltonian import (
     DISJOINT,
+    MAX_EXACT_QUBITS,
     PAPER_CHAIN,
     BlackHoleParams,
     HamiltonianLayout,
@@ -71,10 +72,6 @@ CSV_COLUMNS = (
     "run_id,method,ansatz,layout,lattice_n,mass,radius,rho,"
     "energy,energy_exact,temperature,power,iterations,seed,converged"
 )
-
-# Exact diagonalization backs every subcommand output, so configs must stay
-# within its qubit budget.
-MAX_EXACT_QUBITS = 6
 
 _SPSA_KEYS = ("a", "c", "alpha", "gamma", "stability_a", "max_iter", "tol", "window")
 _SPSA_INT_KEYS = ("max_iter", "window")
@@ -235,6 +232,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         kappa_t=_as_float("kappa_t", merged["kappa_t"]),
         kappa_p=_as_float("kappa_p", merged["kappa_p"]),
     )
+    # exact diagonalization backs every subcommand output
     if _layout_qubits(config) > MAX_EXACT_QUBITS:
         raise ConfigError(
             f"layout needs {_layout_qubits(config)} qubits; exact diagonalization "
@@ -276,6 +274,11 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
+def _fmt_energy(value: float) -> str:
+    """Six decimals; a value that rounds to zero prints as 0.000000, never -0.000000."""
+    return f"{round(value, 6) + 0.0:.6f}"
+
+
 def _atomic_write(path: str, text: str) -> None:
     partial = path + ".partial"
     with open(partial, "w", encoding="utf-8", newline="") as handle:
@@ -305,7 +308,7 @@ def cmd_exact(cfg: RunConfig) -> int:
         params = BlackHoleParams(mass=mass, radius=radius)
         h = assemble(params, layout, lattice, inner_half=cfg.inner_half)
         energy = exact_ground_energy(h)
-        print(f"{_fmt(mass)} {_fmt(radius)} {_fmt(params.rho)} {energy:.6f}")
+        print(f"{_fmt(mass)} {_fmt(radius)} {_fmt(params.rho)} {_fmt_energy(energy)}")
     return EXIT_OK
 
 
@@ -337,7 +340,7 @@ def cmd_vqe(cfg: RunConfig, trace_path: str | None) -> int:
                 print(f"{prefix} {seed} error {type(exc).__name__}: {exc}", file=sys.stderr)
                 continue
             print(
-                f"{prefix} {seed} {result.best_energy:.6f} {energy_exact:.6f} "
+                f"{prefix} {seed} {_fmt_energy(result.best_energy)} {_fmt_energy(energy_exact)} "
                 f"{result.iterations_used} {str(result.converged).lower()}"
             )
             if trace_path is not None:

@@ -13,6 +13,7 @@ from bhvqe.circuits import (
     StateVector,
     batch_expectation,
     expectation,
+    parity_eigenvalues,
     run,
     run_batch,
     ry_matrix,
@@ -328,6 +329,15 @@ def test_sampled_expectation_deterministic_by_seed():
     other = sampled_expectation(state, CHAIN_H, shots=500, seed=8)
     assert first == second
     assert first != other
+
+
+def test_parity_eigenvalues_match_bit_count_loop():
+    for n_qubits in range(1, 5):
+        dim = 2**n_qubits
+        table = parity_eigenvalues(dim)
+        for mask in range(dim):
+            loop = np.array([1.0 - 2.0 * (bin(i & mask).count("1") & 1) for i in range(dim)])
+            np.testing.assert_array_equal(table[mask], loop)
 
 
 def test_sampled_expectation_rejects_bad_shots():

@@ -81,6 +81,14 @@ def test_exact_energies(tmp_path, capsys):
     assert out.splitlines()[0].endswith(" 0.000000")
 
 
+def test_exact_prints_unsigned_zero(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "exact_ground_energy", lambda h: -1e-16)
+    cfg = write_config(tmp_path, {"layout": "disjoint", "dims": 1}, "disjoint.json")
+    code, out, _ = run_cli(capsys, "exact", "--config", cfg)
+    assert code == 0
+    assert out.splitlines() == ["1 10 0.05 0.000000"]
+
+
 def test_exact_gm_multiple_radius(tmp_path, capsys):
     cfg = write_config(tmp_path, {"mass_grid": [3.0], "radius_grid": [3.0],
                                   "radius_mode": "gm-multiple"})

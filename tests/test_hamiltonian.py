@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bhvqe.errors import DomainError, NotHermitianError, NotPowerOfTwoError, UnsupportedLatticeError
 from bhvqe.hamiltonian import (
@@ -18,8 +20,8 @@ from bhvqe.hamiltonian import (
     to_matrix,
     to_text,
 )
-from bhvqe.lattice import LatticeSpec
-from bhvqe.linalg import PauliTerm, hermitian_eigensystem
+from bhvqe.lattice import LatticeSpec, momentum_squared
+from bhvqe.linalg import PAULI_LETTERS, PauliTerm, hermitian_eigensystem, pauli_matrix
 
 PI = math.pi
 
@@ -53,6 +55,24 @@ def brute_force_chain_minimum(h):
             value += prod
         best = min(best, value)
     return best
+
+
+def reference_decompose(m, prune_tol=1e-12):
+    """Oracle: (string, coefficient) pairs from Tr[P m] / 2^n over all 4^n Pauli matrices."""
+    dim = m.shape[0]
+    terms = []
+    for letters in itertools.product(PAULI_LETTERS, repeat=dim.bit_length() - 1):
+        string = "".join(letters)
+        coefficient = complex(np.einsum("ij,ji->", pauli_matrix(string), m)).real / dim
+        if abs(coefficient) > prune_tol:
+            terms.append((string, coefficient))
+    return terms
+
+
+def random_hermitian(rng, n_qubits):
+    dim = 2**n_qubits
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return (a + a.conj().T) / 2
 
 
 def plus_minus_state(pattern):
@@ -175,6 +195,51 @@ def test_pauli_decompose_momentum_squared():
     assert {t.string for t in h.terms} == set(expected)
     for string, value in expected.items():
         assert abs(h.coefficient(string) - value) < 1e-12
+
+
+@settings(max_examples=12, deadline=None)
+@given(n_qubits=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_pauli_decompose_matches_reference(n_qubits, seed):
+    m = random_hermitian(np.random.default_rng(seed), n_qubits)
+    expected = reference_decompose(m)
+    h = pauli_decompose(m)
+    assert [t.string for t in h.terms] == [s for s, _ in expected]
+    for t, (_, coefficient) in zip(h.terms, expected):
+        assert abs(t.coefficient - coefficient) < 1e-12, t.string
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_qubits=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_to_matrix_matches_pauli_matrix_sum(n_qubits, seed):
+    rng = np.random.default_rng(seed)
+    picks = rng.choice(4**n_qubits, size=min(4**n_qubits, int(rng.integers(1, 40))), replace=False)
+    strings = sorted(
+        "".join(PAULI_LETTERS[(p >> (2 * q)) & 3] for q in range(n_qubits)) for p in picks
+    )
+    h = PauliHamiltonian(n_qubits, tuple(PauliTerm(float(rng.normal()), s) for s in strings))
+    expected = sum(t.coefficient * pauli_matrix(t.string) for t in h.terms)
+    np.testing.assert_allclose(to_matrix(h), expected, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_qubits=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_decompose_round_trip(n_qubits, seed):
+    m = random_hermitian(np.random.default_rng(seed), n_qubits)
+    np.testing.assert_allclose(to_matrix(pauli_decompose(m)), m, rtol=0, atol=1e-12)
+
+
+def test_momentum_squared_blocks_match_reference():
+    for n_points in (2, 4, 8, 16, 32, 64):
+        m = momentum_squared(LatticeSpec(n_points))
+        expected = reference_decompose(m)
+        h = pauli_decompose(m)
+        assert [t.string for t in h.terms] == [s for s, _ in expected], n_points
+        for t, (_, coefficient) in zip(h.terms, expected):
+            assert abs(t.coefficient - coefficient) < 1e-12, (n_points, t.string)
+
+
+def test_to_matrix_without_terms_is_zero():
+    np.testing.assert_array_equal(to_matrix(PauliHamiltonian(3, ())), np.zeros((8, 8)))
 
 
 def test_pauli_decompose_zero_matrix():
