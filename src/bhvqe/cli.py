@@ -36,10 +36,8 @@ from .hamiltonian import (
     DISJOINT,
     MAX_EXACT_QUBITS,
     PAPER_CHAIN,
-    BlackHoleParams,
     HamiltonianLayout,
     assemble,
-    exact_ground_energy,
     to_matrix,
     to_text,
 )
@@ -49,11 +47,13 @@ from .observables import (
     METHOD_VQE,
     RADIUS_ABSOLUTE,
     RADIUS_GM_MULTIPLE,
+    GridPoint,
     SweepRecord,
-    _derived_seed,
     fit_energy_vs_mass,
     fit_energy_vs_radius,
-    sweep,
+    plan,
+    records,
+    run_seed,
 )
 from .vqe import SpsaConfig, vqe_run
 
@@ -255,19 +255,12 @@ def _ansatz_kind(cfg: RunConfig) -> AnsatzKind:
     return AnsatzKind.from_name(cfg.ansatz, reps=cfg.reps)
 
 
-def _planck_masses(cfg: RunConfig) -> list[float]:
+def _plan(cfg: RunConfig) -> list[GridPoint]:
+    """The run's grid points, masses converted to Planck units."""
     scale = SOLAR_MASS_PLANCK if cfg.mass_unit == MASS_UNIT_SOLAR else 1.0
-    return [m * scale for m in cfg.mass_grid]
-
-
-def _grid_points(cfg: RunConfig) -> list[tuple[int, float, float]]:
-    """(point index, mass, absolute radius) in Planck units, mass-major order."""
-    points = []
-    for mass in _planck_masses(cfg):
-        for radius in cfg.radius_grid:
-            r_abs = radius * mass if cfg.radius_mode == RADIUS_GM_MULTIPLE else radius
-            points.append((len(points), mass, r_abs))
-    return points
+    return plan([m * scale for m in cfg.mass_grid], list(cfg.radius_grid),
+                _hamiltonian_layout(cfg), LatticeSpec(n_points=cfg.lattice_n),
+                inner_half=cfg.inner_half, radius_mode=cfg.radius_mode)
 
 
 def _fmt(value: float) -> str:
@@ -279,6 +272,10 @@ def _fmt_energy(value: float) -> str:
     return f"{round(value, 6) + 0.0:.6f}"
 
 
+def _point_prefix(point: GridPoint) -> str:
+    return f"{_fmt(point.params.mass)} {_fmt(point.params.radius)} {_fmt(point.params.rho)}"
+
+
 def _atomic_write(path: str, text: str) -> None:
     partial = path + ".partial"
     with open(partial, "w", encoding="utf-8", newline="") as handle:
@@ -288,10 +285,12 @@ def _atomic_write(path: str, text: str) -> None:
 
 def cmd_hamiltonian(cfg: RunConfig, fmt: str, normalized: bool) -> int:
     """Print the Hamiltonian at the first grid point (or prefactor 1)."""
-    _, mass, radius = _grid_points(cfg)[0]
-    params = None if normalized else BlackHoleParams(mass=mass, radius=radius)
-    h = assemble(params, _hamiltonian_layout(cfg), LatticeSpec(n_points=cfg.lattice_n),
-                 inner_half=cfg.inner_half)
+    if normalized:
+        h = assemble(None, _hamiltonian_layout(cfg), LatticeSpec(n_points=cfg.lattice_n),
+                     inner_half=cfg.inner_half)
+    else:
+        first = replace(cfg, mass_grid=cfg.mass_grid[:1], radius_grid=cfg.radius_grid[:1])
+        h = _plan(first)[0].hamiltonian
     if fmt == "pauli":
         print(to_text(h))
     else:
@@ -302,13 +301,8 @@ def cmd_hamiltonian(cfg: RunConfig, fmt: str, normalized: bool) -> int:
 
 def cmd_exact(cfg: RunConfig) -> int:
     """Print `mass radius rho energy` for every grid point."""
-    layout = _hamiltonian_layout(cfg)
-    lattice = LatticeSpec(n_points=cfg.lattice_n)
-    for _, mass, radius in _grid_points(cfg):
-        params = BlackHoleParams(mass=mass, radius=radius)
-        h = assemble(params, layout, lattice, inner_half=cfg.inner_half)
-        energy = exact_ground_energy(h)
-        print(f"{_fmt(mass)} {_fmt(radius)} {_fmt(params.rho)} {_fmt_energy(energy)}")
+    for point in _plan(cfg):
+        print(f"{_point_prefix(point)} {_fmt_energy(point.energy_exact)}")
     return EXIT_OK
 
 
@@ -316,38 +310,32 @@ def cmd_vqe(cfg: RunConfig, trace_path: str | None) -> int:
     """Run one VQE per (grid point, seed); print a summary line per run."""
     if not cfg.seeds:
         raise ConfigError("vqe needs at least one seed")
-    points = _grid_points(cfg)
-    if trace_path is not None and len(points) * len(cfg.seeds) != 1:
+    runs = len(cfg.mass_grid) * len(cfg.radius_grid) * len(cfg.seeds)
+    if trace_path is not None and runs != 1:
         raise ConfigError("--trace needs a single-point, single-seed run")
-    layout = _hamiltonian_layout(cfg)
-    lattice = LatticeSpec(n_points=cfg.lattice_n)
     kind = _ansatz_kind(cfg)
 
     failures = 0
-    total = 0
-    for index, mass, radius in points:
-        params = BlackHoleParams(mass=mass, radius=radius)
-        h = assemble(params, layout, lattice, inner_half=cfg.inner_half)
-        energy_exact = exact_ground_energy(h)
-        prefix = f"{_fmt(mass)} {_fmt(radius)} {_fmt(params.rho)}"
+    for point in _plan(cfg):
+        prefix = _point_prefix(point)
         for seed in cfg.seeds:
-            total += 1
-            run_cfg = replace(cfg.spsa, seed=_derived_seed(seed, index))
+            run_cfg = replace(cfg.spsa, seed=run_seed(seed, point.index))
             try:
-                result = vqe_run(h, kind, run_cfg, shots=cfg.shots)
+                result = vqe_run(point.hamiltonian, kind, run_cfg, shots=cfg.shots)
             except BhvqeError as exc:
                 failures += 1
                 print(f"{prefix} {seed} error {type(exc).__name__}: {exc}", file=sys.stderr)
                 continue
             print(
-                f"{prefix} {seed} {_fmt_energy(result.best_energy)} {_fmt_energy(energy_exact)} "
+                f"{prefix} {seed} {_fmt_energy(result.best_energy)} "
+                f"{_fmt_energy(point.energy_exact)} "
                 f"{result.iterations_used} {str(result.converged).lower()}"
             )
             if trace_path is not None:
                 lines = ["iteration,energy"]
                 lines += [f"{i},{_fmt(e)}" for i, e in enumerate(result.trace, start=1)]
                 _atomic_write(trace_path, "\n".join(lines) + "\n")
-    return EXIT_NUMERIC if total and failures == total else EXIT_OK
+    return EXIT_NUMERIC if failures == runs else EXIT_OK
 
 
 def _max_workers(n_tasks: int) -> int:
@@ -364,40 +352,29 @@ def _max_workers(n_tasks: int) -> int:
 
 def _sweep_records(cfg: RunConfig) -> list[SweepRecord]:
     """Exact records for every point, then per-seed VQE records, interleaved."""
-    masses = _planck_masses(cfg)
-    radii = list(cfg.radius_grid)
-    layout = _hamiltonian_layout(cfg)
-    lattice = LatticeSpec(n_points=cfg.lattice_n)
-    shared = dict(
-        layout=layout,
-        lattice=lattice,
-        inner_half=cfg.inner_half,
-        radius_mode=cfg.radius_mode,
-        kappa_t=cfg.kappa_t,
-        kappa_p=cfg.kappa_p,
-    )
-    exact_records = sweep(masses, radii, METHOD_EXACT, cfg.spsa, cfg.shots, **shared)
+    points = _plan(cfg)
+    kappas = dict(kappa_t=cfg.kappa_t, kappa_p=cfg.kappa_p)
+    exact_records = records(points, METHOD_EXACT, cfg.spsa, cfg.shots, **kappas)
     if cfg.seeds:
-        vqe_records = sweep(
-            masses,
-            radii,
+        vqe_records = records(
+            points,
             METHOD_VQE,
             cfg.spsa,
             cfg.shots,
             ansatz=_ansatz_kind(cfg),
             seeds=list(cfg.seeds),
-            max_workers=_max_workers(len(masses) * len(radii) * len(cfg.seeds)),
-            **shared,
+            max_workers=_max_workers(len(points) * len(cfg.seeds)),
+            **kappas,
         )
     else:
         vqe_records = []
 
-    records = []
+    interleaved = []
     per_point = len(cfg.seeds)
     for i, exact_record in enumerate(exact_records):
-        records.append(exact_record)
-        records.extend(vqe_records[i * per_point : (i + 1) * per_point])
-    return records
+        interleaved.append(exact_record)
+        interleaved.extend(vqe_records[i * per_point : (i + 1) * per_point])
+    return interleaved
 
 
 def _records_to_csv(cfg: RunConfig, records: list[SweepRecord]) -> str:
@@ -438,8 +415,7 @@ def cmd_sweep(cfg: RunConfig, out_path: str | None) -> int:
     """Write the sweep CSV and its manifest."""
     if not out_path:
         raise ConfigError("sweep needs --out PATH for the CSV")
-    records = _sweep_records(cfg)
-    text = _records_to_csv(cfg, records)
+    text = _records_to_csv(cfg, _sweep_records(cfg))
     _atomic_write(out_path, text)
     manifest = {
         "config": _config_snapshot(cfg),

@@ -62,38 +62,10 @@ class PauliTerm:
         return len(self.string)
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with a as the leftmost (most significant) factor."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def pauli_matrix(letters: str) -> np.ndarray:
     """Materialize a Pauli string as its 2^n x 2^n matrix."""
     validate_pauli_string(letters)
     return reduce(np.kron, (SINGLE_QUBIT_PAULIS[c] for c in letters))
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"cannot add {a.shape} and {b.shape}")
-    return a + b
-
-
-def scale(m: np.ndarray, factor: complex) -> np.ndarray:
-    return as_matrix(m) * factor
-
-
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(m).conj().T
 
 
 def hermiticity_defect(m: np.ndarray) -> float:

@@ -1,13 +1,17 @@
 """Mass/radius sweeps and the Hawking-style observable pipeline.
 
-A sweep evaluates the chain ground energy over a mass x radius grid, by
-exact diagonalization and optionally by the variational optimizer, then
-converts energies to temperature and power. The conversion prefers the
-quartic curve fit E^4 = b0 + b1 * M inverted back to an effective mass;
-whenever a fit is impossible or unstable for a record (too few distinct
-masses, degenerate data, nonpositive inverted mass) the record falls back
-to the definitional values kappa_t / M and kappa_p / M^2. Both routes are
-kept on every record so they can be compared downstream.
+A sweep runs in two steps. `plan` resolves the mass x radius grid into
+GridPoints, each holding its Hamiltonian and exact ground energy, made once
+per point. `records` then adds the variational runs, each seeded by
+`run_seed(seed, point index)`, and converts energies to temperature and
+power; `sweep` chains the two, and the CLI calls them directly.
+
+The conversion prefers the quartic curve fit E^4 = b0 + b1 * M inverted
+back to an effective mass; whenever a fit is impossible or unstable for a
+record (too few distinct masses, degenerate data, nonpositive inverted
+mass) the record falls back to the definitional values kappa_t / M and
+kappa_p / M^2. Both routes are kept on every record so they can be
+compared downstream.
 """
 
 from __future__ import annotations
@@ -155,11 +159,14 @@ def power(mass: float, kappa_p: float = 1.0) -> float:
 
 
 @dataclass(frozen=True)
-class _Point:
-    index: int
-    mass: float
-    radius: float
-    radius_key: int
+class GridPoint:
+    """One planned grid point: its Hamiltonian and exact ground energy, made once."""
+
+    index: int  # position in mass-major order; seeds each of its VQE runs
+    params: BlackHoleParams
+    radius_key: int  # position in the radius grid; names the point's fit family
+    hamiltonian: PauliHamiltonian
+    energy_exact: float
 
 
 @dataclass(frozen=True)
@@ -175,25 +182,39 @@ def _run_vqe_task(task: _VqeTask) -> tuple[float, int, bool]:
     return result.best_energy, result.iterations_used, result.converged
 
 
-def _derived_seed(base_seed: int, point_index: int) -> int:
+def run_seed(base_seed: int, point_index: int) -> int:
+    """Seed of the VQE run for one (base seed, grid point); independent of run order."""
     return int(np.random.SeedSequence([base_seed, point_index]).generate_state(1)[0])
 
 
-def _resolve_points(
+def plan(
     mass_grid: list[float],
     radius_grid: list[float],
-    radius_mode: str,
-    g_const: float,
-) -> list[_Point]:
+    layout: HamiltonianLayout,
+    lattice: LatticeSpec,
+    *,
+    inner_half: bool = False,
+    radius_mode: str = RADIUS_ABSOLUTE,
+) -> list[GridPoint]:
+    """Resolve the grid in mass-major order; assemble and diagonalize each point once.
+
+    In gm-multiple mode each radius is a multiple of GM (G = 1).
+    """
+    if not mass_grid or not radius_grid:
+        raise DomainError("mass and radius grids must be non-empty")
+    if radius_mode not in (RADIUS_ABSOLUTE, RADIUS_GM_MULTIPLE):
+        raise DomainError(f"unknown radius mode {radius_mode!r}")
     points = []
     for mass, (radius_key, radius) in itertools.product(mass_grid, enumerate(radius_grid)):
-        r_abs = radius * g_const * mass if radius_mode == RADIUS_GM_MULTIPLE else radius
-        points.append(_Point(index=len(points), mass=mass, radius=r_abs, radius_key=radius_key))
+        r_abs = radius * mass if radius_mode == RADIUS_GM_MULTIPLE else radius
+        params = BlackHoleParams(mass=mass, radius=r_abs)
+        h = assemble(params, layout, lattice, inner_half=inner_half)
+        points.append(GridPoint(len(points), params, radius_key, h, exact_ground_energy(h)))
     return points
 
 
 def _fitted_observables(
-    group: list[tuple[_Point, float]],
+    group: list[tuple[GridPoint, float]],
     kappa_t: float,
     kappa_p: float,
 ) -> dict[int, tuple[float, float]]:
@@ -202,11 +223,11 @@ def _fitted_observables(
     Points whose inversion fails or lands at a nonpositive mass are simply
     omitted; the caller falls back to the direct values for them.
     """
-    masses = [p.mass for p, _ in group]
+    masses = [p.params.mass for p, _ in group]
     if len(set(masses)) < MIN_FIT_POINTS:
         return {}
     try:
-        fit = fit_energy_vs_mass([(p.mass, e) for p, e in group])
+        fit = fit_energy_vs_mass([(p.params.mass, e) for p, e in group])
     except (DegenerateDataError, NegativeInterceptError):
         return {}
     out = {}
@@ -218,6 +239,85 @@ def _fitted_observables(
         if not np.isfinite(m_hat) or m_hat <= 0:
             continue
         out[point.index] = (kappa_t / m_hat, kappa_p / m_hat**2)
+    return out
+
+
+def records(
+    points: list[GridPoint],
+    method: str,
+    cfg: SpsaConfig,
+    shots: int = 0,
+    *,
+    ansatz: AnsatzKind | None = None,
+    seeds: list[int] | None = None,
+    kappa_t: float = 1.0,
+    kappa_p: float = 1.0,
+    max_workers: int = 1,
+) -> list[SweepRecord]:
+    """Sweep records of planned points.
+
+    Exact sweeps yield one record per point; variational sweeps yield one
+    per (point, seed), each run seeded by run_seed(seed, point.index).
+    Records come back in point order, then seed order; seeds=None runs
+    cfg.seed alone. max_workers > 1 distributes the variational runs over
+    worker processes.
+    """
+    if method not in (METHOD_EXACT, METHOD_VQE):
+        raise DomainError(f"unknown method {method!r}")
+    if method == METHOD_VQE and ansatz is None:
+        raise DomainError("variational sweeps need an ansatz")
+    seeds = [cfg.seed] if seeds is None else list(seeds)
+    if method == METHOD_VQE and not seeds:
+        raise DomainError("variational sweeps need at least one seed")
+
+    if method == METHOD_EXACT:
+        runs = [(point, None, point.energy_exact, 0, None) for point in points]
+    else:
+        pairs = list(itertools.product(points, seeds))
+        tasks = [
+            _VqeTask(point.hamiltonian, ansatz, replace(cfg, seed=run_seed(seed, point.index)), shots)
+            for point, seed in pairs
+        ]
+        if max_workers > 1:
+            with ProcessPoolExecutor(max_workers=max_workers) as pool:
+                outcomes = list(pool.map(_run_vqe_task, tasks))
+        else:
+            outcomes = [_run_vqe_task(t) for t in tasks]
+        runs = [(point, seed, *outcome) for (point, seed), outcome in zip(pairs, outcomes)]
+
+    fitted: dict[tuple[int, int], tuple[float, float]] = {}
+    group_key = lambda item: (-1 if item[1] is None else item[1], item[0].radius_key)  # noqa: E731
+    for (seed, _), group_iter in itertools.groupby(sorted(runs, key=group_key), key=group_key):
+        group = list(group_iter)
+        per_point = _fitted_observables([(p, e) for p, _, e, _, _ in group], kappa_t, kappa_p)
+        fitted.update({(seed, index): obs for index, obs in per_point.items()})
+
+    out = []
+    for point, seed, energy, iterations, converged in runs:
+        mass = point.params.mass
+        t_direct = temperature(mass, kappa_t)
+        p_direct = power(mass, kappa_p)
+        fit_key = (-1 if seed is None else seed, point.index)
+        t_fit, p_fit = fitted.get(fit_key, (t_direct, p_direct))
+        out.append(
+            SweepRecord(
+                mass=mass,
+                radius=point.params.radius,
+                rho=point.params.rho,
+                energy_exact=point.energy_exact,
+                energy_vqe=None if method == METHOD_EXACT else energy,
+                temperature=t_fit,
+                power=p_fit,
+                temperature_direct=t_direct,
+                power_direct=p_direct,
+                method=method,
+                ansatz="" if ansatz is None else ansatz.family.value,
+                seed=seed,
+                shots=shots,
+                iterations=iterations,
+                converged=converged,
+            )
+        )
     return out
 
 
@@ -234,95 +334,18 @@ def sweep(
     lattice: LatticeSpec | None = None,
     inner_half: bool = False,
     radius_mode: str = RADIUS_ABSOLUTE,
-    g_const: float = 1.0,
     kappa_t: float = 1.0,
     kappa_p: float = 1.0,
     max_workers: int = 1,
 ) -> list[SweepRecord]:
-    """Evaluate the ground energy over a mass x radius grid.
+    """Evaluate the ground energy over a mass x radius grid: plan, then records.
 
-    Exact sweeps yield one record per grid point; variational sweeps yield
-    one per (grid point, seed), with per-run seeds derived deterministically
-    from the base seed and the point index. Records come back in grid order
-    (mass-major, then radius, then seed); seeds=None runs cfg.seed alone.
-    max_workers > 1 distributes the variational runs over worker processes.
+    layout and lattice default to the paper chain on N = 4; records come
+    back in grid order (mass-major, then radius, then seed).
     """
-    if not mass_grid or not radius_grid:
-        raise DomainError("mass and radius grids must be non-empty")
-    if radius_mode not in (RADIUS_ABSOLUTE, RADIUS_GM_MULTIPLE):
-        raise DomainError(f"unknown radius mode {radius_mode!r}")
-    if method not in (METHOD_EXACT, METHOD_VQE):
-        raise DomainError(f"unknown method {method!r}")
-    if method == METHOD_VQE and ansatz is None:
-        raise DomainError("variational sweeps need an ansatz")
     layout = layout if layout is not None else HamiltonianLayout(variant=PAPER_CHAIN)
     lattice = lattice if lattice is not None else LatticeSpec()
-    seeds = [cfg.seed] if seeds is None else list(seeds)
-    if method == METHOD_VQE and not seeds:
-        raise DomainError("variational sweeps need at least one seed")
-
-    points = _resolve_points(mass_grid, radius_grid, radius_mode, g_const)
-    hams = [
-        assemble(
-            BlackHoleParams(mass=p.mass, radius=p.radius, g_const=g_const),
-            layout,
-            lattice,
-            inner_half=inner_half,
-        )
-        for p in points
-    ]
-    exact_energies = [exact_ground_energy(h) for h in hams]
-
-    if method == METHOD_EXACT:
-        runs = [(point, None, exact_energies[point.index], 0, None) for point in points]
-    else:
-        tasks = []
-        for point, seed in itertools.product(points, seeds):
-            run_cfg = replace(cfg, seed=_derived_seed(seed, point.index))
-            tasks.append(_VqeTask(hams[point.index], ansatz, run_cfg, shots))
-        if max_workers > 1:
-            with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                outcomes = list(pool.map(_run_vqe_task, tasks))
-        else:
-            outcomes = [_run_vqe_task(t) for t in tasks]
-        runs = [
-            (point, seed, energy, iterations, converged)
-            for (point, seed), (energy, iterations, converged) in zip(
-                itertools.product(points, seeds), outcomes
-            )
-        ]
-
-    fitted: dict[tuple[int, int], tuple[float, float]] = {}
-    group_key = lambda item: (-1 if item[1] is None else item[1], item[0].radius_key)  # noqa: E731
-    for (seed, _), group_iter in itertools.groupby(sorted(runs, key=group_key), key=group_key):
-        group = list(group_iter)
-        per_point = _fitted_observables([(p, e) for p, _, e, _, _ in group], kappa_t, kappa_p)
-        fitted.update({(seed, index): obs for index, obs in per_point.items()})
-
-    records = []
-    for point, seed, energy, iterations, converged in runs:
-        rho = BlackHoleParams(mass=point.mass, radius=point.radius, g_const=g_const).rho
-        t_direct = temperature(point.mass, kappa_t)
-        p_direct = power(point.mass, kappa_p)
-        fit_key = (-1 if seed is None else seed, point.index)
-        t_fit, p_fit = fitted.get(fit_key, (t_direct, p_direct))
-        records.append(
-            SweepRecord(
-                mass=point.mass,
-                radius=point.radius,
-                rho=rho,
-                energy_exact=exact_energies[point.index],
-                energy_vqe=None if method == METHOD_EXACT else energy,
-                temperature=t_fit,
-                power=p_fit,
-                temperature_direct=t_direct,
-                power_direct=p_direct,
-                method=method,
-                ansatz="" if ansatz is None else ansatz.family.value,
-                seed=seed,
-                shots=shots,
-                iterations=iterations,
-                converged=converged,
-            )
-        )
-    return records
+    points = plan(mass_grid, radius_grid, layout, lattice,
+                  inner_half=inner_half, radius_mode=radius_mode)
+    return records(points, method, cfg, shots, ansatz=ansatz, seeds=seeds,
+                   kappa_t=kappa_t, kappa_p=kappa_p, max_workers=max_workers)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from bhvqe import cli
+from bhvqe import cli, hamiltonian, observables
 from bhvqe.cli import CSV_COLUMNS, SOLAR_MASS_PLANCK, main
 from bhvqe.errors import ConfigError
 
@@ -82,7 +82,7 @@ def test_exact_energies(tmp_path, capsys):
 
 
 def test_exact_prints_unsigned_zero(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "exact_ground_energy", lambda h: -1e-16)
+    monkeypatch.setattr(observables, "exact_ground_energy", lambda h: -1e-16)
     cfg = write_config(tmp_path, {"layout": "disjoint", "dims": 1}, "disjoint.json")
     code, out, _ = run_cli(capsys, "exact", "--config", cfg)
     assert code == 0
@@ -227,6 +227,37 @@ def test_sweep_interleaves_vqe_rows(tmp_path, capsys):
         assert vqe_row[14] in ("true", "false")
         assert float(vqe_row[8]) >= float(exact_row[9]) - 1e-10
         assert exact_row[5] == vqe_row[5]
+
+
+def test_sweep_builds_each_point_once(tmp_path, capsys, monkeypatch):
+    calls = {"assemble": 0, "exact_ground_energy": 0, "pauli_decompose": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(observables, "assemble")
+    counted(observables, "exact_ground_energy")
+    counted(hamiltonian, "pauli_decompose")
+    config = {
+        "mass_grid": [1.0, 2.0, 3.0],
+        "radius_grid": [5.0, 10.0],
+        "seeds": [0, 1],
+        "spsa": {"max_iter": 5},
+    }
+    cfg = write_config(tmp_path, config)
+    out_path = tmp_path / "sweep.csv"
+    assert run_cli(capsys, "sweep", "--config", cfg, "--out", str(out_path))[0] == 0
+    assert len(out_path.read_text().splitlines()) == 1 + 6 * 3
+    # one Hamiltonian and one diagonalization per grid point; the lattice block
+    # is decomposed at most once (not at all when an earlier run cached it)
+    assert calls["assemble"] == calls["exact_ground_energy"] == 6
+    assert calls["pauli_decompose"] <= 1
 
 
 def test_sweep_thread_count_does_not_change_output(tmp_path, capsys, monkeypatch):

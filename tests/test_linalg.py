@@ -4,40 +4,12 @@ import numpy as np
 import pytest
 
 from bhvqe.errors import DimensionMismatchError, NotHermitianError
-from bhvqe.linalg import (
-    PauliTerm,
-    add,
-    dagger,
-    hermitian_eigensystem,
-    hermiticity_defect,
-    kron,
-    matmul,
-    pauli_matrix,
-    scale,
-)
+from bhvqe.linalg import PauliTerm, hermitian_eigensystem, hermiticity_defect, pauli_matrix
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def test_kron_identity_pair():
-    np.testing.assert_array_equal(kron(I2, I2), np.eye(4, dtype=complex))
-
-
-def test_kron_xx_antidiagonal():
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[0, 3] = expected[1, 2] = expected[2, 1] = expected[3, 0] = 1.0
-    np.testing.assert_array_equal(kron(X, X), expected)
-
-
-def test_kron_associative():
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    c = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    np.testing.assert_allclose(kron(kron(a, b), c), kron(a, kron(b, c)), atol=1e-12)
 
 
 def test_pauli_matrix_singles():
@@ -48,7 +20,7 @@ def test_pauli_matrix_singles():
 
 
 def test_pauli_matrix_xx_antidiagonal():
-    np.testing.assert_array_equal(pauli_matrix("XX"), kron(X, X))
+    np.testing.assert_array_equal(pauli_matrix("XX"), np.kron(X, X))
 
 
 def test_pauli_matrix_zz_diagonal():
@@ -57,8 +29,8 @@ def test_pauli_matrix_zz_diagonal():
 
 def test_pauli_matrix_ordering_first_letter_is_most_significant():
     # XI acts on the most significant qubit: it swaps the two 2x2 blocks
-    np.testing.assert_array_equal(pauli_matrix("XI"), kron(X, I2))
-    np.testing.assert_array_equal(pauli_matrix("IX"), kron(I2, X))
+    np.testing.assert_array_equal(pauli_matrix("XI"), np.kron(X, I2))
+    np.testing.assert_array_equal(pauli_matrix("IX"), np.kron(I2, X))
 
 
 def test_pauli_matrices_hermitian_and_unitary():
@@ -87,28 +59,16 @@ def test_pauli_term_validates_letters():
         PauliTerm(1.0, "")
 
 
-def test_matmul_dagger_unitarity():
-    n = 4
-    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    f = np.exp(2j * np.pi * j * k / n) / np.sqrt(n)
-    np.testing.assert_allclose(matmul(dagger(f), f), np.eye(n), atol=1e-12)
-
-
-def test_add_and_scale():
-    np.testing.assert_array_equal(add(X, X), 2 * X)
-    np.testing.assert_array_equal(scale(X, 2.0), 2 * X)
-    np.testing.assert_array_equal(scale(I2, 0.0), np.zeros((2, 2)))
-
-
 def test_shape_mismatch_raises():
+    # as_matrix guards every public entry point: non-square or non-finite input
     with pytest.raises(DimensionMismatchError):
-        matmul(I2, np.eye(4))
+        hermitian_eigensystem(np.ones((2, 3)))
     with pytest.raises(DimensionMismatchError):
-        add(I2, np.eye(4))
+        hermitian_eigensystem(np.ones((2, 2, 2)))
     with pytest.raises(DimensionMismatchError):
-        matmul(np.ones((2, 3)), np.ones((2, 3)))
+        hermitian_eigensystem(np.array([[np.nan, 0], [0, 0]]))
     with pytest.raises(DimensionMismatchError):
-        scale(np.array([[np.nan, 0], [0, 0]]), 1.0)
+        hermitian_eigensystem(np.array([[np.inf, 0], [0, 0]]))
 
 
 def test_eigensystem_sigma_z():

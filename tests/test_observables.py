@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bhvqe.ansatz import AnsatzKind
 from bhvqe.errors import (
@@ -10,17 +12,27 @@ from bhvqe.errors import (
     NegativeInterceptError,
     OutOfRangeError,
 )
-from bhvqe.hamiltonian import PAPER_CHAIN, BlackHoleParams, HamiltonianLayout, assemble, exact_ground_energy
+from bhvqe.hamiltonian import (
+    DISJOINT,
+    PAPER_CHAIN,
+    BlackHoleParams,
+    HamiltonianLayout,
+    assemble,
+    exact_ground_energy,
+)
 from bhvqe.lattice import LatticeSpec
 from bhvqe.observables import (
     METHOD_EXACT,
     METHOD_VQE,
+    RADIUS_ABSOLUTE,
     RADIUS_GM_MULTIPLE,
     FitResult,
     fit_energy_vs_mass,
     fit_energy_vs_radius,
     mass_from_energy,
+    plan,
     power,
+    run_seed,
     sweep,
     temperature,
 )
@@ -244,3 +256,40 @@ def test_sweep_rejects_empty_seed_list():
         sweep([1.0], [1.0], METHOD_VQE, SpsaConfig(), ansatz=A3, seeds=[])
     records = sweep([1.0, 2.0], [1.0], METHOD_EXACT, SpsaConfig(), seeds=[])
     assert [rec.seed for rec in records] == [None, None]
+
+
+# (layout, lattice) pairs up to 6 qubits: the paper chain, and disjoint
+# blocks of log2(N) qubits per dimension
+PLAN_SHAPES = [(CHAIN, N4)] + [
+    (HamiltonianLayout(variant=DISJOINT, dims=dims), LatticeSpec(n))
+    for dims, sizes in ((1, (2, 4, 8, 16, 32, 64)), (2, (2, 4, 8)), (3, (2, 4)))
+    for n in sizes
+]
+positive = st.floats(1e-3, 1e3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    masses=st.lists(positive, min_size=1, max_size=3),
+    radii=st.lists(positive, min_size=1, max_size=3),
+    shape=st.sampled_from(PLAN_SHAPES),
+    radius_mode=st.sampled_from([RADIUS_ABSOLUTE, RADIUS_GM_MULTIPLE]),
+    inner_half=st.booleans(),
+)
+def test_plan_matches_per_point_assembly(masses, radii, shape, radius_mode, inner_half):
+    layout, lattice = shape
+    points = plan(masses, radii, layout, lattice, inner_half=inner_half, radius_mode=radius_mode)
+    grid = [(m, key, r) for m in masses for key, r in enumerate(radii)]
+    assert [p.index for p in points] == list(range(len(grid)))
+    for point, (mass, radius_key, radius) in zip(points, grid):
+        r_abs = radius * mass if radius_mode == RADIUS_GM_MULTIPLE else radius
+        assert point.params == BlackHoleParams(mass=mass, radius=r_abs)
+        assert point.radius_key == radius_key
+        h = assemble(point.params, layout, lattice, inner_half=inner_half)
+        assert point.hamiltonian.terms == h.terms
+        assert point.energy_exact == exact_ground_energy(h)
+
+
+def test_run_seed_depends_on_seed_and_point_only():
+    assert run_seed(3, 1) == run_seed(3, 1)
+    assert len({run_seed(s, i) for s in range(4) for i in range(4)}) == 16

@@ -18,6 +18,7 @@ from bhvqe.hamiltonian import (
 from bhvqe.lattice import LatticeSpec
 from bhvqe.linalg import PauliTerm
 from bhvqe.vqe import SpsaConfig, VqeResult, spsa_minimize, vqe_run
+import pauli_helpers
 
 PI = math.pi
 
@@ -171,5 +172,5 @@ def test_ground_energy_linearity_supports_prefactor_scaling():
     # normalized chain result transfers to any metric prefactor
     lam = 0.37
     base = exact_ground_energy(CHAIN_H)
-    scaled = exact_ground_energy(CHAIN_H.scaled(lam))
+    scaled = exact_ground_energy(pauli_helpers.scaled(CHAIN_H, lam))
     assert abs(scaled - lam * base) < 1e-10
