@@ -9,7 +9,7 @@ A gate on qubit q views the batch as (B, 2^q, 2, 2^(n-q-1)) and multiplies
 axis 2 by its matrix; a controlled gate does the same on the control = 1
 half. `run` is the batch of one. Exact expectation values contract a batch
 of states with the dense Hamiltonian matrix. Shot-noise estimates sample the
-Born distribution in each term's eigenbasis with a seeded generator.
+Born distribution in the eigenbasis read off each term's (x, z) masks.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParamLengthMismatchError, QubitMismatchError
-from .hamiltonian import PauliHamiltonian, pauli_masks, popcount_table, to_matrix
+from .hamiltonian import PauliHamiltonian, popcount_table, to_matrix
 
 EXPECTATION_IMAG_TOL = 1e-10
 
@@ -193,10 +193,10 @@ def expectation(state: StateVector, h: PauliHamiltonian) -> float:
     return float(batch_expectation(state.amplitudes[None], to_matrix(h))[0])
 
 
-# Basis changes that map each Pauli's eigenbasis onto the computational basis:
-# H for X, H S^dagger for Y.
+# Basis changes that map each Pauli's eigenbasis onto the computational basis,
+# indexed by the qubit's z bit where its x bit is set: H for X, H S^dagger for Y.
 _HAD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-_MEASURE_ROTATION = {"X": _HAD, "Y": _HAD @ np.diag([1, -1j])}
+_MEASURE_ROTATIONS = (_HAD, _HAD @ np.diag([1, -1j]))
 
 
 def parity_eigenvalues(dim: int) -> np.ndarray:
@@ -220,19 +220,19 @@ def sampled_expectation(state: StateVector, h: PauliHamiltonian, shots: int, see
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     eigenvalues = parity_eigenvalues(2**state.n_qubits)
-    x, z = pauli_masks(h)
     rng = np.random.default_rng(seed)
     total = 0.0
-    for term, mask in zip(h.terms, (x | z).tolist()):
+    for coeff, x, z in zip(h.coeffs.tolist(), h.x.tolist(), h.z.tolist()):
+        mask = x | z
         if not mask:
-            total += term.coefficient
+            total += coeff
             continue
         rotated = state.amplitudes[None]
-        for q, letter in enumerate(term.string):
-            if letter in _MEASURE_ROTATION:
-                rotated = _apply(rotated, _MEASURE_ROTATION[letter], q)
+        for q, bit in enumerate(range(h.n_qubits - 1, -1, -1)):
+            if x >> bit & 1:
+                rotated = _apply(rotated, _MEASURE_ROTATIONS[z >> bit & 1], q)
         probs = np.abs(rotated[0]) ** 2
         probs = probs / probs.sum()
         counts = rng.multinomial(shots, probs)
-        total += term.coefficient * float(counts @ eigenvalues[mask]) / shots
+        total += coeff * float(counts @ eigenvalues[mask]) / shots
     return total

@@ -101,15 +101,7 @@ class RunConfig:
 def _as_positive_floats(name: str, value) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(f"{name} must be a non-empty list of numbers")
-    out = []
-    for entry in value:
-        if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-            raise ConfigError(f"{name} entries must be numbers, got {entry!r}")
-        number = float(entry)
-        if not (math.isfinite(number) and number > 0):
-            raise ConfigError(f"{name} entries must be positive and finite, got {number}")
-        out.append(number)
-    return tuple(out)
+    return tuple(_as_positive_float(f"{name} entry", entry) for entry in value)
 
 
 def _as_int(name: str, value, minimum: int) -> int:
@@ -129,7 +121,14 @@ def _as_float(name: str, value) -> float:
     return number
 
 
-def _spsa_from_mapping(data) -> SpsaConfig:
+def _as_positive_float(name: str, value) -> float:
+    number = _as_float(name, value)
+    if not number > 0:
+        raise ConfigError(f"{name} must be > 0, got {number}")
+    return number
+
+
+def _spsa_config(data) -> SpsaConfig:
     if not isinstance(data, dict):
         raise ConfigError("spsa must be an object of optimizer settings")
     unknown = set(data) - set(_SPSA_KEYS)
@@ -210,7 +209,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
     spsa = merged["spsa"]
     if not isinstance(spsa, SpsaConfig):
-        spsa = _spsa_from_mapping(spsa)
+        spsa = _spsa_config(spsa)
 
     if not isinstance(merged["inner_half"], bool):
         raise ConfigError(f"inner_half must be true or false, got {merged['inner_half']!r}")
@@ -229,8 +228,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         shots=_as_int("shots", merged["shots"], 0),
         seeds=seeds,
         inner_half=merged["inner_half"],
-        kappa_t=_as_float("kappa_t", merged["kappa_t"]),
-        kappa_p=_as_float("kappa_p", merged["kappa_p"]),
+        kappa_t=_as_positive_float("kappa_t", merged["kappa_t"]),
+        kappa_p=_as_positive_float("kappa_p", merged["kappa_p"]),
     )
     # exact diagonalization backs every subcommand output
     if _layout_qubits(config) > MAX_EXACT_QUBITS:

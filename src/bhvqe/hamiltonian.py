@@ -8,12 +8,12 @@ momentum operators. Two layouts are supported:
 * ``disjoint``: one squared-momentum block per spatial dimension on its own
   group of log2(N) qubits, for 1 to 3 dimensions.
 
-Both directions of the matrix <-> Pauli-term conversion live here as well,
-as one Walsh-Hadamard transform over symplectic bitmasks (Aaronson &
-Gottesman, PRA 70, 052328, 2004; Hantzko, Binkowski & Gupta,
-arXiv:2310.13421). A string with bit-flip mask x and phase mask z (per qubit
-I=(0,0), Z=(0,1), X=(1,0), Y=(1,1), qubit 0 the most significant bit) is
-P(x, z) = i^popcount(x&z) X^x Z^z, so
+Operators are stored in symplectic form (Aaronson & Gottesman, PRA 70, 052328,
+2004): per Pauli string a bit-flip mask x, a phase mask z (per qubit I=(0,0),
+Z=(0,1), X=(1,0), Y=(1,1), qubit 0 the most significant bit) and a real
+coefficient. Only this module maps masks to letters and back. The string with
+masks (x, z) is P(x, z) = i^popcount(x&z) X^x Z^z, so one Walsh-Hadamard
+transform converts matrices both ways (Hantzko, Binkowski & Gupta, arXiv:2310.13421):
 
     Tr[P(x, z) M] = i^popcount(x&z) * sum_k (-1)^popcount(z&k) M[k, k^x].
 
@@ -45,10 +45,9 @@ COEFF_PRUNE_TOL = 1e-12
 # Largest Hamiltonian that exact diagonalization (and hence every run) accepts.
 MAX_EXACT_QUBITS = 6
 
-# Letter of a single-qubit (x, z) pair at index 2x + z, and its inverse.
+# Letter of a single-qubit (x, z) pair at index 2x + z, and each letter's x and z bit.
 _SYMPLECTIC_LETTERS = "IZXY"
-_LETTER_CODE = np.zeros(128, dtype=np.int64)
-_LETTER_CODE[[ord(c) for c in _SYMPLECTIC_LETTERS]] = range(4)
+_X_BITS, _Z_BITS = str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011")
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
 
@@ -87,31 +86,56 @@ class HamiltonianLayout:
             raise ValueError(f"disjoint layout needs dims in 1..3, got {self.dims}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PauliHamiltonian:
-    """Hermitian operator as a merged, pruned, lexicographically sorted term list."""
+    """Hermitian operator sum_i coeffs[i] * P(x[i], z[i]) over int mask and float arrays.
+
+    Rows are distinct, pruned and sorted by letters (I < X < Y < Z per qubit, qubit 0 first).
+    """
 
     n_qubits: int
-    terms: tuple[PauliTerm, ...]
+    x: np.ndarray
+    z: np.ndarray
+    coeffs: np.ndarray
 
-    def __post_init__(self):
-        for t in self.terms:
-            if t.n_qubits != self.n_qubits:
-                raise ValueError(f"term {t.string} does not act on {self.n_qubits} qubits")
-        strings = [t.string for t in self.terms]
+    @classmethod
+    def from_terms(cls, n_qubits: int, terms: tuple[PauliTerm, ...]) -> PauliHamiltonian:
+        """The sum of distinct letter-form PauliTerms, pruned and sorted like every instance."""
+        if not 1 <= n_qubits <= 31:  # x and z share one int64 merge key
+            raise ValueError(f"from_terms takes 1 to 31 qubits, got {n_qubits}")
+        strings = [t.string for t in terms]
+        if any(len(s) != n_qubits for s in strings):
+            raise ValueError(f"every term must act on {n_qubits} qubits")
         if len(set(strings)) != len(strings):
             raise ValueError("duplicate Pauli strings; coefficients must be merged")
+        coeffs = np.array([t.coefficient for t in terms])
+        if coeffs.dtype.kind not in "iuf" or not np.all(np.isfinite(coeffs)):
+            raise ValueError("Pauli coefficients must be finite real numbers")
+        x = np.array([int(s.translate(_X_BITS), 2) for s in strings], dtype=np.int64)
+        z = np.array([int(s.translate(_Z_BITS), 2) for s in strings], dtype=np.int64)
+        return _merged(n_qubits, x, z, coeffs, COEFF_PRUNE_TOL)
+
+    @functools.cached_property
+    def terms(self) -> tuple[PauliTerm, ...]:
+        """The rows as letter-form PauliTerms, in stored order."""
+        return tuple(map(PauliTerm, self.coeffs.tolist(), _letters(self.x, self.z, self.n_qubits)))
 
 
-def _from_mapping(n_qubits: int, coeffs: dict[str, float]) -> PauliHamiltonian:
-    kept = sorted((s, c) for s, c in coeffs.items() if abs(c) > COEFF_PRUNE_TOL)
-    return PauliHamiltonian(n_qubits, tuple(PauliTerm(c, s) for s, c in kept))
+def _merged(n_qubits: int, x: np.ndarray, z: np.ndarray, coeffs: np.ndarray,
+            prune_tol: float) -> PauliHamiltonian:
+    """Rows summed per distinct string, pruned at prune_tol and sorted by letters."""
+    keys, slots = np.unique((x << n_qubits) | z, return_inverse=True)
+    # bincount adds each string's coefficients in row order from 0.0, like a running sum
+    sums = np.bincount(slots, weights=coeffs, minlength=keys.size)
+    kept = np.abs(sums) > prune_tol
+    keys, sums = keys[kept], sums[kept]
+    x, z = keys >> n_qubits, keys & ((1 << n_qubits) - 1)
+    order = np.argsort(_letters(x, z, n_qubits))
+    return PauliHamiltonian(n_qubits, x[order], z[order], sums[order])
 
 
 def metric_prefactor(params: BlackHoleParams) -> float:
     """Schwarzschild energy scale (1/2)(1 + GM/2r)^(1/4)."""
-    if not (params.mass > 0) or not (params.radius > 0):
-        raise DomainError("mass and radius must be positive")
     return 0.5 * (1.0 + params.rho) ** 0.25
 
 
@@ -161,14 +185,6 @@ def _letters(x: np.ndarray, z: np.ndarray, n_qubits: int) -> list[str]:
     return ["".join(_SYMPLECTIC_LETTERS[c] for c in row) for row in codes.tolist()]
 
 
-def pauli_masks(h: PauliHamiltonian) -> tuple[np.ndarray, np.ndarray]:
-    """Symplectic (x, z) bitmasks of every term of h, qubit 0 the most significant bit."""
-    raw = np.frombuffer("".join(t.string for t in h.terms).encode(), dtype=np.uint8)
-    codes = _LETTER_CODE[raw].reshape(len(h.terms), h.n_qubits)
-    weights = 1 << np.arange(h.n_qubits - 1, -1, -1)
-    return (codes >> 1) @ weights, (codes & 1) @ weights
-
-
 def pauli_decompose(m: np.ndarray, prune_tol: float = COEFF_PRUNE_TOL) -> PauliHamiltonian:
     """Expand a Hermitian 2^n x 2^n matrix over Pauli strings.
 
@@ -189,27 +205,19 @@ def pauli_decompose(m: np.ndarray, prune_tol: float = COEFF_PRUNE_TOL) -> PauliH
     # the imaginary parts are at most half the Hermiticity defect, so they are dropped
     coeffs = _phases(dim) * traces / dim
     x, z = np.nonzero(np.abs(coeffs.real) > prune_tol)
-    return _from_mapping(n, dict(zip(_letters(x, z, n), coeffs.real[x, z].tolist())))
+    return _merged(n, x, z, coeffs.real[x, z], prune_tol)
 
 
 def to_matrix(h: PauliHamiltonian) -> np.ndarray:
     """Dense matrix of a Pauli-term Hamiltonian."""
     dim = 2**h.n_qubits
-    x, z = pauli_masks(h)
     grid = np.zeros((dim, dim), dtype=complex)
-    grid[x, z] = [t.coefficient for t in h.terms]
+    grid[h.x, h.z] = h.coeffs
     # row x of sum c[x, z] P(x, z) is v[x, k] at m[k^x, k], v the transform over z of c * phase
     grid *= _phases(dim)
     m = np.empty((dim, dim), dtype=complex)
     m[_flip_index(dim)] = _walsh_hadamard(grid)
     return m
-
-
-def _embed(pair_string: str, start: int, n_qubits: int) -> str:
-    letters = ["I"] * n_qubits
-    for offset, letter in enumerate(pair_string):
-        letters[start + offset] = letter
-    return "".join(letters)
 
 
 @functools.cache
@@ -257,12 +265,11 @@ def assemble(
         n_qubits = layout.dims * block_qubits
         starts = [d * block_qubits for d in range(layout.dims)]
 
-    coeffs: dict[str, float] = {}
-    for start in starts:
-        for t in block.terms:
-            s = _embed(t.string, start, n_qubits)
-            coeffs[s] = coeffs.get(s, 0.0) + scale * t.coefficient
-    return _from_mapping(n_qubits, coeffs)
+    # block qubit j sits at qubit start + j, so its mask bits move up by n - start - b
+    shifts = [n_qubits - start - block_qubits for start in starts]
+    x = np.concatenate([block.x << shift for shift in shifts])
+    z = np.concatenate([block.z << shift for shift in shifts])
+    return _merged(n_qubits, x, z, np.tile(scale * block.coeffs, len(starts)), COEFF_PRUNE_TOL)
 
 
 def exact_ground_energy(h: PauliHamiltonian) -> float:

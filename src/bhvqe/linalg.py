@@ -13,7 +13,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotHermitianError
+from .errors import DimensionMismatchError, DomainError, NotHermitianError
 
 PAULI_LETTERS = "IXYZ"
 
@@ -29,12 +29,12 @@ HERMITICITY_TOL = 1e-10
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce to a square complex array, validating shape and finiteness."""
+    """Square complex array; DimensionMismatchError if not square, DomainError if not finite."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise DimensionMismatchError("matrix contains NaN or Inf entries")
+        raise DomainError("matrix contains NaN or Inf entries")
     return a
 
 

@@ -269,6 +269,8 @@ def records(
     seeds = [cfg.seed] if seeds is None else list(seeds)
     if method == METHOD_VQE and not seeds:
         raise DomainError("variational sweeps need at least one seed")
+    if not (kappa_t > 0 and kappa_p > 0):
+        raise DomainError(f"kappa_t and kappa_p must be > 0, got {kappa_t} and {kappa_p}")
 
     if method == METHOD_EXACT:
         runs = [(point, None, point.energy_exact, 0, None) for point in points]

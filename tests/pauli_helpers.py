@@ -12,4 +12,4 @@ def coefficient(h: PauliHamiltonian, string: str) -> float:
 def scaled(h: PauliHamiltonian, factor: float) -> PauliHamiltonian:
     """Every coefficient times factor, pruned like a decomposition."""
     terms = [PauliTerm(t.coefficient * factor, t.string) for t in h.terms]
-    return PauliHamiltonian(h.n_qubits, tuple(t for t in terms if abs(t.coefficient) > COEFF_PRUNE_TOL))
+    return PauliHamiltonian.from_terms(h.n_qubits, tuple(t for t in terms if abs(t.coefficient) > COEFF_PRUNE_TOL))

@@ -11,6 +11,7 @@ from bhvqe.circuits import (
     Gate,
     GateKind,
     StateVector,
+    _apply,
     batch_expectation,
     expectation,
     parity_eigenvalues,
@@ -218,7 +219,7 @@ def test_run_batch_shapes():
 
 def _random_hamiltonian(rng, n_qubits):
     strings = {"".join(rng.choice(list("IXYZ"), n_qubits)) for _ in range(6)}
-    return PauliHamiltonian(n_qubits, tuple(PauliTerm(rng.normal(), s) for s in sorted(strings)))
+    return PauliHamiltonian.from_terms(n_qubits, tuple(PauliTerm(rng.normal(), s) for s in sorted(strings)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -248,13 +249,13 @@ def test_apply_pauli_string_basics():
 
 
 def test_expectation_z_on_zero_state():
-    h = PauliHamiltonian(4, (PauliTerm(1.0, "ZIII"),))
+    h = PauliHamiltonian.from_terms(4, (PauliTerm(1.0, "ZIII"),))
     state = run(Circuit(4, (), 0), np.array([]))
     assert abs(expectation(state, h) - 1.0) < 1e-15
 
 
 def test_expectation_x_on_zero_state():
-    h = PauliHamiltonian(1, (PauliTerm(1.0, "X"),))
+    h = PauliHamiltonian.from_terms(1, (PauliTerm(1.0, "X"),))
     state = run(Circuit(1, (), 0), np.array([]))
     assert abs(expectation(state, h)) < 1e-15
 
@@ -338,6 +339,47 @@ def test_parity_eigenvalues_match_bit_count_loop():
         for mask in range(dim):
             loop = np.array([1.0 - 2.0 * (bin(i & mask).count("1") & 1) for i in range(dim)])
             np.testing.assert_array_equal(table[mask], loop)
+
+
+_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+
+def sampled_expectation_by_letters(state, h, shots, seed):
+    """Oracle: the shot loop that picks each qubit's rotation by its letter."""
+    rotations = {"X": _HADAMARD, "Y": _HADAMARD @ np.diag([1, -1j])}
+    eigenvalues = parity_eigenvalues(2**state.n_qubits)
+    rng = np.random.default_rng(seed)
+    total = 0.0
+    for term in h.terms:
+        support = int("".join("0" if c == "I" else "1" for c in term.string), 2)
+        if not support:
+            total += term.coefficient
+            continue
+        rotated = state.amplitudes[None]
+        for q, letter in enumerate(term.string):
+            if letter in rotations:
+                rotated = _apply(rotated, rotations[letter], q)
+        probs = np.abs(rotated[0]) ** 2
+        probs = probs / probs.sum()
+        counts = rng.multinomial(shots, probs)
+        total += term.coefficient * float(counts @ eigenvalues[support]) / shots
+    return total
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_qubits=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    shots=st.integers(1, 2000),
+)
+def test_sampled_expectation_matches_letter_oracle_bit_for_bit(n_qubits, seed, shots):
+    rng = np.random.default_rng(seed)
+    h = _random_hamiltonian(rng, n_qubits)
+    psi = rng.normal(size=2**n_qubits) + 1j * rng.normal(size=2**n_qubits)
+    state = StateVector(n_qubits, psi / np.linalg.norm(psi))
+    shot_seed = int(rng.integers(2**63))
+    expected = sampled_expectation_by_letters(state, h, shots, shot_seed)
+    assert sampled_expectation(state, h, shots, shot_seed) == expected
 
 
 def test_sampled_expectation_rejects_bad_shots():

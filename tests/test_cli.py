@@ -1,11 +1,17 @@
+import csv
 import hashlib
+import itertools
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bhvqe import cli, hamiltonian, observables
 from bhvqe.cli import CSV_COLUMNS, SOLAR_MASS_PLANCK, main
@@ -402,6 +408,71 @@ def test_config_validation_exit_codes(tmp_path, capsys):
         cfg = write_config(tmp_path, data)
         code, _, _ = run_cli(capsys, "exact", "--config", cfg)
         assert code == 2, data
+
+
+def test_sweep_rejects_non_positive_kappas(tmp_path, capsys):
+    # temperatures -1, -1/2, -1/3 and powers 0 would look like a result
+    cfg = write_config(tmp_path, {"mass_grid": [1.0, 2.0, 3.0], "seeds": [], "kappa_t": -1,
+                                  "kappa_p": 0})
+    out_path = tmp_path / "sweep.csv"
+    code, _, err = run_cli(capsys, "sweep", "--config", cfg, "--out", str(out_path))
+    assert code == 2
+    assert "kappa_t" in err
+    assert not out_path.exists()
+
+
+def main_in_tempdir(command, config):
+    """Exit code of one cli.main run on config, and its CSV rows (None if no CSV was written)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(pathlib.Path(tmp), config)
+        out_path = os.path.join(tmp, "sweep.csv")
+        code = main([command, "--config", cfg, "--out", out_path])
+        if not os.path.exists(out_path):
+            return code, None
+        with open(out_path, newline="") as handle:
+            return code, list(csv.DictReader(handle))
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    masses=st.lists(st.floats(0.1, 10.0), min_size=1, max_size=3, unique=True),
+    radii=st.lists(st.floats(0.5, 50.0), min_size=1, max_size=2, unique=True),
+    radius_mode=st.sampled_from(["absolute", "gm-multiple"]),
+    seed=st.integers(0, 2**16),
+)
+def test_sweep_rows_follow_closed_form_and_variational_bound(masses, radii, radius_mode, seed):
+    config = {"mass_grid": masses, "radius_grid": radii, "radius_mode": radius_mode,
+              "seeds": [seed], "spsa": {"max_iter": 25}}
+    code, rows = main_in_tempdir("sweep", config)
+    assert code == 0
+    grid = list(itertools.product(masses, radii))
+    assert [r["method"] for r in rows] == ["exact", "vqe"] * len(grid)
+    for (mass, radius), exact_row, vqe_row in zip(grid, rows[::2], rows[1::2]):
+        r_abs = radius * mass if radius_mode == "gm-multiple" else radius
+        closed_form = (PI / 16) * (1.0 + mass / (2.0 * r_abs)) ** 0.25
+        assert abs(float(exact_row["energy"]) - closed_form) < 1e-10
+        assert float(vqe_row["energy"]) >= float(vqe_row["energy_exact"]) - 1e-12
+
+
+invalid_numbers = st.one_of(
+    st.floats(max_value=0.0),
+    st.sampled_from([math.nan, math.inf]),
+    st.text(max_size=3),
+    st.booleans(),
+    st.none(),
+    st.lists(st.floats(0.1, 10.0), min_size=1, max_size=1),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    key=st.sampled_from(["mass_grid", "radius_grid", "kappa_t", "kappa_p"]),
+    bad=invalid_numbers,
+    command=st.sampled_from(["exact", "sweep"]),
+)
+def test_invalid_masses_radii_and_kappas_exit_2(key, bad, command):
+    config = {"seeds": [], key: [1.0, bad] if key.endswith("_grid") else bad}
+    assert main_in_tempdir(command, config) == (2, None)
 
 
 def test_config_file_errors(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bhvqe.errors import DomainError, NotHermitianError, NotPowerOfTwoError, UnsupportedLatticeError
 from bhvqe.hamiltonian import (
+    COEFF_PRUNE_TOL,
     DISJOINT,
     PAPER_CHAIN,
     BlackHoleParams,
@@ -177,7 +178,7 @@ def test_chain_requires_four_point_lattice():
 
 
 def test_to_matrix_single_z():
-    h = PauliHamiltonian(1, (PauliTerm(1.0, "Z"),))
+    h = PauliHamiltonian.from_terms(1, (PauliTerm(1.0, "Z"),))
     np.testing.assert_allclose(to_matrix(h), np.diag([1.0, -1.0]), atol=1e-15)
 
 
@@ -224,7 +225,7 @@ def test_to_matrix_matches_pauli_matrix_sum(n_qubits, seed):
     strings = sorted(
         "".join(PAULI_LETTERS[(p >> (2 * q)) & 3] for q in range(n_qubits)) for p in picks
     )
-    h = PauliHamiltonian(n_qubits, tuple(PauliTerm(float(rng.normal()), s) for s in strings))
+    h = PauliHamiltonian.from_terms(n_qubits, tuple(PauliTerm(float(rng.normal()), s) for s in strings))
     expected = sum(t.coefficient * pauli_matrix(t.string) for t in h.terms)
     np.testing.assert_allclose(to_matrix(h), expected, rtol=0, atol=1e-12)
 
@@ -247,7 +248,7 @@ def test_momentum_squared_blocks_match_reference():
 
 
 def test_to_matrix_without_terms_is_zero():
-    np.testing.assert_array_equal(to_matrix(PauliHamiltonian(3, ())), np.zeros((8, 8)))
+    np.testing.assert_array_equal(to_matrix(PauliHamiltonian.from_terms(3, ())), np.zeros((8, 8)))
 
 
 def test_pauli_decompose_zero_matrix():
@@ -323,16 +324,16 @@ def test_ground_state_is_alternating_product():
 
 
 def test_ground_energy_qubit_budget():
-    h = PauliHamiltonian(7, (PauliTerm(1.0, "Z" * 7),))
+    h = PauliHamiltonian.from_terms(7, (PauliTerm(1.0, "Z" * 7),))
     with pytest.raises(DomainError):
         exact_ground_energy(h)
 
 
 def test_pauli_hamiltonian_rejects_duplicates():
     with pytest.raises(ValueError):
-        PauliHamiltonian(2, (PauliTerm(1.0, "XX"), PauliTerm(2.0, "XX")))
+        PauliHamiltonian.from_terms(2, (PauliTerm(1.0, "XX"), PauliTerm(2.0, "XX")))
     with pytest.raises(ValueError):
-        PauliHamiltonian(2, (PauliTerm(1.0, "XXX"),))
+        PauliHamiltonian.from_terms(2, (PauliTerm(1.0, "XXX"),))
 
 
 def test_to_text_format():
@@ -342,3 +343,102 @@ def test_to_text_format():
     strings = [line.split()[1] for line in lines]
     assert strings == sorted(strings)
     assert f"{9 * PI / 16:.12g} IIII" in lines
+
+
+def embed_by_letters(block_string, start, n_qubits):
+    """Oracle: a block's Pauli string spliced into n_qubits identities at start."""
+    letters = ["I"] * n_qubits
+    for offset, letter in enumerate(block_string):
+        letters[start + offset] = letter
+    return "".join(letters)
+
+
+def assemble_by_letters(params, layout, spec, inner_half):
+    """Oracle: the letter-string assembly, with embedded strings merged in a dict.
+
+    Returns (x, z, coefficient) lists in letter order, masks read off each letter.
+    """
+    scale = 1.0 if params is None else metric_prefactor(params)
+    if inner_half:
+        scale *= 0.5
+    block = pauli_decompose(momentum_squared(spec))
+    if layout.variant == PAPER_CHAIN:
+        n_qubits, starts = 4, [0, 1, 2]
+    else:
+        n_qubits = layout.dims * spec.n_qubits
+        starts = [d * spec.n_qubits for d in range(layout.dims)]
+    coeffs = {}
+    for start in starts:
+        for t in block.terms:
+            s = embed_by_letters(t.string, start, n_qubits)
+            coeffs[s] = coeffs.get(s, 0.0) + scale * t.coefficient
+    kept = sorted((s, c) for s, c in coeffs.items() if abs(c) > COEFF_PRUNE_TOL)
+    x = [int("".join("1" if c in "XY" else "0" for c in s), 2) for s, _ in kept]
+    z = [int("".join("1" if c in "YZ" else "0" for c in s), 2) for s, _ in kept]
+    return x, z, [c for _, c in kept]
+
+
+# (layout, lattice) pairs up to 6 qubits: the paper chain, and 1 to 3
+# disjoint blocks of log2(N) qubits each
+ASSEMBLY_SHAPES = [(CHAIN, N4)] + [
+    (HamiltonianLayout(variant=DISJOINT, dims=dims), LatticeSpec(2**block_qubits))
+    for dims in (1, 2, 3)
+    for block_qubits in range(1, 6 // dims + 1)
+]
+black_holes = st.none() | st.builds(
+    BlackHoleParams, mass=st.floats(1e-3, 1e3), radius=st.floats(1e-3, 1e3)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from(ASSEMBLY_SHAPES), params=black_holes, inner_half=st.booleans())
+def test_assemble_matches_letter_oracle_bit_for_bit(shape, params, inner_half):
+    layout, spec = shape
+    h = assemble(params, layout, spec, inner_half=inner_half)
+    x, z, coeffs = assemble_by_letters(params, layout, spec, inner_half)
+    assert h.x.tolist() == x
+    assert h.z.tolist() == z
+    assert h.coeffs.tolist() == coeffs
+
+
+def assert_same_arrays(a, b):
+    assert a.n_qubits == b.n_qubits
+    for name in ("x", "z", "coeffs"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=st.sampled_from(ASSEMBLY_SHAPES), params=black_holes, seed=st.integers(0, 2**32 - 1))
+def test_from_terms_reproduces_arrays(shape, params, seed):
+    layout, spec = shape
+    h = assemble(params, layout, spec)
+    assert_same_arrays(PauliHamiltonian.from_terms(h.n_qubits, h.terms), h)
+    rng = np.random.default_rng(seed)
+    m = pauli_decompose(random_hermitian(rng, int(rng.integers(1, 6))))
+    assert_same_arrays(PauliHamiltonian.from_terms(m.n_qubits, m.terms), m)
+
+
+def test_from_terms_merges_into_letter_order():
+    terms = (PauliTerm(0.5, "ZI"), PauliTerm(-1.0, "IX"), PauliTerm(1e-13, "XX"), PauliTerm(2, "YI"))
+    h = PauliHamiltonian.from_terms(2, terms)
+    assert [t.string for t in h.terms] == ["IX", "YI", "ZI"]  # 1e-13 is pruned
+    assert h.x.tolist() == [0b01, 0b10, 0b00]
+    assert h.z.tolist() == [0b00, 0b10, 0b10]
+    assert h.coeffs.tolist() == [-1.0, 2.0, 0.5]
+
+
+@pytest.mark.parametrize("bad", [1j, 1 + 0j, math.nan, math.inf, -math.inf])
+def test_from_terms_rejects_complex_and_non_finite_coefficients(bad):
+    with pytest.raises(ValueError):
+        PauliHamiltonian.from_terms(2, (PauliTerm(1.0, "XX"), PauliTerm(bad, "ZZ")))
+
+
+def test_from_terms_qubit_range():
+    # x and z share one int64 merge key, so 31 qubits is the widest operator
+    wide = PauliHamiltonian.from_terms(31, (PauliTerm(1.5, "Y" * 31),))
+    assert wide.x.tolist() == wide.z.tolist() == [2**31 - 1]
+    assert wide.terms == (PauliTerm(1.5, "Y" * 31),)
+    with pytest.raises(ValueError):
+        PauliHamiltonian.from_terms(32, (PauliTerm(1.0, "Z" * 32),))
+    with pytest.raises(ValueError):
+        PauliHamiltonian.from_terms(0, ())

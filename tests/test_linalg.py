@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bhvqe.errors import DimensionMismatchError, NotHermitianError
+from bhvqe.errors import DimensionMismatchError, DomainError, NotHermitianError
 from bhvqe.linalg import PauliTerm, hermitian_eigensystem, hermiticity_defect, pauli_matrix
 
 I2 = np.eye(2, dtype=complex)
@@ -65,9 +65,9 @@ def test_shape_mismatch_raises():
         hermitian_eigensystem(np.ones((2, 3)))
     with pytest.raises(DimensionMismatchError):
         hermitian_eigensystem(np.ones((2, 2, 2)))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DomainError):
         hermitian_eigensystem(np.array([[np.nan, 0], [0, 0]]))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DomainError):
         hermitian_eigensystem(np.array([[np.inf, 0], [0, 0]]))
 
 

@@ -258,6 +258,13 @@ def test_sweep_rejects_empty_seed_list():
     assert [rec.seed for rec in records] == [None, None]
 
 
+@pytest.mark.parametrize("kappas", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (1.0, -2.0), (math.nan, 1.0)])
+def test_records_reject_non_positive_kappas(kappas):
+    kappa_t, kappa_p = kappas
+    with pytest.raises(DomainError):
+        sweep([1.0], [1.0], METHOD_EXACT, SpsaConfig(), kappa_t=kappa_t, kappa_p=kappa_p)
+
+
 # (layout, lattice) pairs up to 6 qubits: the paper chain, and disjoint
 # blocks of log2(N) qubits per dimension
 PLAN_SHAPES = [(CHAIN, N4)] + [

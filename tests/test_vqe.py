@@ -97,7 +97,7 @@ def test_spsa_best_tracks_every_evaluation():
 
 
 def test_vqe_single_qubit_z():
-    h = PauliHamiltonian(1, (PauliTerm(1.0, "Z"),))
+    h = PauliHamiltonian.from_terms(1, (PauliTerm(1.0, "Z"),))
     result = vqe_run(h, A3, SpsaConfig(seed=0))
     assert abs(result.best_energy - (-1.0)) < 1e-3
 
@@ -129,7 +129,7 @@ def test_vqe_respects_variational_bound():
         assert min(result.trace) >= ground - 1e-10
 
 
-@pytest.mark.parametrize("h", [PauliHamiltonian(4, ()), CHAIN_H], ids=["all-tied", "chain"])
+@pytest.mark.parametrize("h", [PauliHamiltonian.from_terms(4, ()), CHAIN_H], ids=["all-tied", "chain"])
 def test_vqe_screen_picks_first_lowest_candidate(monkeypatch, h):
     starts = []
 
