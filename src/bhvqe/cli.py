@@ -44,7 +44,6 @@ from .hamiltonian import (
 from .lattice import LatticeSpec
 from .observables import (
     METHOD_EXACT,
-    METHOD_VQE,
     RADIUS_ABSOLUTE,
     RADIUS_GM_MULTIPLE,
     GridPoint,
@@ -53,9 +52,9 @@ from .observables import (
     fit_energy_vs_radius,
     plan,
     records,
-    run_seed,
+    vqe_runs,
 )
-from .vqe import SpsaConfig, vqe_run
+from .vqe import SpsaConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -309,32 +308,22 @@ def cmd_vqe(cfg: RunConfig, trace_path: str | None) -> int:
     """Run one VQE per (grid point, seed); print a summary line per run."""
     if not cfg.seeds:
         raise ConfigError("vqe needs at least one seed")
-    runs = len(cfg.mass_grid) * len(cfg.radius_grid) * len(cfg.seeds)
-    if trace_path is not None and runs != 1:
+    n_runs = len(cfg.mass_grid) * len(cfg.radius_grid) * len(cfg.seeds)
+    if trace_path is not None and n_runs != 1:
         raise ConfigError("--trace needs a single-point, single-seed run")
-    kind = _ansatz_kind(cfg)
-
-    failures = 0
-    for point in _plan(cfg):
-        prefix = _point_prefix(point)
-        for seed in cfg.seeds:
-            run_cfg = replace(cfg.spsa, seed=run_seed(seed, point.index))
-            try:
-                result = vqe_run(point.hamiltonian, kind, run_cfg, shots=cfg.shots)
-            except BhvqeError as exc:
-                failures += 1
-                print(f"{prefix} {seed} error {type(exc).__name__}: {exc}", file=sys.stderr)
-                continue
-            print(
-                f"{prefix} {seed} {_fmt_energy(result.best_energy)} "
-                f"{_fmt_energy(point.energy_exact)} "
-                f"{result.iterations_used} {str(result.converged).lower()}"
-            )
-            if trace_path is not None:
-                lines = ["iteration,energy"]
-                lines += [f"{i},{_fmt(e)}" for i, e in enumerate(result.trace, start=1)]
-                _atomic_write(trace_path, "\n".join(lines) + "\n")
-    return EXIT_NUMERIC if failures == runs else EXIT_OK
+    runs = vqe_runs(_plan(cfg), _ansatz_kind(cfg), cfg.spsa, cfg.shots, cfg.seeds,
+                    _max_workers(n_runs))
+    for point, seed, result in runs:
+        print(
+            f"{_point_prefix(point)} {seed} {_fmt_energy(result.best_energy)} "
+            f"{_fmt_energy(point.energy_exact)} "
+            f"{result.iterations_used} {str(result.converged).lower()}"
+        )
+    if trace_path is not None:
+        lines = ["iteration,energy"]
+        lines += [f"{i},{_fmt(e)}" for i, e in enumerate(result.trace, start=1)]
+        _atomic_write(trace_path, "\n".join(lines) + "\n")
+    return EXIT_OK
 
 
 def _max_workers(n_tasks: int) -> int:
@@ -347,33 +336,6 @@ def _max_workers(n_tasks: int) -> int:
     except ValueError as exc:
         raise ConfigError(f"BHVQE_THREADS must be an integer, got {raw!r}") from exc
     return max(1, min(requested, os.cpu_count() or 1, n_tasks))
-
-
-def _sweep_records(cfg: RunConfig) -> list[SweepRecord]:
-    """Exact records for every point, then per-seed VQE records, interleaved."""
-    points = _plan(cfg)
-    kappas = dict(kappa_t=cfg.kappa_t, kappa_p=cfg.kappa_p)
-    exact_records = records(points, METHOD_EXACT, cfg.spsa, cfg.shots, **kappas)
-    if cfg.seeds:
-        vqe_records = records(
-            points,
-            METHOD_VQE,
-            cfg.spsa,
-            cfg.shots,
-            ansatz=_ansatz_kind(cfg),
-            seeds=list(cfg.seeds),
-            max_workers=_max_workers(len(points) * len(cfg.seeds)),
-            **kappas,
-        )
-    else:
-        vqe_records = []
-
-    interleaved = []
-    per_point = len(cfg.seeds)
-    for i, exact_record in enumerate(exact_records):
-        interleaved.append(exact_record)
-        interleaved.extend(vqe_records[i * per_point : (i + 1) * per_point])
-    return interleaved
 
 
 def _records_to_csv(cfg: RunConfig, records: list[SweepRecord]) -> str:
@@ -414,7 +376,11 @@ def cmd_sweep(cfg: RunConfig, out_path: str | None) -> int:
     """Write the sweep CSV and its manifest."""
     if not out_path:
         raise ConfigError("sweep needs --out PATH for the CSV")
-    text = _records_to_csv(cfg, _sweep_records(cfg))
+    points = _plan(cfg)
+    table = records(points, cfg.spsa, cfg.shots, ansatz=_ansatz_kind(cfg), seeds=cfg.seeds,
+                    kappa_t=cfg.kappa_t, kappa_p=cfg.kappa_p,
+                    max_workers=_max_workers(len(points) * len(cfg.seeds)))
+    text = _records_to_csv(cfg, table)
     _atomic_write(out_path, text)
     manifest = {
         "config": _config_snapshot(cfg),

@@ -2,9 +2,11 @@
 
 A sweep runs in two steps. `plan` resolves the mass x radius grid into
 GridPoints, each holding its Hamiltonian and exact ground energy, made once
-per point. `records` then adds the variational runs, each seeded by
-`run_seed(seed, point index)`, and converts energies to temperature and
-power; `sweep` chains the two, and the CLI calls them directly.
+per point. `records` then builds the sweep table in CSV order: each point's
+exact record, then one record per seed from `vqe_runs`, the one place VQE
+runs are seeded (by `run_seed(seed, point index)`) and dispatched. It also
+converts energies to temperature and power. `sweep` chains `plan` and
+`records`; the CLI calls them directly.
 
 The conversion prefers the quartic curve fit E^4 = b0 + b1 * M inverted
 back to an effective mass; whenever a fit is impossible or unstable for a
@@ -17,6 +19,7 @@ compared downstream.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -38,7 +41,7 @@ from .hamiltonian import (
     exact_ground_energy,
 )
 from .lattice import LatticeSpec
-from .vqe import SpsaConfig, vqe_run
+from .vqe import SpsaConfig, VqeResult, vqe_run
 
 RADIUS_ABSOLUTE = "absolute"
 RADIUS_GM_MULTIPLE = "gm-multiple"
@@ -148,6 +151,8 @@ def temperature(mass: float, kappa_t: float = 1.0) -> float:
     """Hawking-style temperature kappa_t / M for mass in Planck units."""
     if mass <= 0:
         raise DomainError(f"mass must be positive, got {mass}")
+    if not kappa_t > 0:
+        raise DomainError(f"kappa_t must be > 0, got {kappa_t}")
     return kappa_t / mass
 
 
@@ -155,6 +160,8 @@ def power(mass: float, kappa_p: float = 1.0) -> float:
     """Radiated power kappa_p / M^2 for mass in Planck units."""
     if mass <= 0:
         raise DomainError(f"mass must be positive, got {mass}")
+    if not kappa_p > 0:
+        raise DomainError(f"kappa_p must be > 0, got {kappa_p}")
     return kappa_p / mass**2
 
 
@@ -167,19 +174,6 @@ class GridPoint:
     radius_key: int  # position in the radius grid; names the point's fit family
     hamiltonian: PauliHamiltonian
     energy_exact: float
-
-
-@dataclass(frozen=True)
-class _VqeTask:
-    h: PauliHamiltonian
-    kind: AnsatzKind
-    cfg: SpsaConfig
-    shots: int
-
-
-def _run_vqe_task(task: _VqeTask) -> tuple[float, int, bool]:
-    result = vqe_run(task.h, task.kind, task.cfg, shots=task.shots)
-    return result.best_energy, result.iterations_used, result.converged
 
 
 def run_seed(base_seed: int, point_index: int) -> int:
@@ -242,82 +236,97 @@ def _fitted_observables(
     return out
 
 
+def vqe_runs(
+    points: list[GridPoint],
+    kind: AnsatzKind,
+    cfg: SpsaConfig,
+    shots: int,
+    seeds: Sequence[int],
+    max_workers: int = 1,
+) -> list[tuple[GridPoint, int, VqeResult]]:
+    """Run VQE once per (point, seed): point order, then seed order.
+
+    The run for (point, seed) is seeded by run_seed(seed, point.index), so no
+    result depends on the order in which runs execute; max_workers > 1
+    spreads the runs over worker processes.
+    """
+    pairs = list(itertools.product(points, seeds))
+    args = (
+        [point.hamiltonian for point, _ in pairs],
+        itertools.repeat(kind),
+        [replace(cfg, seed=run_seed(seed, point.index)) for point, seed in pairs],
+        itertools.repeat(shots),
+    )
+    if max_workers > 1:
+        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+            results = list(pool.map(vqe_run, *args))
+    else:
+        results = list(map(vqe_run, *args))
+    return [(point, seed, result) for (point, seed), result in zip(pairs, results)]
+
+
 def records(
     points: list[GridPoint],
-    method: str,
     cfg: SpsaConfig,
     shots: int = 0,
     *,
     ansatz: AnsatzKind | None = None,
-    seeds: list[int] | None = None,
+    seeds: Sequence[int] = (),
     kappa_t: float = 1.0,
     kappa_p: float = 1.0,
     max_workers: int = 1,
 ) -> list[SweepRecord]:
-    """Sweep records of planned points.
+    """The sweep table of planned points, in CSV order.
 
-    Exact sweeps yield one record per point; variational sweeps yield one
-    per (point, seed), each run seeded by run_seed(seed, point.index).
-    Records come back in point order, then seed order; seeds=None runs
-    cfg.seed alone. max_workers > 1 distributes the variational runs over
-    worker processes.
+    Each point contributes its exact record, then one variational record
+    per seed from vqe_runs; with no seeds the table is exact only. Each
+    (seed, radius) family, with seed None for the exact records, gets its
+    own curve fit.
     """
-    if method not in (METHOD_EXACT, METHOD_VQE):
-        raise DomainError(f"unknown method {method!r}")
-    if method == METHOD_VQE and ansatz is None:
+    if seeds and ansatz is None:
         raise DomainError("variational sweeps need an ansatz")
-    seeds = [cfg.seed] if seeds is None else list(seeds)
-    if method == METHOD_VQE and not seeds:
-        raise DomainError("variational sweeps need at least one seed")
     if not (kappa_t > 0 and kappa_p > 0):
         raise DomainError(f"kappa_t and kappa_p must be > 0, got {kappa_t} and {kappa_p}")
 
-    if method == METHOD_EXACT:
-        runs = [(point, None, point.energy_exact, 0, None) for point in points]
-    else:
-        pairs = list(itertools.product(points, seeds))
-        tasks = [
-            _VqeTask(point.hamiltonian, ansatz, replace(cfg, seed=run_seed(seed, point.index)), shots)
-            for point, seed in pairs
-        ]
-        if max_workers > 1:
-            with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                outcomes = list(pool.map(_run_vqe_task, tasks))
-        else:
-            outcomes = [_run_vqe_task(t) for t in tasks]
-        runs = [(point, seed, *outcome) for (point, seed), outcome in zip(pairs, outcomes)]
+    runs = iter(vqe_runs(points, ansatz, cfg, shots, seeds, max_workers))
+    table: list[tuple[GridPoint, int | None, VqeResult | None]] = []
+    for point in points:
+        table.append((point, None, None))
+        table += [next(runs) for _ in seeds]
 
-    fitted: dict[tuple[int, int], tuple[float, float]] = {}
-    group_key = lambda item: (-1 if item[1] is None else item[1], item[0].radius_key)  # noqa: E731
-    for (seed, _), group_iter in itertools.groupby(sorted(runs, key=group_key), key=group_key):
-        group = list(group_iter)
-        per_point = _fitted_observables([(p, e) for p, _, e, _, _ in group], kappa_t, kappa_p)
-        fitted.update({(seed, index): obs for index, obs in per_point.items()})
+    families: dict[tuple[int | None, int], list[tuple[GridPoint, float]]] = {}
+    for point, seed, result in table:
+        energy = point.energy_exact if result is None else result.best_energy
+        families.setdefault((seed, point.radius_key), []).append((point, energy))
+    fitted = {
+        (seed, index): observables
+        for (seed, _), family in families.items()
+        for index, observables in _fitted_observables(family, kappa_t, kappa_p).items()
+    }
 
     out = []
-    for point, seed, energy, iterations, converged in runs:
+    for point, seed, result in table:
         mass = point.params.mass
         t_direct = temperature(mass, kappa_t)
         p_direct = power(mass, kappa_p)
-        fit_key = (-1 if seed is None else seed, point.index)
-        t_fit, p_fit = fitted.get(fit_key, (t_direct, p_direct))
+        t_fit, p_fit = fitted.get((seed, point.index), (t_direct, p_direct))
         out.append(
             SweepRecord(
                 mass=mass,
                 radius=point.params.radius,
                 rho=point.params.rho,
                 energy_exact=point.energy_exact,
-                energy_vqe=None if method == METHOD_EXACT else energy,
+                energy_vqe=None if result is None else result.best_energy,
                 temperature=t_fit,
                 power=p_fit,
                 temperature_direct=t_direct,
                 power_direct=p_direct,
-                method=method,
-                ansatz="" if ansatz is None else ansatz.family.value,
+                method=METHOD_EXACT if result is None else METHOD_VQE,
+                ansatz="" if result is None else ansatz.family.value,
                 seed=seed,
                 shots=shots,
-                iterations=iterations,
-                converged=converged,
+                iterations=0 if result is None else result.iterations_used,
+                converged=None if result is None else result.converged,
             )
         )
     return out
@@ -342,12 +351,23 @@ def sweep(
 ) -> list[SweepRecord]:
     """Evaluate the ground energy over a mass x radius grid: plan, then records.
 
-    layout and lattice default to the paper chain on N = 4; records come
-    back in grid order (mass-major, then radius, then seed).
+    Returns the records of `method` alone: one per point for exact, one per
+    (point, seed) for vqe, where seeds=None runs cfg.seed alone. layout and
+    lattice default to the paper chain on N = 4; records come back in grid
+    order (mass-major, then radius, then seed).
     """
+    if method == METHOD_EXACT:
+        seeds = ()
+    elif method == METHOD_VQE:
+        seeds = [cfg.seed] if seeds is None else list(seeds)
+        if not seeds:
+            raise DomainError("variational sweeps need at least one seed")
+    else:
+        raise DomainError(f"unknown method {method!r}")
     layout = layout if layout is not None else HamiltonianLayout(variant=PAPER_CHAIN)
     lattice = lattice if lattice is not None else LatticeSpec()
     points = plan(mass_grid, radius_grid, layout, lattice,
                   inner_half=inner_half, radius_mode=radius_mode)
-    return records(points, method, cfg, shots, ansatz=ansatz, seeds=seeds,
-                   kappa_t=kappa_t, kappa_p=kappa_p, max_workers=max_workers)
+    table = records(points, cfg, shots, ansatz=ansatz, seeds=seeds,
+                    kappa_t=kappa_t, kappa_p=kappa_p, max_workers=max_workers)
+    return [rec for rec in table if rec.method == method]

@@ -304,6 +304,34 @@ def test_thread_count_is_capped_by_cores_and_tasks(monkeypatch):
         cli._max_workers(8)
 
 
+def test_vqe_thread_count_does_not_change_output(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, {"seeds": [0, 1], "spsa": {"max_iter": 40}})
+    serial = run_cli(capsys, "vqe", "--config", cfg)
+    monkeypatch.setenv("BHVQE_THREADS", "2")
+    assert run_cli(capsys, "vqe", "--config", cfg) == serial
+    assert serial[0] == 0 and len(serial[1].splitlines()) == 2
+    monkeypatch.setenv("BHVQE_THREADS", "many")
+    code, _, err = run_cli(capsys, "vqe", "--config", cfg)
+    assert code == 2
+    assert "BHVQE_THREADS" in err
+
+
+def test_ansatz_wider_than_layout_fails_every_run(tmp_path, capsys):
+    # a 1-qubit layout: ansatz1 needs 2 qubits, so no run can start
+    config = {"layout": "disjoint", "dims": 1, "lattice_n": 2, "ansatz": "ansatz1",
+              "mass_grid": [1.0, 2.0], "seeds": [0, 1]}
+    cfg = write_config(tmp_path, config)
+    code, out, err = run_cli(capsys, "vqe", "--config", cfg)
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == ["error: TooFewQubitsError: ansatz1 needs at least 2 qubits, got 1"]
+    out_path = tmp_path / "sweep.csv"
+    code, _, err = run_cli(capsys, "sweep", "--config", cfg, "--out", str(out_path))
+    assert code == 3
+    assert "TooFewQubitsError" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 def test_sweep_requires_out_path(tmp_path, capsys):
     cfg = write_config(tmp_path, {"seeds": []})
     code, _, err = run_cli(capsys, "sweep", "--config", cfg)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,11 +33,13 @@ from bhvqe.observables import (
     mass_from_energy,
     plan,
     power,
+    records,
     run_seed,
     sweep,
     temperature,
+    vqe_runs,
 )
-from bhvqe.vqe import SpsaConfig
+from bhvqe.vqe import SpsaConfig, vqe_run
 
 PI = math.pi
 
@@ -156,6 +159,13 @@ def test_temperature_and_power_monotone_decreasing():
     powers = [power(m) for m in masses]
     assert all(hi > lo for hi, lo in zip(temps, temps[1:]))
     assert all(hi > lo for hi, lo in zip(powers, powers[1:]))
+
+
+@pytest.mark.parametrize("kappa", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("observable", [temperature, power])
+def test_observables_reject_non_positive_kappa(observable, kappa):
+    with pytest.raises(DomainError):
+        observable(2.0, kappa)
 
 
 def test_sweep_exact_single_point():
@@ -300,3 +310,31 @@ def test_plan_matches_per_point_assembly(masses, radii, shape, radius_mode, inne
 def test_run_seed_depends_on_seed_and_point_only():
     assert run_seed(3, 1) == run_seed(3, 1)
     assert len({run_seed(s, i) for s in range(4) for i in range(4)}) == 16
+
+
+def test_records_is_the_sweep_table_and_vqe_runs_seeds_each_run():
+    cfg = SpsaConfig(max_iter=20)
+    masses, radii, seeds = [1.0, 2.0, 3.0], [5.0, 10.0], [0, 1]
+    points = plan(masses, radii, CHAIN, N4)
+    table = records(points, cfg, ansatz=A3, seeds=seeds)
+    # per point: the exact row, then one row per seed
+    assert [(rec.mass, rec.radius, rec.method, rec.seed) for rec in table] == [
+        (p.params.mass, p.params.radius, method, seed)
+        for p in points
+        for method, seed in [(METHOD_EXACT, None), (METHOD_VQE, 0), (METHOD_VQE, 1)]
+    ]
+    exact_rows = [rec for rec in table if rec.method == METHOD_EXACT]
+    vqe_rows = [rec for rec in table if rec.method == METHOD_VQE]
+    assert exact_rows == sweep(masses, radii, METHOD_EXACT, cfg)
+    assert vqe_rows == sweep(masses, radii, METHOD_VQE, cfg, ansatz=A3, seeds=seeds)
+
+    runs = vqe_runs(points, A3, cfg, 0, seeds)
+    assert [(point.index, seed) for point, seed, _ in runs] == [
+        (point.index, seed) for point in points for seed in seeds]
+    for (point, seed, result), rec in zip(runs, vqe_rows):
+        direct = vqe_run(point.hamiltonian, A3, replace(cfg, seed=run_seed(seed, point.index)), 0)
+        assert result.best_energy == direct.best_energy == rec.energy_vqe
+        assert result.trace == direct.trace
+        np.testing.assert_array_equal(result.best_params, direct.best_params)
+        assert result.iterations_used == direct.iterations_used == rec.iterations
+        assert result.converged == direct.converged == rec.converged

@@ -113,6 +113,14 @@ def test_vqe_chain_reaches_ground_for_most_seeds():
     assert hits >= 8
 
 
+def test_ansatz2_default_depth_stays_above_chain_ground_state():
+    # U3 + controlled-U3 at reps=1 cannot represent the chain ground state, so
+    # the floor is the circuit's, not the optimizer's (reps=2 reaches it)
+    kind = AnsatzKind.from_name("ansatz2")
+    for seed in range(5):
+        assert vqe_run(CHAIN_H, kind, SpsaConfig(seed=seed)).best_energy >= PI / 8 + 0.05
+
+
 def test_vqe_physical_point():
     params = BlackHoleParams(mass=1.0, radius=2.0)
     h = assemble(params, HamiltonianLayout(variant=PAPER_CHAIN), LatticeSpec(4))
