@@ -311,8 +311,7 @@ def cmd_vqe(cfg: RunConfig, trace_path: str | None) -> int:
     n_runs = len(cfg.mass_grid) * len(cfg.radius_grid) * len(cfg.seeds)
     if trace_path is not None and n_runs != 1:
         raise ConfigError("--trace needs a single-point, single-seed run")
-    runs = vqe_runs(_plan(cfg), _ansatz_kind(cfg), cfg.spsa, cfg.shots, cfg.seeds,
-                    _max_workers(n_runs))
+    runs = vqe_runs(_plan(cfg), _ansatz_kind(cfg), cfg.spsa, cfg.shots, cfg.seeds)
     for point, seed, result in runs:
         print(
             f"{_point_prefix(point)} {seed} {_fmt_energy(result.best_energy)} "
@@ -324,18 +323,6 @@ def cmd_vqe(cfg: RunConfig, trace_path: str | None) -> int:
         lines += [f"{i},{_fmt(e)}" for i, e in enumerate(result.trace, start=1)]
         _atomic_write(trace_path, "\n".join(lines) + "\n")
     return EXIT_OK
-
-
-def _max_workers(n_tasks: int) -> int:
-    """Worker processes for n_tasks runs: BHVQE_THREADS, capped by the cores and the tasks."""
-    raw = os.environ.get("BHVQE_THREADS")
-    if raw is None:
-        return 1
-    try:
-        requested = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"BHVQE_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, min(requested, os.cpu_count() or 1, n_tasks))
 
 
 def _records_to_csv(cfg: RunConfig, records: list[SweepRecord]) -> str:
@@ -376,10 +363,8 @@ def cmd_sweep(cfg: RunConfig, out_path: str | None) -> int:
     """Write the sweep CSV and its manifest."""
     if not out_path:
         raise ConfigError("sweep needs --out PATH for the CSV")
-    points = _plan(cfg)
-    table = records(points, cfg.spsa, cfg.shots, ansatz=_ansatz_kind(cfg), seeds=cfg.seeds,
-                    kappa_t=cfg.kappa_t, kappa_p=cfg.kappa_p,
-                    max_workers=_max_workers(len(points) * len(cfg.seeds)))
+    table = records(_plan(cfg), cfg.spsa, cfg.shots, ansatz=_ansatz_kind(cfg), seeds=cfg.seeds,
+                    kappa_t=cfg.kappa_t, kappa_p=cfg.kappa_p)
     text = _records_to_csv(cfg, table)
     _atomic_write(out_path, text)
     manifest = {

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,7 +40,7 @@ from .hamiltonian import (
     exact_ground_energy,
 )
 from .lattice import LatticeSpec
-from .vqe import SpsaConfig, VqeResult, vqe_run
+from .vqe import SpsaConfig, VqeResult, vqe_lockstep
 
 RADIUS_ABSOLUTE = "absolute"
 RADIUS_GM_MULTIPLE = "gm-multiple"
@@ -242,26 +241,19 @@ def vqe_runs(
     cfg: SpsaConfig,
     shots: int,
     seeds: Sequence[int],
-    max_workers: int = 1,
 ) -> list[tuple[GridPoint, int, VqeResult]]:
     """Run VQE once per (point, seed): point order, then seed order.
 
-    The run for (point, seed) is seeded by run_seed(seed, point.index), so no
-    result depends on the order in which runs execute; max_workers > 1
-    spreads the runs over worker processes.
+    The run for (point, seed) is seeded by run_seed(seed, point.index), and
+    all runs advance together in one vqe_lockstep call; no result depends on
+    which runs share it.
     """
     pairs = list(itertools.product(points, seeds))
-    args = (
-        [point.hamiltonian for point, _ in pairs],
-        itertools.repeat(kind),
-        [replace(cfg, seed=run_seed(seed, point.index)) for point, seed in pairs],
-        itertools.repeat(shots),
+    results = vqe_lockstep(
+        [(point.hamiltonian, replace(cfg, seed=run_seed(seed, point.index))) for point, seed in pairs],
+        kind,
+        shots,
     )
-    if max_workers > 1:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(vqe_run, *args))
-    else:
-        results = list(map(vqe_run, *args))
     return [(point, seed, result) for (point, seed), result in zip(pairs, results)]
 
 
@@ -274,7 +266,6 @@ def records(
     seeds: Sequence[int] = (),
     kappa_t: float = 1.0,
     kappa_p: float = 1.0,
-    max_workers: int = 1,
 ) -> list[SweepRecord]:
     """The sweep table of planned points, in CSV order.
 
@@ -288,7 +279,7 @@ def records(
     if not (kappa_t > 0 and kappa_p > 0):
         raise DomainError(f"kappa_t and kappa_p must be > 0, got {kappa_t} and {kappa_p}")
 
-    runs = iter(vqe_runs(points, ansatz, cfg, shots, seeds, max_workers))
+    runs = iter(vqe_runs(points, ansatz, cfg, shots, seeds))
     table: list[tuple[GridPoint, int | None, VqeResult | None]] = []
     for point in points:
         table.append((point, None, None))
@@ -347,7 +338,6 @@ def sweep(
     radius_mode: str = RADIUS_ABSOLUTE,
     kappa_t: float = 1.0,
     kappa_p: float = 1.0,
-    max_workers: int = 1,
 ) -> list[SweepRecord]:
     """Evaluate the ground energy over a mass x radius grid: plan, then records.
 
@@ -369,5 +359,5 @@ def sweep(
     points = plan(mass_grid, radius_grid, layout, lattice,
                   inner_half=inner_half, radius_mode=radius_mode)
     table = records(points, cfg, shots, ansatz=ansatz, seeds=seeds,
-                    kappa_t=kappa_t, kappa_p=kappa_p, max_workers=max_workers)
+                    kappa_t=kappa_t, kappa_p=kappa_p)
     return [rec for rec in table if rec.method == method]

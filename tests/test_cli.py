@@ -13,9 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bhvqe import cli, hamiltonian, observables
+from bhvqe import hamiltonian, observables
 from bhvqe.cli import CSV_COLUMNS, SOLAR_MASS_PLANCK, main
-from bhvqe.errors import ConfigError
 
 PI = math.pi
 
@@ -266,54 +265,14 @@ def test_sweep_builds_each_point_once(tmp_path, capsys, monkeypatch):
     assert calls["pauli_decompose"] <= 1
 
 
-def test_sweep_thread_count_does_not_change_output(tmp_path, capsys, monkeypatch):
-    config = {
-        "mass_grid": [1.0],
-        "radius_grid": [5.0],
-        "seeds": [0, 1],
-        "spsa": {"max_iter": 40},
-    }
-    cfg = write_config(tmp_path, config)
-    serial, threaded = tmp_path / "serial.csv", tmp_path / "threaded.csv"
-    assert run_cli(capsys, "sweep", "--config", cfg, "--out", str(serial))[0] == 0
-    monkeypatch.setenv("BHVQE_THREADS", "2")
-    assert run_cli(capsys, "sweep", "--config", cfg, "--out", str(threaded))[0] == 0
-    assert serial.read_bytes() == threaded.read_bytes()
-
-
-def test_sweep_rejects_bad_thread_count(tmp_path, capsys, monkeypatch):
-    cfg = write_config(tmp_path, {"seeds": [0], "spsa": {"max_iter": 40}})
-    monkeypatch.setenv("BHVQE_THREADS", "many")
-    code, _, err = run_cli(capsys, "sweep", "--config", cfg, "--out", str(tmp_path / "x.csv"))
-    assert code == 2
-    assert "BHVQE_THREADS" in err
-
-
-def test_thread_count_is_capped_by_cores_and_tasks(monkeypatch):
-    # the resolver alone: no pool is started
-    cores = os.cpu_count() or 1
-    monkeypatch.delenv("BHVQE_THREADS", raising=False)
-    assert cli._max_workers(8) == 1
-    monkeypatch.setenv("BHVQE_THREADS", "100000")
-    assert cli._max_workers(10**9) == cores
-    assert cli._max_workers(1) == 1
-    monkeypatch.setenv("BHVQE_THREADS", "0")
-    assert cli._max_workers(8) == 1
-    monkeypatch.setenv("BHVQE_THREADS", "2.5")
-    with pytest.raises(ConfigError):
-        cli._max_workers(8)
-
-
-def test_vqe_thread_count_does_not_change_output(tmp_path, capsys, monkeypatch):
+def test_threads_variable_is_not_read(tmp_path, capsys, monkeypatch):
+    # runs advance in lockstep in one process; BHVQE_THREADS no longer exists
     cfg = write_config(tmp_path, {"seeds": [0, 1], "spsa": {"max_iter": 40}})
+    monkeypatch.delenv("BHVQE_THREADS", raising=False)
     serial = run_cli(capsys, "vqe", "--config", cfg)
-    monkeypatch.setenv("BHVQE_THREADS", "2")
+    monkeypatch.setenv("BHVQE_THREADS", "many")
     assert run_cli(capsys, "vqe", "--config", cfg) == serial
     assert serial[0] == 0 and len(serial[1].splitlines()) == 2
-    monkeypatch.setenv("BHVQE_THREADS", "many")
-    code, _, err = run_cli(capsys, "vqe", "--config", cfg)
-    assert code == 2
-    assert "BHVQE_THREADS" in err
 
 
 def test_ansatz_wider_than_layout_fails_every_run(tmp_path, capsys):

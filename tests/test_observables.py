@@ -39,7 +39,9 @@ from bhvqe.observables import (
     temperature,
     vqe_runs,
 )
-from bhvqe.vqe import SpsaConfig, vqe_run
+from bhvqe import vqe
+from bhvqe.circuits import run_batch
+from bhvqe.vqe import INIT_CANDIDATES, SpsaConfig, vqe_run
 
 PI = math.pi
 
@@ -241,11 +243,11 @@ def test_sweep_vqe_deterministic():
 
 
 def test_sweep_parallel_matches_sequential():
+    # seeds advanced together in lockstep give each seed's sweep run alone
     cfg = SpsaConfig(max_iter=80)
-    kwargs = dict(ansatz=A3, seeds=[0, 1])
-    sequential = sweep([1.0], [4.0], METHOD_VQE, cfg, max_workers=1, **kwargs)
-    parallel = sweep([1.0], [4.0], METHOD_VQE, cfg, max_workers=2, **kwargs)
-    assert [r.energy_vqe for r in sequential] == [r.energy_vqe for r in parallel]
+    together = sweep([1.0], [4.0], METHOD_VQE, cfg, ansatz=A3, seeds=[0, 1])
+    alone = [sweep([1.0], [4.0], METHOD_VQE, cfg, ansatz=A3, seeds=[seed])[0] for seed in (0, 1)]
+    assert [r.energy_vqe for r in together] == [r.energy_vqe for r in alone]
 
 
 def test_sweep_validation():
@@ -312,11 +314,15 @@ def test_run_seed_depends_on_seed_and_point_only():
     assert len({run_seed(s, i) for s in range(4) for i in range(4)}) == 16
 
 
-def test_records_is_the_sweep_table_and_vqe_runs_seeds_each_run():
-    cfg = SpsaConfig(max_iter=20)
+@pytest.mark.parametrize(
+    "family, shots", [("ansatz1", 0), ("ansatz3", 200)], ids=["ansatz1-exact", "ansatz3-shots"])
+def test_records_is_the_sweep_table_and_vqe_runs_seeds_each_run(monkeypatch, family, shots):
+    # window=2 at a coarse tol restarts segments often, so runs fall out of step
+    cfg = SpsaConfig(max_iter=60, window=2, tol=1e-2)
+    kind = AnsatzKind.from_name(family)
     masses, radii, seeds = [1.0, 2.0, 3.0], [5.0, 10.0], [0, 1]
     points = plan(masses, radii, CHAIN, N4)
-    table = records(points, cfg, ansatz=A3, seeds=seeds)
+    table = records(points, cfg, shots, ansatz=kind, seeds=seeds)
     # per point: the exact row, then one row per seed
     assert [(rec.mass, rec.radius, rec.method, rec.seed) for rec in table] == [
         (p.params.mass, p.params.radius, method, seed)
@@ -325,16 +331,37 @@ def test_records_is_the_sweep_table_and_vqe_runs_seeds_each_run():
     ]
     exact_rows = [rec for rec in table if rec.method == METHOD_EXACT]
     vqe_rows = [rec for rec in table if rec.method == METHOD_VQE]
-    assert exact_rows == sweep(masses, radii, METHOD_EXACT, cfg)
-    assert vqe_rows == sweep(masses, radii, METHOD_VQE, cfg, ansatz=A3, seeds=seeds)
+    assert exact_rows == sweep(masses, radii, METHOD_EXACT, cfg, shots)
+    assert vqe_rows == sweep(masses, radii, METHOD_VQE, cfg, shots, ansatz=kind, seeds=seeds)
 
-    runs = vqe_runs(points, A3, cfg, 0, seeds)
+    calls = []
+
+    def spy(circuit, params):
+        calls.append(np.array(params))
+        return run_batch(circuit, params)
+
+    monkeypatch.setattr(vqe, "run_batch", spy)
+    runs = vqe_runs(points, kind, cfg, shots, seeds)
+    monkeypatch.undo()
     assert [(point.index, seed) for point, seed, _ in runs] == [
         (point.index, seed) for point in points for seed in seeds]
-    for (point, seed, result), rec in zip(runs, vqe_rows):
-        direct = vqe_run(point.hamiltonian, A3, replace(cfg, seed=run_seed(seed, point.index)), 0)
+    run_cfgs = [replace(cfg, seed=run_seed(seed, point.index)) for point, seed, _ in runs]
+    for (point, seed, result), run_cfg, rec in zip(runs, run_cfgs, vqe_rows):
+        direct = vqe_run(point.hamiltonian, kind, run_cfg, shots)
         assert result.best_energy == direct.best_energy == rec.energy_vqe
         assert result.trace == direct.trace
         np.testing.assert_array_equal(result.best_params, direct.best_params)
         assert result.iterations_used == direct.iterations_used == rec.iterations
         assert result.converged == direct.converged == rec.converged
+
+    # every screen candidate a run can draw: at most one segment per iteration
+    n_params = calls[0].shape[1]
+    screens = set()
+    for run_cfg in run_cfgs:
+        init_rng = np.random.default_rng(np.random.SeedSequence(run_cfg.seed).spawn(3)[0])
+        draws = init_rng.uniform(-PI, PI, (cfg.max_iter * INIT_CANDIDATES, n_params))
+        screens.update(row.tobytes() for row in draws)
+    screened = [sum(row.tobytes() in screens for row in call) for call in calls]
+    assert screened[0] == len(calls[0]) == len(runs) * INIT_CANDIDATES
+    # some call screens a run's restart together with other runs' SPSA points
+    assert any(INIT_CANDIDATES <= n < len(call) for n, call in zip(screened, calls))

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bhvqe import vqe
 from bhvqe.ansatz import AnsatzKind, build
-from bhvqe.circuits import expectation, run
-from bhvqe.errors import NonFiniteObjectiveError
+from bhvqe.circuits import expectation, run, run_batch
+from bhvqe.errors import NonFiniteObjectiveError, QubitMismatchError
 from bhvqe.hamiltonian import (
     PAPER_CHAIN,
     BlackHoleParams,
@@ -17,7 +19,7 @@ from bhvqe.hamiltonian import (
 )
 from bhvqe.lattice import LatticeSpec
 from bhvqe.linalg import PauliTerm
-from bhvqe.vqe import SpsaConfig, VqeResult, spsa_minimize, vqe_run
+from bhvqe.vqe import SpsaConfig, VqeResult, spsa_minimize, vqe_lockstep, vqe_run
 import pauli_helpers
 
 PI = math.pi
@@ -96,6 +98,71 @@ def test_spsa_best_tracks_every_evaluation():
     assert result.best_energy <= min(result.trace) + 1e-15
 
 
+def serial_spsa(objective, theta0, cfg, rng):
+    """Reference: SPSA evaluated one point at a time; returns (best energy, best params, trace)."""
+    theta = np.asarray(theta0, dtype=float).copy()
+    best = (math.inf, theta.copy())
+
+    def evaluate(point):
+        nonlocal best
+        e = float(objective(point))
+        if e < best[0]:
+            best = (e, point.copy())
+        return e
+
+    trace, streak = [], 0
+    e_prev = evaluate(theta)
+    for k in range(cfg.max_iter):
+        a_k = cfg.a / (cfg.stability_a + k + 1) ** cfg.alpha
+        c_k = cfg.c / (k + 1) ** cfg.gamma
+        delta = rng.integers(0, 2, size=theta.size) * 2.0 - 1.0
+        e_plus = evaluate(theta + c_k * delta)
+        e_minus = evaluate(theta - c_k * delta)
+        theta = theta - a_k * ((e_plus - e_minus) / (2.0 * c_k * delta))
+        e_new = evaluate(theta)
+        trace.append(e_new)
+        streak = streak + 1 if abs(e_new - e_prev) < cfg.tol else 0
+        e_prev = e_new
+        if streak >= cfg.window:
+            break
+    return best[0], best[1], tuple(trace)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    window=st.integers(1, 5),
+    max_iter=st.integers(1, 40),
+    tol=st.sampled_from([0.0, 1e-6, 1e-2, 1.0]),
+    constant=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_spsa_evaluates_and_draws_only_what_it_uses(window, max_iter, tol, constant, seed):
+    # no look-ahead probe past the last iteration: the objective runs 1 + 3 per
+    # iteration, and the rng has drawn exactly one direction per iteration
+    def recorded(calls):
+        def objective(th):
+            calls.append(th.copy())
+            return 1.5 if constant else float(np.sum(th**2))
+        return objective
+
+    cfg = SpsaConfig(max_iter=max_iter, window=window, tol=tol)
+    theta0 = np.array([0.4, -0.7, 0.2])
+    calls, serial_calls = [], []
+    rng = np.random.default_rng(seed)
+    result = spsa_minimize(recorded(calls), theta0, cfg, rng=rng)
+    assert len(calls) == 1 + 3 * result.iterations_used
+    fresh = np.random.default_rng(seed)
+    for _ in range(result.iterations_used):
+        fresh.integers(0, 2, size=3)
+    assert rng.bit_generator.state == fresh.bit_generator.state
+    # and the same points, in the same order, as the serial loop
+    best_energy, best_params, trace = serial_spsa(
+        recorded(serial_calls), theta0, cfg, np.random.default_rng(seed))
+    np.testing.assert_array_equal(np.array(calls), np.array(serial_calls))
+    assert (result.best_energy, result.trace) == (best_energy, trace)
+    np.testing.assert_array_equal(result.best_params, best_params)
+
+
 def test_vqe_single_qubit_z():
     h = PauliHamiltonian.from_terms(1, (PauliTerm(1.0, "Z"),))
     result = vqe_run(h, A3, SpsaConfig(seed=0))
@@ -141,11 +208,12 @@ def test_vqe_respects_variational_bound():
 def test_vqe_screen_picks_first_lowest_candidate(monkeypatch, h):
     starts = []
 
-    def one_step(objective, theta0, cfg, rng=None):
+    def one_step(theta0, cfg, rng):
         starts.append(np.array(theta0))
         return VqeResult(best_params=theta0, best_energy=0.0, trace=(0.0,), iterations_used=1)
+        yield  # a segment that needs no evaluation
 
-    monkeypatch.setattr(vqe, "spsa_minimize", one_step)
+    monkeypatch.setattr(vqe, "spsa_segment", one_step)
     vqe_run(h, A3, SpsaConfig(seed=4))
     # the candidate stream vqe_run draws: first child of the seed, one start at a time
     circuit = build(A3, h.n_qubits)
@@ -154,6 +222,43 @@ def test_vqe_screen_picks_first_lowest_candidate(monkeypatch, h):
     expected = min(candidates, key=lambda th: expectation(run(circuit, th), h))
     assert len(starts) == 1
     np.testing.assert_array_equal(starts[0], expected)
+
+
+def test_lockstep_of_no_runs_builds_nothing():
+    # kind None cannot be built, so any circuit construction would raise
+    assert vqe_lockstep([], None) == []
+
+
+def test_lockstep_rejects_mixed_widths():
+    one_qubit = PauliHamiltonian.from_terms(1, (PauliTerm(1.0, "Z"),))
+    with pytest.raises(QubitMismatchError):
+        vqe_lockstep([(CHAIN_H, SpsaConfig()), (one_qubit, SpsaConfig())], A3)
+
+
+def test_lockstep_starts_waiting_runs_as_others_finish(monkeypatch):
+    # five runs through two slots, of different lengths: each equals its run alone
+    sizes = []
+
+    def spy(circuit, params):
+        sizes.append(len(params))
+        return run_batch(circuit, params)
+
+    monkeypatch.setattr(vqe, "MAX_LOCKSTEP_RUNS", 2)
+    monkeypatch.setattr(vqe, "run_batch", spy)
+    runs = [(CHAIN_H, SpsaConfig(seed=seed, max_iter=10 + 7 * seed)) for seed in range(5)]
+    results = vqe_lockstep(runs, A3, shots=100)
+    assert max(sizes) == 2 * vqe.INIT_CANDIDATES
+    for result, (h, cfg) in zip(results, runs):
+        direct = vqe_run(h, A3, cfg, shots=100)
+        assert result.trace == direct.trace
+        np.testing.assert_array_equal(result.best_params, direct.best_params)
+
+
+def test_ansatz1_chain_hit_rate_over_fixed_seeds():
+    # regression floor at the measured level: 8 of seeds 100-129 within 1e-2 of pi/8
+    kind = AnsatzKind.from_name("ansatz1")
+    results = vqe_lockstep([(CHAIN_H, SpsaConfig(seed=seed)) for seed in range(100, 130)], kind)
+    assert sum(abs(r.best_energy - PI / 8) < 1e-2 for r in results) >= 8
 
 
 def test_vqe_deterministic_by_seed():
