@@ -45,15 +45,11 @@ class AnsatzKind:
         return cls(AnsatzFamily(name), reps)
 
 
-def _check_width(kind: AnsatzKind, n_qubits: int):
+def build(kind: AnsatzKind, n_qubits: int) -> Circuit:
+    """Construct the ansatz circuit with one fresh slot per gate parameter."""
     need = _MIN_QUBITS[kind.family]
     if n_qubits < need:
         raise TooFewQubitsError(f"{kind.family.value} needs at least {need} qubits, got {n_qubits}")
-
-
-def build(kind: AnsatzKind, n_qubits: int) -> Circuit:
-    """Construct the ansatz circuit with one fresh slot per gate parameter."""
-    _check_width(kind, n_qubits)
     gates: list[Gate] = []
     slot = 0
 
@@ -77,13 +73,3 @@ def build(kind: AnsatzKind, n_qubits: int) -> Circuit:
                 else:
                     gates.append(Gate(GateKind.CU3, (i, j), take(3)))
     return Circuit(n_qubits, tuple(gates), slot)
-
-
-def parameter_count(kind: AnsatzKind, n_qubits: int) -> int:
-    """Closed-form slot count; always equals build(kind, n_qubits).n_params."""
-    _check_width(kind, n_qubits)
-    if kind.family is AnsatzFamily.U3_RY:
-        per_rep = 4 * n_qubits
-    else:
-        per_rep = 6 * (n_qubits * (n_qubits - 1) // 2)
-    return kind.repetitions * per_rep

@@ -8,12 +8,15 @@ vectorized step as a (B, G, 2, 2) array, and returns the (B, 2^n) amplitudes.
 A gate on qubit q views the batch as (B, 2^q, 2, 2^(n-q-1)) and multiplies
 axis 2 by its matrix; a controlled gate does the same on the control = 1
 half. `run` is the batch of one. Exact expectation values contract a batch
-of states with the dense Hamiltonian matrix. Shot-noise estimates sample the
-Born distribution in the eigenbasis read off each term's (x, z) masks.
+of states with the dense Hamiltonian matrix. Shot-noise estimates take the
+same batch: each term's eigenbasis, read off its (x, z) masks, is rotated
+into once for all rows, and every row samples its Born distribution from
+its own seed.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -171,13 +174,6 @@ def run(circuit: Circuit, params: np.ndarray) -> StateVector:
     return StateVector(circuit.n_qubits, amplitudes[0])
 
 
-def _check_qubits(state: StateVector, h: PauliHamiltonian):
-    if state.n_qubits != h.n_qubits:
-        raise QubitMismatchError(
-            f"state has {state.n_qubits} qubits, Hamiltonian has {h.n_qubits}"
-        )
-
-
 def batch_expectation(amplitudes: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """Exact <psi|H|psi> for every row of a (B, 2^n) amplitude batch, H dense."""
     values = np.sum((amplitudes.conj() @ matrix) * amplitudes, axis=1)
@@ -189,7 +185,8 @@ def batch_expectation(amplitudes: np.ndarray, matrix: np.ndarray) -> np.ndarray:
 
 def expectation(state: StateVector, h: PauliHamiltonian) -> float:
     """Exact <psi|H|psi> through the dense matrix of H."""
-    _check_qubits(state, h)
+    if state.n_qubits != h.n_qubits:
+        raise QubitMismatchError(f"state has {state.n_qubits} qubits, Hamiltonian has {h.n_qubits}")
     return float(batch_expectation(state.amplitudes[None], to_matrix(h))[0])
 
 
@@ -208,31 +205,43 @@ def parity_eigenvalues(dim: int) -> np.ndarray:
     return 1.0 - 2.0 * (popcount_table(dim) & 1)
 
 
-def sampled_expectation(state: StateVector, h: PauliHamiltonian, shots: int, seed: int) -> float:
-    """Shot-noise estimate of <psi|H|psi>.
+def sampled_expectation(
+    amplitudes: np.ndarray, h: PauliHamiltonian, shots: int, seeds: Sequence[int]
+) -> np.ndarray:
+    """Shot-noise estimates of <psi|H|psi> for every row of a (B, 2^n) amplitude batch.
 
-    Each term is measured in its own eigenbasis: rotate the state, sample
-    `shots` outcomes from the Born distribution, and average the resulting
-    +/-1 eigenvalues. Identity terms contribute exactly. Deterministic for a
-    fixed seed; the estimator's mean is the exact expectation.
+    Each term is measured in its own eigenbasis: rotate the batch, sample
+    `shots` outcomes per row from the Born distribution, and average the
+    resulting +/-1 eigenvalues. Identity terms contribute exactly. Row b
+    draws from its own default_rng(seeds[b]), one multinomial per term in
+    stored order, so its estimate does not depend on the other rows. The
+    estimator's mean is the exact expectation.
     """
-    _check_qubits(state, h)
+    dim = 2**h.n_qubits
+    if amplitudes.ndim != 2 or amplitudes.shape[1] != dim:
+        raise QubitMismatchError(
+            f"amplitudes of shape {amplitudes.shape} are not rows of {h.n_qubits}-qubit states"
+        )
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    eigenvalues = parity_eigenvalues(2**state.n_qubits)
-    rng = np.random.default_rng(seed)
-    total = 0.0
+    batch = amplitudes.shape[0]
+    if len(seeds) != batch:
+        raise ValueError(f"need one seed per row: {batch} rows, {len(seeds)} seeds")
+    eigenvalues = parity_eigenvalues(dim)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    totals = np.zeros(batch)
     for coeff, x, z in zip(h.coeffs.tolist(), h.x.tolist(), h.z.tolist()):
         mask = x | z
         if not mask:
-            total += coeff
+            totals += coeff
             continue
-        rotated = state.amplitudes[None]
+        rotated = amplitudes
         for q, bit in enumerate(range(h.n_qubits - 1, -1, -1)):
             if x >> bit & 1:
                 rotated = _apply(rotated, _MEASURE_ROTATIONS[z >> bit & 1], q)
-        probs = np.abs(rotated[0]) ** 2
-        probs = probs / probs.sum()
-        counts = rng.multinomial(shots, probs)
-        total += coeff * float(counts @ eigenvalues[mask]) / shots
-    return total
+        probs = np.abs(rotated) ** 2
+        probs /= probs.sum(axis=1, keepdims=True)
+        counts = np.array([rng.multinomial(shots, p) for rng, p in zip(rngs, probs)])
+        # the reshape keeps a batch of no rows two-dimensional
+        totals += coeff * (counts.reshape(batch, dim) @ eigenvalues[mask]) / shots
+    return totals

@@ -38,6 +38,7 @@ from .hamiltonian import (
     PAPER_CHAIN,
     HamiltonianLayout,
     assemble,
+    layout_qubits,
     to_matrix,
     to_text,
 )
@@ -231,18 +232,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         kappa_p=_as_positive_float("kappa_p", merged["kappa_p"]),
     )
     # exact diagonalization backs every subcommand output
-    if _layout_qubits(config) > MAX_EXACT_QUBITS:
+    n_qubits = layout_qubits(_hamiltonian_layout(config), LatticeSpec(n_points=lattice_n))
+    if n_qubits > MAX_EXACT_QUBITS:
         raise ConfigError(
-            f"layout needs {_layout_qubits(config)} qubits; exact diagonalization "
+            f"layout needs {n_qubits} qubits; exact diagonalization "
             f"supports at most {MAX_EXACT_QUBITS}"
         )
     return config
-
-
-def _layout_qubits(cfg: RunConfig) -> int:
-    if cfg.layout == PAPER_CHAIN:
-        return 4
-    return cfg.dims * LatticeSpec(n_points=cfg.lattice_n).n_qubits
 
 
 def _hamiltonian_layout(cfg: RunConfig) -> HamiltonianLayout:

@@ -63,8 +63,11 @@ class BlackHoleParams:
             raise DomainError(f"mass must be > 0, got {self.mass}")
         if not (self.radius > 0):
             raise DomainError(f"radius must be > 0, got {self.radius}")
-        if not math.isfinite(self.rho):
-            raise DomainError(f"GM/2r is not finite for mass={self.mass}, radius={self.radius}")
+        # an overflowed radius would pass as GM/2r = 0
+        if not all(map(math.isfinite, (self.mass, self.radius, self.rho))):
+            raise DomainError(
+                f"mass, radius and GM/2r must be finite, got mass={self.mass}, radius={self.radius}"
+            )
 
     @property
     def rho(self) -> float:
@@ -113,7 +116,7 @@ class PauliHamiltonian:
             raise ValueError("Pauli coefficients must be finite real numbers")
         x = np.array([int(s.translate(_X_BITS), 2) for s in strings], dtype=np.int64)
         z = np.array([int(s.translate(_Z_BITS), 2) for s in strings], dtype=np.int64)
-        return _merged(n_qubits, x, z, coeffs, COEFF_PRUNE_TOL)
+        return _merged(n_qubits, x, z, coeffs)
 
     @functools.cached_property
     def terms(self) -> tuple[PauliTerm, ...]:
@@ -121,13 +124,12 @@ class PauliHamiltonian:
         return tuple(map(PauliTerm, self.coeffs.tolist(), _letters(self.x, self.z, self.n_qubits)))
 
 
-def _merged(n_qubits: int, x: np.ndarray, z: np.ndarray, coeffs: np.ndarray,
-            prune_tol: float) -> PauliHamiltonian:
-    """Rows summed per distinct string, pruned at prune_tol and sorted by letters."""
+def _merged(n_qubits: int, x: np.ndarray, z: np.ndarray, coeffs: np.ndarray) -> PauliHamiltonian:
+    """Rows summed per distinct string, pruned at COEFF_PRUNE_TOL and sorted by letters."""
     keys, slots = np.unique((x << n_qubits) | z, return_inverse=True)
     # bincount adds each string's coefficients in row order from 0.0, like a running sum
     sums = np.bincount(slots, weights=coeffs, minlength=keys.size)
-    kept = np.abs(sums) > prune_tol
+    kept = np.abs(sums) > COEFF_PRUNE_TOL
     keys, sums = keys[kept], sums[kept]
     x, z = keys >> n_qubits, keys & ((1 << n_qubits) - 1)
     order = np.argsort(_letters(x, z, n_qubits))
@@ -185,11 +187,11 @@ def _letters(x: np.ndarray, z: np.ndarray, n_qubits: int) -> list[str]:
     return ["".join(_SYMPLECTIC_LETTERS[c] for c in row) for row in codes.tolist()]
 
 
-def pauli_decompose(m: np.ndarray, prune_tol: float = COEFF_PRUNE_TOL) -> PauliHamiltonian:
+def pauli_decompose(m: np.ndarray) -> PauliHamiltonian:
     """Expand a Hermitian 2^n x 2^n matrix over Pauli strings.
 
     The coefficient of string s is Tr[P_s m] / 2^n; magnitudes at or below
-    prune_tol are dropped. Raises NotPowerOfTwoError for incompatible
+    COEFF_PRUNE_TOL are dropped. Raises NotPowerOfTwoError for incompatible
     dimensions and NotHermitianError for non-Hermitian input.
     """
     m = linalg.as_matrix(m)
@@ -204,8 +206,8 @@ def pauli_decompose(m: np.ndarray, prune_tol: float = COEFF_PRUNE_TOL) -> PauliH
     traces = _walsh_hadamard(m[k, flipped])
     # the imaginary parts are at most half the Hermiticity defect, so they are dropped
     coeffs = _phases(dim) * traces / dim
-    x, z = np.nonzero(np.abs(coeffs.real) > prune_tol)
-    return _merged(n, x, z, coeffs.real[x, z], prune_tol)
+    x, z = np.nonzero(np.abs(coeffs.real) > COEFF_PRUNE_TOL)
+    return _merged(n, x, z, coeffs.real[x, z])
 
 
 def to_matrix(h: PauliHamiltonian) -> np.ndarray:
@@ -218,6 +220,11 @@ def to_matrix(h: PauliHamiltonian) -> np.ndarray:
     m = np.empty((dim, dim), dtype=complex)
     m[_flip_index(dim)] = _walsh_hadamard(grid)
     return m
+
+
+def layout_qubits(layout: HamiltonianLayout, spec: LatticeSpec) -> int:
+    """Width of the assembled Hamiltonian: 4 for paper-chain, dims * log2(N) for disjoint."""
+    return 4 if layout.variant == PAPER_CHAIN else layout.dims * spec.n_qubits
 
 
 @functools.cache
@@ -253,23 +260,22 @@ def assemble(
 
     block = _momentum_block(spec)
     block_qubits = spec.n_qubits
+    n_qubits = layout_qubits(layout, spec)
 
     if layout.variant == PAPER_CHAIN:
         if spec.n_points != 4:
             raise UnsupportedLatticeError(
                 f"paper-chain layout is defined for N=4 only, got N={spec.n_points}"
             )
-        n_qubits = 4
         starts = [0, 1, 2]
     else:
-        n_qubits = layout.dims * block_qubits
         starts = [d * block_qubits for d in range(layout.dims)]
 
     # block qubit j sits at qubit start + j, so its mask bits move up by n - start - b
     shifts = [n_qubits - start - block_qubits for start in starts]
     x = np.concatenate([block.x << shift for shift in shifts])
     z = np.concatenate([block.z << shift for shift in shifts])
-    return _merged(n_qubits, x, z, np.tile(scale * block.coeffs, len(starts)), COEFF_PRUNE_TOL)
+    return _merged(n_qubits, x, z, np.tile(scale * block.coeffs, len(starts)))
 
 
 def exact_ground_energy(h: PauliHamiltonian) -> float:
@@ -282,6 +288,6 @@ def exact_ground_energy(h: PauliHamiltonian) -> float:
     return float(eigenvalues[0])
 
 
-def to_text(h: PauliHamiltonian, sig_digits: int = 12) -> str:
-    """One `<coefficient> <letters>` line per term, sorted by letters."""
-    return "\n".join(f"{t.coefficient:.{sig_digits}g} {t.string}" for t in h.terms)
+def to_text(h: PauliHamiltonian) -> str:
+    """One `<coefficient> <letters>` line per term, sorted by letters, at 12 significant digits."""
+    return "\n".join(f"{t.coefficient:.12g} {t.string}" for t in h.terms)

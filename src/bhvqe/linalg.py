@@ -74,10 +74,10 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.abs(m - m.conj().T).max())
 
 
-def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def require_hermitian(m: np.ndarray) -> np.ndarray:
     m = as_matrix(m)
     defect = hermiticity_defect(m)
-    if defect > tol:
+    if defect > HERMITICITY_TOL:
         raise NotHermitianError(f"matrix is not Hermitian: max |m - m^dag| = {defect:.3e}")
     return m
 

@@ -53,10 +53,9 @@ MIN_FIT_POINTS = 3
 
 @dataclass(frozen=True)
 class FitResult:
-    """Coefficients of E = a * (b + c * x)^(1/4) with b normalized to 1."""
+    """Coefficients of E = a * (1 + c * x)^(1/4)."""
 
     a: float
-    b: float
     c: float
     rms_residual: float
     n_points: int
@@ -112,7 +111,7 @@ def _fit_quartic(x: np.ndarray, energies: np.ndarray) -> FitResult:
     if np.any(predicted_quartic <= 0):
         raise NegativeInterceptError("fitted curve is nonpositive at a sample point")
     rms = float(np.sqrt(np.mean((predicted_quartic**0.25 - energies) ** 2)))
-    return FitResult(a=b0**0.25, b=1.0, c=b1 / b0, rms_residual=rms, n_points=int(x.size))
+    return FitResult(a=b0**0.25, c=b1 / b0, rms_residual=rms, n_points=int(x.size))
 
 
 def fit_energy_vs_mass(points: list[tuple[float, float]]) -> FitResult:
@@ -132,18 +131,17 @@ def fit_energy_vs_radius(points: list[tuple[float, float]]) -> FitResult:
 
 
 def mass_from_energy(fit: FitResult, energy: float) -> float:
-    """Invert the mass-curve fit: M = ((E / a)^4 - b) / c.
+    """Invert the mass-curve fit: M = ((E / a)^4 - 1) / c.
 
     Raises DomainError when the fit has no mass dependence (c == 0) and
-    OutOfRangeError when the energy sits at or below the M -> 0 floor
-    a * b^(1/4), where the inverse is not defined.
+    OutOfRangeError when the energy sits at or below the M -> 0 floor a,
+    where the inverse is not defined.
     """
     if fit.c == 0:
         raise DomainError("fit has zero mass coefficient; cannot invert")
-    floor = fit.a * fit.b**0.25
-    if energy <= floor:
-        raise OutOfRangeError(f"energy {energy:.6g} at or below the zero-mass floor {floor:.6g}")
-    return ((energy / fit.a) ** 4 - fit.b) / fit.c
+    if energy <= fit.a:
+        raise OutOfRangeError(f"energy {energy:.6g} at or below the zero-mass floor {fit.a:.6g}")
+    return ((energy / fit.a) ** 4 - 1.0) / fit.c
 
 
 def temperature(mass: float, kappa_t: float = 1.0) -> float:

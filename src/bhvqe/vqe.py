@@ -42,7 +42,7 @@ import numpy as np
 from . import hamiltonian as ham
 from .ansatz import AnsatzKind, build
 # `run` stays importable as vqe.run: bench/test_bench.py traces it through this module
-from .circuits import StateVector, batch_expectation, run, run_batch, sampled_expectation
+from .circuits import batch_expectation, run, run_batch, sampled_expectation
 from .errors import NonFiniteObjectiveError, QubitMismatchError
 
 
@@ -73,7 +73,10 @@ class SpsaConfig:
             raise ValueError("need 0 < gamma < alpha <= 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.tol < 0:
+        # written as `not x >= 0` so NaN fails too
+        if not self.stability_a >= 0:
+            raise ValueError("stability_a must be >= 0")
+        if not self.tol >= 0:
             raise ValueError("tol must be >= 0")
         if self.window < 1:
             raise ValueError("window must be >= 1")
@@ -228,17 +231,10 @@ def _run(
         matrix = ham.to_matrix(h)
         return search, lambda states: batch_expectation(states, matrix)
     shot_rng = np.random.default_rng(shot_ss)
-
-    def sampled(states: np.ndarray) -> list[float]:
-        # one shot seed per state, drawn in row order
-        return [
-            sampled_expectation(
-                StateVector(h.n_qubits, psi), h, shots, int(shot_rng.integers(2**63))
-            )
-            for psi in states
-        ]
-
-    return search, sampled
+    # one shot seed per state, drawn in row order
+    return search, lambda states: sampled_expectation(
+        states, h, shots, shot_rng.integers(2**63, size=len(states))
+    )
 
 
 def vqe_lockstep(

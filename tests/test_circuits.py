@@ -308,7 +308,7 @@ def test_sampled_expectation_converges():
     params = rng.uniform(-PI, PI, circuit.n_params)
     state = run(circuit, params)
     exact = expectation(state, CHAIN_H)
-    estimate = sampled_expectation(state, CHAIN_H, shots=10**6, seed=42)
+    estimate = sampled_expectation(state.amplitudes[None], CHAIN_H, shots=10**6, seeds=[42])[0]
     # total coefficient weight off the identity is 15*pi/16, so 3 sigma < 0.01
     assert abs(estimate - exact) < 0.01
     assert estimate != exact
@@ -318,18 +318,20 @@ def test_sampled_expectation_exact_on_eigenstate():
     circuit = single_qubit_layer(4)
     params = np.array([PI / 2, 0, 0, PI / 2, PI, 0, PI / 2, 0, 0, PI / 2, PI, 0], dtype=float)
     state = run(circuit, params)
+    rows = np.stack([state.amplitudes] * 3)
     for shots in (1, 10, 1000):
-        assert abs(sampled_expectation(state, CHAIN_H, shots=shots, seed=0) - PI / 8) < 1e-9
+        estimates = sampled_expectation(rows, CHAIN_H, shots=shots, seeds=[0, 1, 2])
+        np.testing.assert_allclose(estimates, PI / 8, rtol=0, atol=1e-9)
 
 
 def test_sampled_expectation_deterministic_by_seed():
     circuit = build(AnsatzKind.from_name("ansatz3"), 4)
     state = run(circuit, np.linspace(-1.0, 1.0, circuit.n_params))
-    first = sampled_expectation(state, CHAIN_H, shots=500, seed=7)
-    second = sampled_expectation(state, CHAIN_H, shots=500, seed=7)
-    other = sampled_expectation(state, CHAIN_H, shots=500, seed=8)
+    rows = np.stack([state.amplitudes] * 3)
+    first, second, other = sampled_expectation(rows, CHAIN_H, shots=500, seeds=[7, 7, 8])
     assert first == second
     assert first != other
+    assert sampled_expectation(rows[:1], CHAIN_H, shots=500, seeds=[7])[0] == first
 
 
 def test_parity_eigenvalues_match_bit_count_loop():
@@ -371,18 +373,39 @@ def sampled_expectation_by_letters(state, h, shots, seed):
     n_qubits=st.integers(1, 5),
     seed=st.integers(0, 2**32 - 1),
     shots=st.integers(1, 2000),
+    batch=st.integers(1, 8),
 )
-def test_sampled_expectation_matches_letter_oracle_bit_for_bit(n_qubits, seed, shots):
+def test_sampled_expectation_matches_letter_oracle_bit_for_bit(n_qubits, seed, shots, batch):
     rng = np.random.default_rng(seed)
     h = _random_hamiltonian(rng, n_qubits)
-    psi = rng.normal(size=2**n_qubits) + 1j * rng.normal(size=2**n_qubits)
-    state = StateVector(n_qubits, psi / np.linalg.norm(psi))
-    shot_seed = int(rng.integers(2**63))
-    expected = sampled_expectation_by_letters(state, h, shots, shot_seed)
-    assert sampled_expectation(state, h, shots, shot_seed) == expected
+    psi = rng.normal(size=(batch, 2**n_qubits)) + 1j * rng.normal(size=(batch, 2**n_qubits))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    shot_seeds = rng.integers(2**63, size=batch)
+    estimates = sampled_expectation(psi, h, shots, shot_seeds)
+    assert estimates.shape == (batch,)
+    for row, shot_seed, estimate in zip(psi, shot_seeds, estimates):
+        assert estimate == sampled_expectation_by_letters(
+            StateVector(n_qubits, row), h, shots, int(shot_seed)
+        )
 
 
 def test_sampled_expectation_rejects_bad_shots():
-    state = run(Circuit(4, (), 0), np.array([]))
+    rows = run_batch(Circuit(4, (), 0), np.zeros((2, 0)))
     with pytest.raises(ValueError):
-        sampled_expectation(state, CHAIN_H, shots=0, seed=0)
+        sampled_expectation(rows, CHAIN_H, shots=0, seeds=[0, 1])
+
+
+def test_sampled_expectation_rejects_wrong_width():
+    rows = run_batch(Circuit(3, (), 0), np.zeros((2, 0)))
+    with pytest.raises(QubitMismatchError):
+        sampled_expectation(rows, CHAIN_H, shots=10, seeds=[0, 1])
+    with pytest.raises(QubitMismatchError):
+        sampled_expectation(run_batch(Circuit(4, (), 0), np.zeros((1, 0)))[0], CHAIN_H, 10, [0])
+
+
+def test_sampled_expectation_needs_one_seed_per_row():
+    # zip would truncate to the shorter list; a lone seed would stand for every row
+    rows = run_batch(Circuit(4, (), 0), np.zeros((3, 0)))
+    for seeds in ([0], [0, 1], [0, 1, 2, 3]):
+        with pytest.raises(ValueError):
+            sampled_expectation(rows, CHAIN_H, shots=10, seeds=seeds)

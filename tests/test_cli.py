@@ -114,6 +114,19 @@ def test_exact_solar_mass_unit(tmp_path, capsys):
     assert out.split()[0] == "9.136e+37"
 
 
+def test_overflowing_mass_or_radius_is_a_numeric_failure(tmp_path, capsys):
+    # 1e200 GM at M = 1e200 overflows to an infinite radius, which printed GM/2r = 0
+    for config in ({"mass_grid": [1e200], "radius_grid": [1e200], "radius_mode": "gm-multiple"},
+                   {"mass_grid": [1e300], "mass_unit": "solar"}):
+        cfg = write_config(tmp_path, config)
+        code, out, err = run_cli(capsys, "exact", "--config", cfg)
+        assert (code, out) == (3, ""), config
+        assert "DomainError" in err
+        out_path = tmp_path / "sweep.csv"
+        assert run_cli(capsys, "sweep", "--config", cfg, "--out", str(out_path))[0] == 3
+        assert not out_path.exists()
+
+
 def test_vqe_summary_line(tmp_path, capsys):
     cfg = write_config(tmp_path, RHO_ZERO_CONFIG)
     code, out, _ = run_cli(capsys, "vqe", "--config", cfg, "--seed", "0")
@@ -386,6 +399,7 @@ def test_config_validation_exit_codes(tmp_path, capsys):
         {"mystery_knob": 1},
         {"spsa": {"steps": 3}},
         {"spsa": {"alpha": 0.1, "gamma": 0.2}},
+        {"spsa": {"stability_a": -1}},
         {"layout": "disjoint", "dims": 3, "lattice_n": 16},  # 12 qubits
         {"inner_half": "yes"},
         {"mass_unit": "kg"},

@@ -16,6 +16,7 @@ from bhvqe.hamiltonian import (
     PauliHamiltonian,
     assemble,
     exact_ground_energy,
+    layout_qubits,
     metric_prefactor,
     pauli_decompose,
     to_matrix,
@@ -121,6 +122,9 @@ def test_black_hole_params_validation():
         BlackHoleParams(mass=-1.0, radius=1.0)
     with pytest.raises(DomainError):
         BlackHoleParams(mass=1.0, radius=0.0)
+    for mass, radius in ((1.0, math.inf), (math.inf, 1.0), (math.inf, math.inf), (1e308, 1e-308)):
+        with pytest.raises(DomainError):
+            BlackHoleParams(mass=mass, radius=radius)
 
 
 def test_chain_merged_coefficients():
@@ -170,6 +174,15 @@ def test_disjoint_three_blocks():
     assert abs(coefficient(h, "IIXIII") - PI / 16) < 1e-14  # second block, no overlap
     assert abs(coefficient(h, "XXIIII") - PI / 8) < 1e-14
     assert len(h.terms) == 10  # merged identity + 3 per block
+
+
+def test_layout_qubits_is_the_assembled_width():
+    layouts = [CHAIN] + [HamiltonianLayout(variant=DISJOINT, dims=d) for d in (1, 2, 3)]
+    for layout in layouts:
+        for n_points in (4,) if layout.variant == PAPER_CHAIN else (2, 4):
+            spec = LatticeSpec(n_points)
+            assert layout_qubits(layout, spec) == assemble(None, layout, spec).n_qubits
+    assert layout_qubits(HamiltonianLayout(variant=DISJOINT, dims=3), LatticeSpec(16)) == 12
 
 
 def test_chain_requires_four_point_lattice():

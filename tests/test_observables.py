@@ -59,7 +59,6 @@ def test_mass_fit_recovers_closed_form():
     points = [(m, chain_energy(m, radius)) for m in range(1, 11)]
     fit = fit_energy_vs_mass(points)
     assert abs(fit.a - PI / 16) / (PI / 16) < 1e-8
-    assert fit.b == 1.0
     assert abs(fit.c - 1.0 / (2.0 * radius)) / (1.0 / (2.0 * radius)) < 1e-8
     assert fit.rms_residual < 1e-10
     assert fit.n_points == 10
@@ -122,18 +121,18 @@ def test_mass_inversion_roundtrip():
 
 
 def test_mass_inversion_unit_point():
-    fit = FitResult(a=0.2, b=1.0, c=0.05, rms_residual=0.0, n_points=5)
+    fit = FitResult(a=0.2, c=0.05, rms_residual=0.0, n_points=5)
     energy = 0.2 * (1.0 + 0.05) ** 0.25
     assert abs(mass_from_energy(fit, energy) - 1.0) < 1e-12
 
 
 def test_mass_inversion_domain_errors():
-    fit = FitResult(a=0.2, b=1.0, c=0.05, rms_residual=0.0, n_points=5)
+    fit = FitResult(a=0.2, c=0.05, rms_residual=0.0, n_points=5)
     with pytest.raises(OutOfRangeError):
         mass_from_energy(fit, 0.2)  # at the zero-mass floor
     with pytest.raises(OutOfRangeError):
         mass_from_energy(fit, 0.15)
-    flat = FitResult(a=0.2, b=1.0, c=0.0, rms_residual=0.0, n_points=5)
+    flat = FitResult(a=0.2, c=0.0, rms_residual=0.0, n_points=5)
     with pytest.raises(DomainError):
         mass_from_energy(flat, 0.25)
 

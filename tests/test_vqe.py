@@ -53,6 +53,13 @@ def test_spsa_config_validation():
         SpsaConfig(tol=-1e-6)
     with pytest.raises(ValueError):
         SpsaConfig(window=0)
+    # a negative or NaN A divides by zero or turns the gains complex; NaN tol never stops
+    for stability_a in (-1.0, -5.5, math.nan):
+        with pytest.raises(ValueError):
+            SpsaConfig(stability_a=stability_a)
+    with pytest.raises(ValueError):
+        SpsaConfig(tol=math.nan)
+    assert SpsaConfig(stability_a=0.0, tol=0.0).stability_a == 0.0
 
 
 def test_spsa_minimizes_quadratic_bowl():
@@ -278,6 +285,15 @@ def test_vqe_with_shots_is_deterministic_and_noisy():
     assert noisy.trace == again.trace
     assert noisy.trace != exact.trace
     assert abs(noisy.best_energy - PI / 8) < 5e-2
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 16])
+def test_shot_seeds_drawn_as_one_array_equal_scalar_draws(k):
+    # a run draws its states' shot seeds as one array; the serial loop drew them one by one
+    batched, serial = np.random.default_rng(11), np.random.default_rng(11)
+    seeds = batched.integers(2**63, size=k)
+    assert seeds.tolist() == [int(serial.integers(2**63)) for _ in range(k)]
+    assert batched.bit_generator.state == serial.bit_generator.state
 
 
 def test_ground_energy_linearity_supports_prefactor_scaling():
