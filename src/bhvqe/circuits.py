@@ -9,14 +9,13 @@ A gate on qubit q views the batch as (B, 2^q, 2, 2^(n-q-1)) and multiplies
 axis 2 by its matrix; a controlled gate does the same on the control = 1
 half. `run` is the batch of one. Exact expectation values contract a batch
 of states with the dense Hamiltonian matrix. Shot-noise estimates take the
-same batch: each term's eigenbasis, read off its (x, z) masks, is rotated
-into once for all rows, and every row samples its Born distribution from
-its own seed.
+same batch: it is rotated once into each measurement setting of the
+Hamiltonian, a group of qubit-wise-commuting terms, and every row samples
+its Born distribution from the caller's generator.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -24,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParamLengthMismatchError, QubitMismatchError
-from .hamiltonian import PauliHamiltonian, popcount_table, to_matrix
+from .hamiltonian import PauliHamiltonian, to_matrix
 
 EXPECTATION_IMAG_TOL = 1e-10
 
@@ -190,58 +189,42 @@ def expectation(state: StateVector, h: PauliHamiltonian) -> float:
     return float(batch_expectation(state.amplitudes[None], to_matrix(h))[0])
 
 
+# Largest shot count numpy's multinomial takes: it draws counts as C longs.
+MAX_SHOTS = 2**63 - 1
+
 # Basis changes that map each Pauli's eigenbasis onto the computational basis,
 # indexed by the qubit's z bit where its x bit is set: H for X, H S^dagger for Y.
 _HAD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _MEASURE_ROTATIONS = (_HAD, _HAD @ np.diag([1, -1j]))
 
 
-def parity_eigenvalues(dim: int) -> np.ndarray:
-    """(dim, dim) table whose row `mask` holds (-1)^popcount(mask & k) for every outcome k.
-
-    That row is the +/-1 eigenvalue of each outcome, measured in the
-    eigenbasis of a Pauli string with support `mask`.
-    """
-    return 1.0 - 2.0 * (popcount_table(dim) & 1)
-
-
 def sampled_expectation(
-    amplitudes: np.ndarray, h: PauliHamiltonian, shots: int, seeds: Sequence[int]
+    amplitudes: np.ndarray, h: PauliHamiltonian, shots: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Shot-noise estimates of <psi|H|psi> for every row of a (B, 2^n) amplitude batch.
 
-    Each term is measured in its own eigenbasis: rotate the batch, sample
-    `shots` outcomes per row from the Born distribution, and average the
-    resulting +/-1 eigenvalues. Identity terms contribute exactly. Row b
-    draws from its own default_rng(seeds[b]), one multinomial per term in
-    stored order, so its estimate does not depend on the other rows. The
-    estimator's mean is the exact expectation.
+    Each of h.settings is one measurement: rotate the batch into its basis,
+    draw `shots` outcomes per row from the Born distribution with one
+    multinomial call on rng, and average the setting's outcome energies over
+    them. So `shots` counts the shots of each setting, as in a hardware job.
+    Identity rows contribute exactly. The estimator's mean is the exact
+    expectation; with a single setting every outcome energy is an eigenvalue
+    of H, so no estimate falls below the ground energy.
     """
     dim = 2**h.n_qubits
     if amplitudes.ndim != 2 or amplitudes.shape[1] != dim:
         raise QubitMismatchError(
             f"amplitudes of shape {amplitudes.shape} are not rows of {h.n_qubits}-qubit states"
         )
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    batch = amplitudes.shape[0]
-    if len(seeds) != batch:
-        raise ValueError(f"need one seed per row: {batch} rows, {len(seeds)} seeds")
-    eigenvalues = parity_eigenvalues(dim)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    totals = np.zeros(batch)
-    for coeff, x, z in zip(h.coeffs.tolist(), h.x.tolist(), h.z.tolist()):
-        mask = x | z
-        if not mask:
-            totals += coeff
-            continue
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must be in [1, {MAX_SHOTS}], got {shots}")
+    totals = np.full(amplitudes.shape[0], h.identity_offset)
+    for setting in h.settings:
         rotated = amplitudes
         for q, bit in enumerate(range(h.n_qubits - 1, -1, -1)):
-            if x >> bit & 1:
-                rotated = _apply(rotated, _MEASURE_ROTATIONS[z >> bit & 1], q)
+            if setting.x >> bit & 1:
+                rotated = _apply(rotated, _MEASURE_ROTATIONS[setting.z >> bit & 1], q)
         probs = np.abs(rotated) ** 2
         probs /= probs.sum(axis=1, keepdims=True)
-        counts = np.array([rng.multinomial(shots, p) for rng, p in zip(rngs, probs)])
-        # the reshape keeps a batch of no rows two-dimensional
-        totals += coeff * (counts.reshape(batch, dim) @ eigenvalues[mask]) / shots
+        totals += rng.multinomial(shots, probs) @ setting.weights / shots
     return totals

@@ -31,6 +31,7 @@ import numpy as np
 
 from . import __version__
 from .ansatz import AnsatzKind
+from .circuits import MAX_SHOTS
 from .errors import BhvqeError, ConfigError
 from .hamiltonian import (
     DISJOINT,
@@ -207,6 +208,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("seeds must be a list of non-negative integers")
     seeds = tuple(_as_int("seeds entry", s, 0) for s in seeds_raw)
 
+    shots = _as_int("shots", merged["shots"], 0)
+    if shots > MAX_SHOTS:
+        raise ConfigError(f"shots must be <= {MAX_SHOTS}, got {shots}")
+
     spsa = merged["spsa"]
     if not isinstance(spsa, SpsaConfig):
         spsa = _spsa_config(spsa)
@@ -225,7 +230,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         ansatz=merged["ansatz"],
         reps=reps,
         spsa=spsa,
-        shots=_as_int("shots", merged["shots"], 0),
+        shots=shots,
         seeds=seeds,
         inner_half=merged["inner_half"],
         kappa_t=_as_positive_float("kappa_t", merged["kappa_t"]),

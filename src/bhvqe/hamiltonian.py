@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -123,6 +123,57 @@ class PauliHamiltonian:
         """The rows as letter-form PauliTerms, in stored order."""
         return tuple(map(PauliTerm, self.coeffs.tolist(), _letters(self.x, self.z, self.n_qubits)))
 
+    @functools.cached_property
+    def identity_offset(self) -> float:
+        """Coefficient of the identity row (0.0 without one): the part no shot measures."""
+        return float(self.coeffs[(self.x | self.z) == 0].sum())
+
+    @functools.cached_property
+    def settings(self) -> tuple[MeasurementSetting, ...]:
+        """Greedy qubit-wise-commuting cover of the non-identity rows, built once per instance.
+
+        Rows are taken in stored order, and each joins the first setting that
+        measures every qubit they share in the same basis (Verteletskyi, Yen &
+        Izmaylov, JCP 152, 124114 (2020)); the setting's masks then absorb the
+        row's. A row no setting takes opens a new one.
+        """
+        bases: list[tuple[int, int]] = []
+        members: list[list[int]] = []
+        for row, (x, z) in enumerate(zip(self.x.tolist(), self.z.tolist())):
+            support = x | z
+            if not support:
+                continue
+            for s, (sx, sz) in enumerate(bases):
+                if not (((sx ^ x) | (sz ^ z)) & (sx | sz) & support):
+                    bases[s] = (sx | x, sz | z)
+                    members[s].append(row)
+                    break
+            else:
+                bases.append((x, z))
+                members.append([row])
+        parities = parity_eigenvalues(2**self.n_qubits)[self.x | self.z]
+        return tuple(
+            MeasurementSetting(x, z, tuple(rows), self.coeffs[rows] @ parities[rows])
+            for (x, z), rows in zip(bases, members)
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class MeasurementSetting:
+    """One tensor-product basis that reads a group of qubit-wise-commuting rows at once.
+
+    A qubit whose x bit is set is measured in X (z clear) or Y (z set), every
+    other qubit in Z. `rows` indexes the Hamiltonian rows the setting
+    measures, and weights[k] = sum over them of coeffs[i] *
+    (-1)^popcount((x[i] | z[i]) & k) is the energy they assign to outcome k of
+    the rotated state.
+    """
+
+    x: int
+    z: int
+    rows: tuple[int, ...]
+    weights: np.ndarray = field(repr=False)
+
 
 def _merged(n_qubits: int, x: np.ndarray, z: np.ndarray, coeffs: np.ndarray) -> PauliHamiltonian:
     """Rows summed per distinct string, pruned at COEFF_PRUNE_TOL and sorted by letters."""
@@ -153,6 +204,15 @@ def popcount_table(dim: int) -> np.ndarray:
     for bit in range(dim.bit_length()):
         counts += (overlap >> bit) & 1
     return counts
+
+
+def parity_eigenvalues(dim: int) -> np.ndarray:
+    """(dim, dim) table whose row `mask` holds (-1)^popcount(mask & k) for every outcome k.
+
+    That row is the +/-1 eigenvalue of each outcome, measured in the
+    eigenbasis of a Pauli string with support `mask`.
+    """
+    return 1.0 - 2.0 * (popcount_table(dim) & 1)
 
 
 def _walsh_hadamard(v: np.ndarray) -> np.ndarray:

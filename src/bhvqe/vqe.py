@@ -23,18 +23,19 @@ point by point.
 Look-ahead: a segment sends its start point together with iteration 0's two
 probes. After each update it sends the new iterate, and if iteration k + 1
 runs whatever that energy turns out to be (streak + 1 < window and
-k + 1 < max_iter), also iteration k + 1's probes, drawing that direction
+k + 1 < max_iter), also iteration k + 1's probes, taking that direction
 first. Otherwise the probes follow in a batch of their own once the stopping
-rule has let the iteration run. Nothing is drawn or evaluated speculatively,
-so each run draws its directions and shot seeds in the serial order: start,
-then +, -, new iterate per iteration.
+rule has let the iteration run. Nothing is evaluated speculatively: a run
+takes one direction per iteration it runs, in order, from blocks drawn on
+its own stream, and its one shot generator samples each batch it sends,
+setting by setting. So neither depends on the runs that share its steps.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Generator, Sequence
+from collections.abc import Callable, Generator, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -95,17 +96,37 @@ class VqeResult:
 Search = Generator[np.ndarray, Sequence[float], VqeResult]
 
 
-def _direction(cfg: SpsaConfig, k: int, rng: np.random.Generator, size: int):
+# SPSA directions a VQE run draws per integers call. One call per iteration
+# costs ~16 us of a lockstep step; one call for the whole budget would hold
+# max_iter * n_params floats per run.
+DIRECTION_BLOCK = 64
+
+
+def _directions(
+    rng: np.random.Generator, n_params: int, count: int, block: int = DIRECTION_BLOCK
+) -> Iterator[np.ndarray]:
+    """`count` Rademacher directions, drawn from rng `block` rows per call.
+
+    rng.integers(0, 2) takes one 32-bit draw per entry whatever the shape, so
+    the rows equal `count` draws of size n_params and leave rng in the same
+    state once all have been taken.
+    """
+    for start in range(0, count, block):
+        rows = min(block, count - start)
+        yield from rng.integers(0, 2, size=(rows, n_params)) * 2.0 - 1.0
+
+
+def _direction(cfg: SpsaConfig, k: int, directions: Iterator[np.ndarray]):
     """Iteration k's perturbation size c_k and its Rademacher direction."""
-    return cfg.c / (k + 1) ** cfg.gamma, rng.integers(0, 2, size=size) * 2.0 - 1.0
+    return cfg.c / (k + 1) ** cfg.gamma, next(directions)
 
 
-def spsa_segment(theta0: np.ndarray, cfg: SpsaConfig, rng: np.random.Generator) -> Search:
+def spsa_segment(theta0: np.ndarray, cfg: SpsaConfig, directions: Iterator[np.ndarray]) -> Search:
     """One SPSA minimization from theta0, as a generator of point batches.
 
-    One iteration draws a Rademacher direction, forms the two-sided gradient
-    estimate, steps, and records the energy at the new iterate; batches
-    follow the look-ahead rule of the module docstring. Raises
+    One iteration takes the next Rademacher direction, forms the two-sided
+    gradient estimate, steps, and records the energy at the new iterate;
+    batches follow the look-ahead rule of the module docstring. Raises
     NonFiniteObjectiveError if an energy sent back is NaN or Inf.
     """
     theta = np.asarray(theta0, dtype=float).copy()
@@ -124,11 +145,11 @@ def spsa_segment(theta0: np.ndarray, cfg: SpsaConfig, rng: np.random.Generator) 
     trace: list[float] = []
     converged = False
     streak = 0
-    c_k, delta = _direction(cfg, 0, rng, theta.size)
+    c_k, delta = _direction(cfg, 0, directions)
     e_prev, *probed = yield from evaluate([theta, theta + c_k * delta, theta - c_k * delta])
     for k in range(cfg.max_iter):
         if not probed:
-            c_k, delta = _direction(cfg, k, rng, theta.size)
+            c_k, delta = _direction(cfg, k, directions)
             probed = yield from evaluate([theta + c_k * delta, theta - c_k * delta])
         e_plus, e_minus = probed
         a_k = cfg.a / (cfg.stability_a + k + 1) ** cfg.alpha
@@ -137,7 +158,7 @@ def spsa_segment(theta0: np.ndarray, cfg: SpsaConfig, rng: np.random.Generator) 
         points = [theta]
         if streak + 1 < cfg.window and k + 1 < cfg.max_iter:
             # iteration k + 1 runs whatever this energy is: probe it in the same batch
-            c_k, delta = _direction(cfg, k + 1, rng, theta.size)
+            c_k, delta = _direction(cfg, k + 1, directions)
             points += [theta + c_k * delta, theta - c_k * delta]
         e_new, *probed = yield from evaluate(points)
         trace.append(e_new)
@@ -170,7 +191,8 @@ def spsa_minimize(
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    segment = spsa_segment(theta0, cfg, rng)
+    # one direction per draw: rng advances only by the iterations that run
+    segment = spsa_segment(theta0, cfg, _directions(rng, np.size(theta0), cfg.max_iter, block=1))
     energies = None
     while True:
         try:
@@ -192,7 +214,12 @@ MAX_LOCKSTEP_RUNS = 256
 def _multistart(
     n_params: int, cfg: SpsaConfig, init_rng: np.random.Generator, spsa_rng: np.random.Generator
 ) -> Search:
-    """One VQE run: screen INIT_CANDIDATES starts, run a segment from the lowest, repeat."""
+    """One VQE run: screen INIT_CANDIDATES starts, run a segment from the lowest, repeat.
+
+    Its segments take their directions in order from one stream of
+    cfg.max_iter, the most iterations they run in total.
+    """
+    directions = _directions(spsa_rng, n_params, cfg.max_iter)
     best_energy = math.inf
     best_params = np.zeros(n_params)
     trace: list[float] = []
@@ -202,7 +229,7 @@ def _multistart(
         candidates = init_rng.uniform(-np.pi, np.pi, (INIT_CANDIDATES, n_params))
         # argmin keeps the first of tied candidates
         theta0 = candidates[np.argmin((yield candidates))]
-        segment = yield from spsa_segment(theta0, replace(cfg, max_iter=remaining), spsa_rng)
+        segment = yield from spsa_segment(theta0, replace(cfg, max_iter=remaining), directions)
         trace.extend(segment.trace)
         remaining -= segment.iterations_used
         if segment.best_energy < best_energy:
@@ -231,10 +258,7 @@ def _run(
         matrix = ham.to_matrix(h)
         return search, lambda states: batch_expectation(states, matrix)
     shot_rng = np.random.default_rng(shot_ss)
-    # one shot seed per state, drawn in row order
-    return search, lambda states: sampled_expectation(
-        states, h, shots, shot_rng.integers(2**63, size=len(states))
-    )
+    return search, lambda states: sampled_expectation(states, h, shots, shot_rng)
 
 
 def vqe_lockstep(
@@ -301,8 +325,8 @@ def vqe_run(
         cfg: SPSA settings. cfg.seed drives the candidate starts, the
             perturbation directions, and any shot sampling, through
             independent child streams.
-        shots: 0 for exact expectation values, otherwise the per-term
-            measurement count for the shot-noise estimator.
+        shots: 0 for exact expectation values, otherwise the shots per
+            measurement setting (h.settings) of the shot-noise estimator.
 
     Returns:
         VqeResult over all segments: best energy and parameters seen

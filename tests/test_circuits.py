@@ -13,8 +13,8 @@ from bhvqe.circuits import (
     StateVector,
     _apply,
     batch_expectation,
+    MAX_SHOTS,
     expectation,
-    parity_eigenvalues,
     run,
     run_batch,
     ry_matrix,
@@ -22,7 +22,15 @@ from bhvqe.circuits import (
     u3_matrix,
 )
 from bhvqe.errors import ParamLengthMismatchError, QubitMismatchError
-from bhvqe.hamiltonian import PAPER_CHAIN, HamiltonianLayout, PauliHamiltonian, assemble, to_matrix
+from bhvqe.hamiltonian import (
+    PAPER_CHAIN,
+    HamiltonianLayout,
+    PauliHamiltonian,
+    assemble,
+    exact_ground_energy,
+    parity_eigenvalues,
+    to_matrix,
+)
 from bhvqe.lattice import LatticeSpec
 from bhvqe.linalg import PauliTerm
 
@@ -308,8 +316,9 @@ def test_sampled_expectation_converges():
     params = rng.uniform(-PI, PI, circuit.n_params)
     state = run(circuit, params)
     exact = expectation(state, CHAIN_H)
-    estimate = sampled_expectation(state.amplitudes[None], CHAIN_H, shots=10**6, seeds=[42])[0]
-    # total coefficient weight off the identity is 15*pi/16, so 3 sigma < 0.01
+    estimate = sampled_expectation(state.amplitudes[None], CHAIN_H, 10**6, np.random.default_rng(42))[0]
+    # every outcome energy lies within the off-identity weight 15*pi/16 of the
+    # offset, so 3 sigma < 0.01
     assert abs(estimate - exact) < 0.01
     assert estimate != exact
 
@@ -320,7 +329,7 @@ def test_sampled_expectation_exact_on_eigenstate():
     state = run(circuit, params)
     rows = np.stack([state.amplitudes] * 3)
     for shots in (1, 10, 1000):
-        estimates = sampled_expectation(rows, CHAIN_H, shots=shots, seeds=[0, 1, 2])
+        estimates = sampled_expectation(rows, CHAIN_H, shots, np.random.default_rng(shots))
         np.testing.assert_allclose(estimates, PI / 8, rtol=0, atol=1e-9)
 
 
@@ -328,10 +337,24 @@ def test_sampled_expectation_deterministic_by_seed():
     circuit = build(AnsatzKind.from_name("ansatz3"), 4)
     state = run(circuit, np.linspace(-1.0, 1.0, circuit.n_params))
     rows = np.stack([state.amplitudes] * 3)
-    first, second, other = sampled_expectation(rows, CHAIN_H, shots=500, seeds=[7, 7, 8])
-    assert first == second
-    assert first != other
-    assert sampled_expectation(rows[:1], CHAIN_H, shots=500, seeds=[7])[0] == first
+    first, again, other = (
+        sampled_expectation(rows, CHAIN_H, 500, np.random.default_rng(seed)) for seed in (7, 7, 8)
+    )
+    np.testing.assert_array_equal(first, again)
+    assert np.all(first != other)
+    # equal states in one call take successive draws, not one shared draw
+    assert len(set(first.tolist())) == 3
+
+
+def test_sampled_expectation_draws_rows_in_order_from_one_generator():
+    # with one setting, one call over B rows is B one-row calls on the same generator
+    circuit = build(AnsatzKind.from_name("ansatz1"), 4)
+    rows = run_batch(circuit, np.random.default_rng(4).uniform(-PI, PI, (5, circuit.n_params)))
+    together, alone = np.random.default_rng(9), np.random.default_rng(9)
+    estimates = sampled_expectation(rows, CHAIN_H, 300, together)
+    for row, estimate in zip(rows, estimates):
+        assert sampled_expectation(row[None], CHAIN_H, 300, alone)[0] == estimate
+    assert together.bit_generator.state == alone.bit_generator.state
 
 
 def test_parity_eigenvalues_match_bit_count_loop():
@@ -346,26 +369,55 @@ def test_parity_eigenvalues_match_bit_count_loop():
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
-def sampled_expectation_by_letters(state, h, shots, seed):
-    """Oracle: the shot loop that picks each qubit's rotation by its letter."""
+def sampled_expectation_by_letters(states, h, shots, rng):
+    """Oracle: group the terms by their letters, rotate each group by its letters, draw row by row.
+
+    A term joins the first group whose letters agree with its own wherever
+    neither is I; the group then takes the term's letters where it had I.
+    """
     rotations = {"X": _HADAMARD, "Y": _HADAMARD @ np.diag([1, -1j])}
-    eigenvalues = parity_eigenvalues(2**state.n_qubits)
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    for term in h.terms:
-        support = int("".join("0" if c == "I" else "1" for c in term.string), 2)
-        if not support:
-            total += term.coefficient
+    groups = []  # [letters, term indices]
+    offset = 0.0
+    for i, term in enumerate(h.terms):
+        if set(term.string) == {"I"}:
+            offset += term.coefficient
             continue
-        rotated = state.amplitudes[None]
-        for q, letter in enumerate(term.string):
+        for group in groups:
+            if all("I" in (a, b) or a == b for a, b in zip(group[0], term.string)):
+                group[0] = "".join(b if a == "I" else a for a, b in zip(group[0], term.string))
+                group[1].append(i)
+                break
+        else:
+            groups.append([term.string, [i]])
+    eigenvalues = parity_eigenvalues(2**h.n_qubits)
+    totals = np.full(len(states), offset)
+    for letters, members in groups:
+        rotated = states
+        for q, letter in enumerate(letters):
             if letter in rotations:
                 rotated = _apply(rotated, rotations[letter], q)
-        probs = np.abs(rotated[0]) ** 2
-        probs = probs / probs.sum()
-        counts = rng.multinomial(shots, probs)
-        total += term.coefficient * float(counts @ eigenvalues[support]) / shots
-    return total
+        probs = np.abs(rotated) ** 2
+        probs = probs / probs.sum(axis=1, keepdims=True)
+        counts = np.array([rng.multinomial(shots, p) for p in probs])
+        supports = [int("".join("0" if c == "I" else "1" for c in h.terms[i].string), 2) for i in members]
+        weights = np.array([h.terms[i].coefficient for i in members]) @ eigenvalues[supports]
+        totals += counts @ weights / shots
+    return totals
+
+
+def _born_probabilities(states, setting, n_qubits):
+    """Outcome probabilities of each row measured in one setting's basis."""
+    rotations = {0: _HADAMARD, 1: _HADAMARD @ np.diag([1, -1j])}
+    for q in range(n_qubits):
+        bit = n_qubits - 1 - q
+        if setting.x >> bit & 1:
+            states = _apply(states, rotations[setting.z >> bit & 1], q)
+    return np.abs(states) ** 2
+
+
+def _random_states(rng, batch, n_qubits):
+    psi = rng.normal(size=(batch, 2**n_qubits)) + 1j * rng.normal(size=(batch, 2**n_qubits))
+    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
 
 
 @settings(max_examples=40, deadline=None)
@@ -378,34 +430,69 @@ def sampled_expectation_by_letters(state, h, shots, seed):
 def test_sampled_expectation_matches_letter_oracle_bit_for_bit(n_qubits, seed, shots, batch):
     rng = np.random.default_rng(seed)
     h = _random_hamiltonian(rng, n_qubits)
-    psi = rng.normal(size=(batch, 2**n_qubits)) + 1j * rng.normal(size=(batch, 2**n_qubits))
-    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-    shot_seeds = rng.integers(2**63, size=batch)
-    estimates = sampled_expectation(psi, h, shots, shot_seeds)
+    psi = _random_states(rng, batch, n_qubits)
+    ours, oracle = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    estimates = sampled_expectation(psi, h, shots, ours)
     assert estimates.shape == (batch,)
-    for row, shot_seed, estimate in zip(psi, shot_seeds, estimates):
-        assert estimate == sampled_expectation_by_letters(
-            StateVector(n_qubits, row), h, shots, int(shot_seed)
-        )
+    np.testing.assert_array_equal(estimates, sampled_expectation_by_letters(psi, h, shots, oracle))
+    assert ours.bit_generator.state == oracle.bit_generator.state
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_qubits=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_settings_closed_form_mean_is_the_exact_expectation(n_qubits, seed):
+    rng = np.random.default_rng(seed)
+    h = _random_hamiltonian(rng, n_qubits)
+    psi = _random_states(rng, 4, n_qubits)
+    mean = h.identity_offset + sum(
+        _born_probabilities(psi, s, n_qubits) @ s.weights for s in h.settings
+    )
+    np.testing.assert_allclose(mean, batch_expectation(psi, to_matrix(h)), rtol=0, atol=1e-12)
+
+
+def test_grouped_variance_at_equal_budget_is_at_most_per_term():
+    # one setting reads all 7 chain terms; per-term sampling would split the
+    # same shots x settings budget over 7 separate measurements
+    (setting,) = CHAIN_H.settings
+    terms = [t for t in CHAIN_H.terms if set(t.string) != {"I"}]
+    circuit = build(AnsatzKind.from_name("ansatz1"), 4)
+    states = run_batch(circuit, np.random.default_rng(31).uniform(-PI, PI, (50, circuit.n_params)))
+    shots = 1000
+    probs = _born_probabilities(states, setting, 4)
+    grouped = (probs @ setting.weights**2 - (probs @ setting.weights) ** 2) / shots
+    per_term_shots = shots * len(CHAIN_H.settings) / len(terms)
+    means = [
+        batch_expectation(states, to_matrix(PauliHamiltonian.from_terms(4, (PauliTerm(1.0, t.string),))))
+        for t in terms
+    ]
+    per_term = sum(t.coefficient**2 * (1 - m**2) for t, m in zip(terms, means)) / per_term_shots
+    assert np.all(grouped <= per_term + 1e-12)
+    assert np.median(grouped / per_term) < 0.5
+
+
+def test_single_setting_estimates_respect_the_ground_energy():
+    # every outcome of the one chain setting reads an eigenvalue of H
+    ground = exact_ground_energy(CHAIN_H)
+    circuit = build(AnsatzKind.from_name("ansatz3"), 4)
+    rng = np.random.default_rng(12)
+    states = run_batch(circuit, rng.uniform(-PI, PI, (200, circuit.n_params)))
+    for shots in (1, 3, 50, 1000):
+        estimates = sampled_expectation(states, CHAIN_H, shots, rng)
+        assert np.all(estimates >= ground - 1e-12)
 
 
 def test_sampled_expectation_rejects_bad_shots():
     rows = run_batch(Circuit(4, (), 0), np.zeros((2, 0)))
-    with pytest.raises(ValueError):
-        sampled_expectation(rows, CHAIN_H, shots=0, seeds=[0, 1])
+    for shots in (0, -1, MAX_SHOTS + 1):
+        with pytest.raises(ValueError):
+            sampled_expectation(rows, CHAIN_H, shots, np.random.default_rng(0))
+    assert np.all(np.isfinite(sampled_expectation(rows, CHAIN_H, MAX_SHOTS, np.random.default_rng(0))))
 
 
 def test_sampled_expectation_rejects_wrong_width():
     rows = run_batch(Circuit(3, (), 0), np.zeros((2, 0)))
+    rng = np.random.default_rng(0)
     with pytest.raises(QubitMismatchError):
-        sampled_expectation(rows, CHAIN_H, shots=10, seeds=[0, 1])
+        sampled_expectation(rows, CHAIN_H, 10, rng)
     with pytest.raises(QubitMismatchError):
-        sampled_expectation(run_batch(Circuit(4, (), 0), np.zeros((1, 0)))[0], CHAIN_H, 10, [0])
-
-
-def test_sampled_expectation_needs_one_seed_per_row():
-    # zip would truncate to the shorter list; a lone seed would stand for every row
-    rows = run_batch(Circuit(4, (), 0), np.zeros((3, 0)))
-    for seeds in ([0], [0, 1], [0, 1, 2, 3]):
-        with pytest.raises(ValueError):
-            sampled_expectation(rows, CHAIN_H, shots=10, seeds=seeds)
+        sampled_expectation(run_batch(Circuit(4, (), 0), np.zeros((1, 0)))[0], CHAIN_H, 10, rng)

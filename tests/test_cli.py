@@ -400,6 +400,7 @@ def test_config_validation_exit_codes(tmp_path, capsys):
         {"spsa": {"steps": 3}},
         {"spsa": {"alpha": 0.1, "gamma": 0.2}},
         {"spsa": {"stability_a": -1}},
+        {"shots": 2**63},
         {"layout": "disjoint", "dims": 3, "lattice_n": 16},  # 12 qubits
         {"inner_half": "yes"},
         {"mass_unit": "kg"},
@@ -409,6 +410,15 @@ def test_config_validation_exit_codes(tmp_path, capsys):
         cfg = write_config(tmp_path, data)
         code, _, _ = run_cli(capsys, "exact", "--config", cfg)
         assert code == 2, data
+
+
+def test_vqe_rejects_shots_numpy_cannot_draw(tmp_path, capsys):
+    # 2**63 shots overflowed numpy's multinomial with a traceback
+    cfg = write_config(tmp_path, {"mass_grid": [1.0], "spsa": {"max_iter": 3}})
+    code, out, err = run_cli(capsys, "vqe", "--config", cfg, "--shots", str(2**63))
+    assert code == 2
+    assert out == ""
+    assert "shots" in err
 
 
 def test_sweep_rejects_non_positive_kappas(tmp_path, capsys):

@@ -342,6 +342,40 @@ def test_ground_energy_qubit_budget():
         exact_ground_energy(h)
 
 
+def _assert_settings_cover_each_row_once(h):
+    masks = h.x | h.z
+    members = sorted(row for s in h.settings for row in s.rows)
+    assert members == np.flatnonzero(masks).tolist()
+    for s in h.settings:
+        for row in s.rows:
+            # the setting measures every qubit of the row in the row's own basis
+            assert ((int(h.x[row]) ^ s.x) | (int(h.z[row]) ^ s.z)) & int(masks[row]) == 0
+    assert h.identity_offset == sum(t.coefficient for t in h.terms if set(t.string) == {"I"})
+
+
+@pytest.mark.parametrize(
+    "layout, n_points, count",
+    [(CHAIN, 4, 1), (HamiltonianLayout(variant=DISJOINT, dims=1), 8, 2),
+     (HamiltonianLayout(variant=DISJOINT, dims=1), 16, 4),
+     (HamiltonianLayout(variant=DISJOINT, dims=1), 64, 16),
+     (HamiltonianLayout(variant=DISJOINT, dims=2), 8, 2)],
+    ids=["chain", "disjoint-N8", "disjoint-N16", "disjoint-N64", "disjoint-2x8"],
+)
+def test_measurement_settings_of_assembled_hamiltonians(layout, n_points, count):
+    h = assemble(None, layout, LatticeSpec(n_points))
+    assert len(h.settings) == count
+    _assert_settings_cover_each_row_once(h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_qubits=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_measurement_settings_cover_each_row_once(n_qubits, seed):
+    rng = np.random.default_rng(seed)
+    strings = {"".join(rng.choice(list("IXYZ"), n_qubits)) for _ in range(int(rng.integers(0, 12)))}
+    h = PauliHamiltonian.from_terms(n_qubits, tuple(PauliTerm(rng.normal(), s) for s in sorted(strings)))
+    _assert_settings_cover_each_row_once(h)
+
+
 def test_pauli_hamiltonian_rejects_duplicates():
     with pytest.raises(ValueError):
         PauliHamiltonian.from_terms(2, (PauliTerm(1.0, "XX"), PauliTerm(2.0, "XX")))

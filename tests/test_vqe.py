@@ -5,17 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bhvqe import hamiltonian as ham
 from bhvqe import vqe
 from bhvqe.ansatz import AnsatzKind, build
 from bhvqe.circuits import expectation, run, run_batch
 from bhvqe.errors import NonFiniteObjectiveError, QubitMismatchError
 from bhvqe.hamiltonian import (
+    DISJOINT,
     PAPER_CHAIN,
     BlackHoleParams,
     HamiltonianLayout,
     PauliHamiltonian,
     assemble,
     exact_ground_energy,
+    parity_eigenvalues,
 )
 from bhvqe.lattice import LatticeSpec
 from bhvqe.linalg import PauliTerm
@@ -170,6 +173,23 @@ def test_spsa_evaluates_and_draws_only_what_it_uses(window, max_iter, tol, const
     np.testing.assert_array_equal(result.best_params, best_params)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n_params=st.integers(0, 40),
+    count=st.integers(0, 200),
+    block=st.integers(1, 70),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_directions_drawn_in_blocks_equal_one_draw_per_iteration(n_params, count, block, seed):
+    # a VQE run draws its directions in blocks; SPSA's serial loop drew one per iteration
+    blocked, serial = np.random.default_rng(seed), np.random.default_rng(seed)
+    rows = list(vqe._directions(blocked, n_params, count, block))
+    assert len(rows) == count
+    for row in rows:
+        np.testing.assert_array_equal(row, serial.integers(0, 2, size=n_params) * 2.0 - 1.0)
+    assert blocked.bit_generator.state == serial.bit_generator.state
+
+
 def test_vqe_single_qubit_z():
     h = PauliHamiltonian.from_terms(1, (PauliTerm(1.0, "Z"),))
     result = vqe_run(h, A3, SpsaConfig(seed=0))
@@ -215,7 +235,7 @@ def test_vqe_respects_variational_bound():
 def test_vqe_screen_picks_first_lowest_candidate(monkeypatch, h):
     starts = []
 
-    def one_step(theta0, cfg, rng):
+    def one_step(theta0, cfg, directions):
         starts.append(np.array(theta0))
         return VqeResult(best_params=theta0, best_energy=0.0, trace=(0.0,), iterations_used=1)
         yield  # a segment that needs no evaluation
@@ -287,13 +307,30 @@ def test_vqe_with_shots_is_deterministic_and_noisy():
     assert abs(noisy.best_energy - PI / 8) < 5e-2
 
 
-@pytest.mark.parametrize("k", [0, 1, 3, 16])
-def test_shot_seeds_drawn_as_one_array_equal_scalar_draws(k):
-    # a run draws its states' shot seeds as one array; the serial loop drew them one by one
-    batched, serial = np.random.default_rng(11), np.random.default_rng(11)
-    seeds = batched.integers(2**63, size=k)
-    assert seeds.tolist() == [int(serial.integers(2**63)) for _ in range(k)]
-    assert batched.bit_generator.state == serial.bit_generator.state
+def test_lockstep_with_shots_equals_each_run_alone_over_several_settings():
+    # two 3-qubit N=8 blocks: the greedy cover needs two measurement settings
+    h = assemble(None, HamiltonianLayout(variant=DISJOINT, dims=2), LatticeSpec(8))
+    assert len(h.settings) == 2
+    runs = [(h, SpsaConfig(seed=seed, max_iter=8)) for seed in range(3)]
+    for result, (h, cfg) in zip(vqe_lockstep(runs, A3, shots=50), runs):
+        direct = vqe_run(h, A3, cfg, shots=50)
+        assert result.trace == direct.trace
+        assert result.best_energy == direct.best_energy
+        np.testing.assert_array_equal(result.best_params, direct.best_params)
+
+
+def test_shot_run_builds_its_settings_once(monkeypatch):
+    calls = []
+
+    def counted(dim):
+        calls.append(dim)
+        return parity_eigenvalues(dim)
+
+    monkeypatch.setattr(ham, "parity_eigenvalues", counted)
+    h = assemble(None, HamiltonianLayout(variant=PAPER_CHAIN), LatticeSpec(4))
+    result = vqe_run(h, A3, SpsaConfig(seed=0, max_iter=20), shots=100)
+    assert result.iterations_used == 20
+    assert calls == [16]
 
 
 def test_ground_energy_linearity_supports_prefactor_scaling():
