@@ -3,22 +3,27 @@
 States are 2^n complex vectors; qubit 0 is the leftmost tensor factor, so it
 owns the most significant bit of a basis-state index. One kernel simulates
 every circuit: `run_batch` takes B parameter vectors as a (B, n_params)
-array, builds the 2x2 matrices of all G gates for the whole batch in one
-vectorized step as a (B, G, 2, 2) array, and returns the (B, 2^n) amplitudes.
-A gate on qubit q views the batch as (B, 2^q, 2, 2^(n-q-1)) and multiplies
-axis 2 by its matrix; a controlled gate does the same on the control = 1
-half. `run` is the batch of one. Exact expectation values contract a batch
-of states with the dense Hamiltonian matrix. Shot-noise estimates take the
-same batch: it is rotated once into each measurement setting of the
-Hamiltonian, a group of qubit-wise-commuting terms, and every row samples
-its Born distribution from the caller's generator.
+array and returns the (B, 2^n) amplitudes. Each circuit is compiled once
+into a `Program` (`Circuit.program`). The single-qubit gates on a qubit
+before its first two-qubit gate act on |0>, so that qubit starts as one
+2-vector, and the state after all these prefixes is their product state.
+The remaining gates run in order: a gate on qubit q views the batch as
+(B, 2^q, 2, 2^(n-q-1)) and multiplies axis 2 by its 2x2 matrix, CU3 does the
+same on the control = 1 half, and CNOT is one gather along a permutation of
+the basis indices. The 2x2 matrices of all U3, RY and CU3 gates are built
+for the whole batch in one vectorized step. `run` is the batch of one.
+Exact expectation values contract a batch of states with the dense
+Hamiltonian matrix. Shot-noise estimates take the same batch: it is rotated
+once into each measurement setting of the Hamiltonian, a group of
+qubit-wise-commuting terms, and every row samples its Born distribution
+from the caller's generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
@@ -83,14 +88,69 @@ class Circuit:
             raise ValueError("every parameter slot must be referenced exactly once")
 
     @cached_property
-    def angle_slots(self) -> np.ndarray:
-        """(G, 3) slots of each gate's U3 angles; slot n_params stands for angle 0.
+    def program(self) -> Program:
+        """The circuit compiled for run_batch, built once per circuit."""
+        n, zero = self.n_qubits, self.n_params
+        slots: list[tuple[int, ...]] = []
+        prefixes: dict[int, list[int]] = {}
+        entangled: set[int] = set()
+        steps: list[np.ndarray | tuple[int, ...]] = []
+        index = np.arange(2**n)
+        for g in self.gates:
+            if g.kind is GateKind.CNOT:
+                entangled.update(g.qubits)
+                cbit, tbit = (1 << (n - 1 - q) for q in g.qubits)
+                steps.append(np.where(index & cbit, index ^ tbit, index))
+                continue
+            matrix = len(slots)
+            slots.append((g.param_slots + (zero,) * 3)[:3])  # RY is U3(theta, 0, 0)
+            if g.kind is GateKind.CU3:
+                entangled.update(g.qubits)
+                control, target = g.qubits
+                # the control = 1 half is a state of the other qubits, which keep their order
+                steps.append((matrix, control, target - (target > control)))
+            elif g.qubits[0] in entangled:
+                steps.append((matrix, g.qubits[0]))
+            else:
+                prefixes.setdefault(g.qubits[0], []).append(matrix)
+        touched = tuple(sorted(prefixes))
+        length = max(map(len, prefixes.values()), default=1)
+        identity = len(slots)  # U3(0, 0, 0), appended only if some prefix is short
+        if any(len(p) < length for p in prefixes.values()):
+            slots.append((zero,) * 3)
+        prefix = [prefixes[q] + [identity] * (length - len(prefixes[q])) for q in touched]
+        product_indices = np.zeros(1, dtype=int)
+        for q in touched:
+            product_indices = (product_indices[:, None] + [0, 1 << (n - 1 - q)]).reshape(-1)
+        return Program(
+            np.array(slots, dtype=int).reshape(-1, 3),
+            touched,
+            np.array(prefix, dtype=int).reshape(len(touched), length),
+            product_indices,
+            tuple(steps),
+        )
 
-        RY is U3(theta, 0, 0); CNOT's row is unused.
-        """
-        zero = self.n_params
-        rows = [(g.param_slots + (zero,) * 3)[:3] for g in self.gates]
-        return np.array(rows, dtype=int).reshape(-1, 3)
+
+@dataclass(frozen=True, eq=False)
+class Program:
+    """A circuit as run_batch runs it: U3 matrices, a product-state prefix, then the other gates.
+
+    angle_slots (M, 3) gives the U3 angles of each matrix the program uses;
+    slot n_params stands for angle 0. Each touched qubit starts as column 0
+    of the product of its prefix matrices, prefix[t] in gate order, padded
+    with the identity U3(0, 0, 0) up to the longest prefix. The kron of these
+    2-vectors over the touched qubits sits at product_indices, the basis
+    indices where every untouched qubit is 0; all other amplitudes are 0.
+    Each later step is (matrix, qubit) for a single-qubit gate, (matrix,
+    control, target within the control = 1 half) for CU3, or, for CNOT, the
+    gather index where(i & control bit, i ^ target bit, i).
+    """
+
+    angle_slots: np.ndarray
+    touched: tuple[int, ...]
+    prefix: np.ndarray
+    product_indices: np.ndarray
+    steps: tuple[np.ndarray | tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -134,36 +194,40 @@ def _apply(state: np.ndarray, matrix: np.ndarray, qubit: int) -> np.ndarray:
     return np.matmul(matrix.reshape(-1, 1, 2, 2), block).reshape(batch, dim)
 
 
-_X_MATRIX = np.array([[0, 1], [1, 0]], dtype=complex)
-
-
 def run_batch(circuit: Circuit, params: np.ndarray) -> np.ndarray:
-    """Apply the circuit's gates in order to |0...0> for each row of params.
+    """Apply the circuit's gates in order to |0...0> for each row of params, via circuit.program.
 
     params has shape (B, n_params); the result holds the B states as (B, 2^n)
     amplitudes. CNOT flips the target where the control is 1; CU3 applies
     the U3 matrix on the target under the same condition.
     """
+    program = circuit.program
     params = np.asarray(params, dtype=float)
     if params.ndim != 2 or params.shape[1] != circuit.n_params:
         raise ParamLengthMismatchError(
             f"circuit has {circuit.n_params} parameter slots, got params of shape {params.shape}"
         )
     batch, dim = params.shape[0], 2**circuit.n_qubits
-    angles = np.concatenate([params, np.zeros((batch, 1))], axis=1)[:, circuit.angle_slots]
+    angles = np.concatenate([params, np.zeros((batch, 1))], axis=1)[:, program.angle_slots]
     matrices = _u3_matrices(angles)
+    prefix = matrices[:, program.prefix]  # (B, T, L, 2, 2)
+    columns = prefix[:, :, 0, :, 0]
+    for j in range(1, prefix.shape[2]):
+        columns = np.matmul(prefix[:, :, j], columns[..., None])[..., 0]
+    product = columns[:, 0] if program.touched else np.ones((batch, 1))
+    for t in range(1, len(program.touched)):
+        product = (product[:, :, None] * columns[:, t, None]).reshape(batch, 2 << t)
     state = np.zeros((batch, dim), dtype=complex)
-    state[:, 0] = 1.0
-    for i, g in enumerate(circuit.gates):
-        matrix = _X_MATRIX if g.kind is GateKind.CNOT else matrices[:, i]
-        if len(g.qubits) == 1:
-            state = _apply(state, matrix, g.qubits[0])
-            continue
-        control, target = g.qubits
-        # the control = 1 half is a state of the other qubits, which keep their order
-        half = state.reshape(batch, 2**control, 2, dim >> (control + 1))[:, :, 1]
-        sub_target = target - 1 if target > control else target
-        half[...] = _apply(half.reshape(batch, dim // 2), matrix, sub_target).reshape(half.shape)
+    state[:, program.product_indices] = product
+    for step in program.steps:
+        if isinstance(step, np.ndarray):  # CNOT
+            state = state[:, step]
+        elif len(step) == 2:
+            state = _apply(state, matrices[:, step[0]], step[1])
+        else:
+            index, control, sub_target = step
+            half = state.reshape(batch, 2**control, 2, dim >> (control + 1))[:, :, 1]
+            half[...] = _apply(half.reshape(batch, dim // 2), matrices[:, index], sub_target).reshape(half.shape)
     return state
 
 
@@ -198,6 +262,18 @@ _HAD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _MEASURE_ROTATIONS = (_HAD, _HAD @ np.diag([1, -1j]))
 
 
+@cache  # one entry per distinct setting measured, built on its first use
+def _measurement_rotation(n_qubits: int, x: int, z: int) -> np.ndarray:
+    """Transpose of the (2^n, 2^n) basis change of setting (x, z): rows @ it rotate each row."""
+    factors = [
+        _MEASURE_ROTATIONS[z >> bit & 1] if x >> bit & 1 else np.eye(2)
+        for bit in range(n_qubits - 1, -1, -1)
+    ]
+    rotation = reduce(np.kron, factors).T.copy()
+    rotation.flags.writeable = False
+    return rotation
+
+
 def sampled_expectation(
     amplitudes: np.ndarray, h: PauliHamiltonian, shots: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -220,10 +296,7 @@ def sampled_expectation(
         raise ValueError(f"shots must be in [1, {MAX_SHOTS}], got {shots}")
     totals = np.full(amplitudes.shape[0], h.identity_offset)
     for setting in h.settings:
-        rotated = amplitudes
-        for q, bit in enumerate(range(h.n_qubits - 1, -1, -1)):
-            if setting.x >> bit & 1:
-                rotated = _apply(rotated, _MEASURE_ROTATIONS[setting.z >> bit & 1], q)
+        rotated = amplitudes @ _measurement_rotation(h.n_qubits, setting.x, setting.z)
         probs = np.abs(rotated) ** 2
         probs /= probs.sum(axis=1, keepdims=True)
         totals += rng.multinomial(shots, probs) @ setting.weights / shots

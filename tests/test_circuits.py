@@ -1,4 +1,5 @@
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from bhvqe.circuits import (
     _apply,
     batch_expectation,
     MAX_SHOTS,
+    N_PARAM_SLOTS,
+    N_QUBITS_USED,
     expectation,
     run,
     run_batch,
@@ -213,6 +216,96 @@ def test_run_batch_controlled_gate_below_its_control():
     params = np.random.default_rng(31).uniform(-PI, PI, (4, 9))
     for row, theta in zip(run_batch(circuit, params), params):
         np.testing.assert_allclose(row, reference_run(circuit, theta), rtol=0, atol=1e-12)
+
+
+@st.composite
+def random_circuits(draw):
+    """0-12 gates of every kind on random distinct qubits, controls above and below targets."""
+    n_qubits = draw(st.integers(1, 5))
+    kinds = [GateKind.U3, GateKind.RY] + ([GateKind.CNOT, GateKind.CU3] if n_qubits > 1 else [])
+    gates, slot = [], 0
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=12)):
+        qubits = tuple(draw(st.permutations(range(n_qubits)))[: N_QUBITS_USED[kind]])
+        gates.append(Gate(kind, qubits, tuple(range(slot, slot + N_PARAM_SLOTS[kind]))))
+        slot += N_PARAM_SLOTS[kind]
+    return Circuit(n_qubits, tuple(gates), slot)
+
+
+@settings(max_examples=80, deadline=None)
+@given(circuit=random_circuits(), batch=st.sampled_from([0, 1, 3]), seed=st.integers(0, 2**32 - 1))
+def test_run_batch_matches_reference_on_random_circuits(circuit, batch, seed):
+    params = np.random.default_rng(seed).uniform(-2 * PI, 2 * PI, (batch, circuit.n_params))
+    states = run_batch(circuit, params)
+    assert states.shape == (batch, 2**circuit.n_qubits)
+    for row, theta in zip(states, params):
+        np.testing.assert_allclose(row, reference_run(circuit, theta), rtol=0, atol=1e-12)
+
+
+def _interleaved_circuit():
+    """Qubit 1's prefix gates sit between gates on qubits 0 and 2; CU3(1 -> 2) cuts it."""
+    u3, ry = GateKind.U3, GateKind.RY
+    gates = (
+        Gate(u3, (1,), (0, 1, 2)),
+        Gate(u3, (0,), (3, 4, 5)),
+        Gate(ry, (1,), (6,)),
+        Gate(ry, (2,), (7,)),
+        Gate(u3, (1,), (8, 9, 10)),
+        Gate(GateKind.CU3, (1, 2), (11, 12, 13)),
+        Gate(u3, (1,), (14, 15, 16)),  # after qubit 1's entangler: a later step
+        Gate(ry, (0,), (17,)),  # qubit 0 is not entangled yet: still its prefix
+        Gate(GateKind.CNOT, (2, 0)),
+        Gate(ry, (2,), (18,)),
+        Gate(u3, (0,), (19, 20, 21)),
+    )
+    return Circuit(4, gates, 22)
+
+
+def test_prefix_gates_interleaved_with_other_qubits_then_cut_by_an_entangler():
+    circuit = _interleaved_circuit()
+    program = circuit.program
+    assert program.touched == (0, 1, 2)
+    # qubit 1 has three prefix gates, qubit 0 two and qubit 2 one: both are padded
+    assert program.prefix.shape == (3, 3)
+    assert len(program.steps) == 5
+    params = np.random.default_rng(8).uniform(-2 * PI, 2 * PI, (3, circuit.n_params))
+    for row, theta in zip(run_batch(circuit, params), params):
+        np.testing.assert_allclose(row, reference_run(circuit, theta), rtol=0, atol=1e-12)
+
+
+def test_qubits_without_gates_stay_zero():
+    circuit = _interleaved_circuit()  # no gate acts on qubit 3
+    states = run_batch(circuit, np.random.default_rng(2).uniform(-PI, PI, (4, circuit.n_params)))
+    assert np.all(states[:, 1::2] == 0)
+    # ansatz2's only prefix is its first U3 on qubit 0: the other qubits start at exactly 0
+    program = build(AnsatzKind.from_name("ansatz2"), 4).program
+    assert program.touched == (0,)
+    np.testing.assert_array_equal(program.product_indices, [0, 8])
+
+
+def test_program_is_built_once_per_circuit():
+    circuit = build(AnsatzKind.from_name("ansatz1"), 4)
+    program = circuit.program
+    run_batch(circuit, np.zeros((2, circuit.n_params)))
+    assert circuit.program is program
+    # the prefix takes the first U3 on each qubit; all 6 CNOTs are permutations
+    assert program.touched == (0, 1, 2, 3)
+    assert sum(isinstance(step, np.ndarray) for step in program.steps) == 6
+
+
+@pytest.mark.parametrize("n_qubits", [2, 3, 4])
+def test_cnot_steps_permute_every_basis_state_exactly(n_qubits):
+    pairs = list(permutations(range(n_qubits), 2))
+    circuit = Circuit(n_qubits, tuple(Gate(GateKind.CNOT, pair) for pair in pairs), 0)
+    dim = 2**n_qubits
+    basis = np.eye(dim, dtype=complex)  # row k is |k>
+    states = basis
+    for step in circuit.program.steps:
+        states = states[:, step]
+    for k in range(dim):
+        bits = [k >> (n_qubits - 1 - q) & 1 for q in range(n_qubits)]
+        for control, target in pairs:
+            bits[target] ^= bits[control]
+        assert np.all(states[k] == basis[int("".join(map(str, bits)), 2)])
 
 
 def test_run_batch_shapes():
