@@ -38,7 +38,7 @@ from .hamiltonian import (
     MAX_EXACT_QUBITS,
     PAPER_CHAIN,
     HamiltonianLayout,
-    assemble,
+    energy_scale,
     layout_qubits,
     to_matrix,
     to_text,
@@ -49,6 +49,7 @@ from .observables import (
     RADIUS_ABSOLUTE,
     RADIUS_GM_MULTIPLE,
     GridPoint,
+    Plan,
     SweepRecord,
     fit_energy_vs_mass,
     fit_energy_vs_radius,
@@ -254,8 +255,8 @@ def _ansatz_kind(cfg: RunConfig) -> AnsatzKind:
     return AnsatzKind.from_name(cfg.ansatz, reps=cfg.reps)
 
 
-def _plan(cfg: RunConfig) -> list[GridPoint]:
-    """The run's grid points, masses converted to Planck units."""
+def _plan(cfg: RunConfig) -> Plan:
+    """The run's plan, masses converted to Planck units."""
     scale = SOLAR_MASS_PLANCK if cfg.mass_unit == MASS_UNIT_SOLAR else 1.0
     return plan([m * scale for m in cfg.mass_grid], list(cfg.radius_grid),
                 _hamiltonian_layout(cfg), LatticeSpec(n_points=cfg.lattice_n),
@@ -284,12 +285,9 @@ def _atomic_write(path: str, text: str) -> None:
 
 def cmd_hamiltonian(cfg: RunConfig, fmt: str, normalized: bool) -> int:
     """Print the Hamiltonian at the first grid point (or prefactor 1)."""
-    if normalized:
-        h = assemble(None, _hamiltonian_layout(cfg), LatticeSpec(n_points=cfg.lattice_n),
-                     inner_half=cfg.inner_half)
-    else:
-        first = replace(cfg, mass_grid=cfg.mass_grid[:1], radius_grid=cfg.radius_grid[:1])
-        h = _plan(first)[0].hamiltonian
+    planned = _plan(cfg)
+    scale = energy_scale(None, cfg.inner_half) if normalized else planned.points[0].scale
+    h = replace(planned.operator, coeffs=scale * planned.operator.coeffs)
     if fmt == "pauli":
         print(to_text(h))
     else:
@@ -300,7 +298,7 @@ def cmd_hamiltonian(cfg: RunConfig, fmt: str, normalized: bool) -> int:
 
 def cmd_exact(cfg: RunConfig) -> int:
     """Print `mass radius rho energy` for every grid point."""
-    for point in _plan(cfg):
+    for point in _plan(cfg).points:
         print(f"{_point_prefix(point)} {_fmt_energy(point.energy_exact)}")
     return EXIT_OK
 

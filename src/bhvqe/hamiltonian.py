@@ -192,6 +192,12 @@ def metric_prefactor(params: BlackHoleParams) -> float:
     return 0.5 * (1.0 + params.rho) ** 0.25
 
 
+def energy_scale(params: BlackHoleParams | None, inner_half: bool = False) -> float:
+    """Metric prefactor (1 for params None), halved under inner_half: what assemble scales by."""
+    scale = 1.0 if params is None else metric_prefactor(params)
+    return 0.5 * scale if inner_half else scale
+
+
 def popcount_table(dim: int) -> np.ndarray:
     """popcount(a & b) for every a, b < dim, as a (dim, dim) array.
 
@@ -311,13 +317,9 @@ def assemble(
             p^2 the printed Pauli coefficients correspond to.
 
     Returns:
-        PauliHamiltonian with merged coefficients, every block scaled by the
-        metric prefactor.
+        PauliHamiltonian with merged coefficients, every block scaled by
+        energy_scale(params, inner_half).
     """
-    scale = 1.0 if params is None else metric_prefactor(params)
-    if inner_half:
-        scale *= 0.5
-
     block = _momentum_block(spec)
     block_qubits = spec.n_qubits
     n_qubits = layout_qubits(layout, spec)
@@ -335,7 +337,8 @@ def assemble(
     shifts = [n_qubits - start - block_qubits for start in starts]
     x = np.concatenate([block.x << shift for shift in shifts])
     z = np.concatenate([block.z << shift for shift in shifts])
-    return _merged(n_qubits, x, z, np.tile(scale * block.coeffs, len(starts)))
+    coeffs = energy_scale(params, inner_half) * block.coeffs
+    return _merged(n_qubits, x, z, np.tile(coeffs, len(starts)))
 
 
 def exact_ground_energy(h: PauliHamiltonian) -> float:

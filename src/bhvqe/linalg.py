@@ -88,7 +88,5 @@ def hermitian_eigensystem(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Raises NotHermitianError if the input deviates from Hermiticity by more
     than 1e-10 in max norm.
     """
-    m = require_hermitian(m)
     # eigh already returns eigenvalues in ascending order with orthonormal columns
-    eigenvalues, eigenvectors = np.linalg.eigh(m)
-    return eigenvalues, eigenvectors
+    return np.linalg.eigh(require_hermitian(m))

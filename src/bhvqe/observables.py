@@ -1,12 +1,12 @@
 """Mass/radius sweeps and the Hawking-style observable pipeline.
 
-A sweep runs in two steps. `plan` resolves the mass x radius grid into
-GridPoints, each holding its Hamiltonian and exact ground energy, made once
-per point. `records` then builds the sweep table in CSV order: each point's
-exact record, then one record per seed from `vqe_runs`, the one place VQE
-runs are seeded (by `run_seed(seed, point index)`) and dispatched. It also
-converts energies to temperature and power. `sweep` chains `plan` and
-`records`; the CLI calls them directly.
+A sweep runs in two steps. `plan` assembles and diagonalizes one operator,
+the Hamiltonian at prefactor 1, and gives each GridPoint of the mass x radius
+grid the scale that makes the operator its Hamiltonian. `records` then builds
+the sweep table in CSV order: each point's exact record, then one record per
+seed from `vqe_runs`, the one place VQE runs are seeded (by `run_seed(seed,
+point index)`) and dispatched. It also converts energies to temperature and
+power. `sweep` chains `plan` and `records`; the CLI calls them directly.
 
 The conversion prefers the quartic curve fit E^4 = b0 + b1 * M inverted
 back to an effective mass; whenever a fit is impossible or unstable for a
@@ -37,6 +37,7 @@ from .hamiltonian import (
     HamiltonianLayout,
     PauliHamiltonian,
     assemble,
+    energy_scale,
     exact_ground_energy,
 )
 from .lattice import LatticeSpec
@@ -164,13 +165,21 @@ def power(mass: float, kappa_p: float = 1.0) -> float:
 
 @dataclass(frozen=True)
 class GridPoint:
-    """One planned grid point: its Hamiltonian and exact ground energy, made once."""
+    """One planned grid point: its Hamiltonian is scale * Plan.operator."""
 
     index: int  # position in mass-major order; seeds each of its VQE runs
     params: BlackHoleParams
     radius_key: int  # position in the radius grid; names the point's fit family
-    hamiltonian: PauliHamiltonian
-    energy_exact: float
+    scale: float  # energy_scale(params, inner_half)
+    energy_exact: float  # scale times the operator's ground energy
+
+
+@dataclass(frozen=True, eq=False)
+class Plan:
+    """A resolved grid: the unit-prefactor operator and the points that scale it."""
+
+    operator: PauliHamiltonian
+    points: tuple[GridPoint, ...]
 
 
 def run_seed(base_seed: int, point_index: int) -> int:
@@ -186,8 +195,8 @@ def plan(
     *,
     inner_half: bool = False,
     radius_mode: str = RADIUS_ABSOLUTE,
-) -> list[GridPoint]:
-    """Resolve the grid in mass-major order; assemble and diagonalize each point once.
+) -> Plan:
+    """Resolve the grid in mass-major order; assemble and diagonalize one operator for all.
 
     In gm-multiple mode each radius is a multiple of GM (G = 1).
     """
@@ -195,13 +204,15 @@ def plan(
         raise DomainError("mass and radius grids must be non-empty")
     if radius_mode not in (RADIUS_ABSOLUTE, RADIUS_GM_MULTIPLE):
         raise DomainError(f"unknown radius mode {radius_mode!r}")
+    operator = assemble(None, layout, lattice)
+    ground = exact_ground_energy(operator)
     points = []
     for mass, (radius_key, radius) in itertools.product(mass_grid, enumerate(radius_grid)):
         r_abs = radius * mass if radius_mode == RADIUS_GM_MULTIPLE else radius
         params = BlackHoleParams(mass=mass, radius=r_abs)
-        h = assemble(params, layout, lattice, inner_half=inner_half)
-        points.append(GridPoint(len(points), params, radius_key, h, exact_ground_energy(h)))
-    return points
+        scale = energy_scale(params, inner_half)
+        points.append(GridPoint(len(points), params, radius_key, scale, scale * ground))
+    return Plan(operator, tuple(points))
 
 
 def _fitted_observables(
@@ -234,7 +245,7 @@ def _fitted_observables(
 
 
 def vqe_runs(
-    points: list[GridPoint],
+    plan: Plan,
     kind: AnsatzKind,
     cfg: SpsaConfig,
     shots: int,
@@ -242,21 +253,18 @@ def vqe_runs(
 ) -> list[tuple[GridPoint, int, VqeResult]]:
     """Run VQE once per (point, seed): point order, then seed order.
 
-    The run for (point, seed) is seeded by run_seed(seed, point.index), and
-    all runs advance together in one vqe_lockstep call; no result depends on
-    which runs share it.
+    The run for (point, seed) minimizes point.scale * plan.operator, seeded
+    by run_seed(seed, point.index), and all runs advance together in one
+    vqe_lockstep call; no result depends on which runs share it.
     """
-    pairs = list(itertools.product(points, seeds))
-    results = vqe_lockstep(
-        [(point.hamiltonian, replace(cfg, seed=run_seed(seed, point.index))) for point, seed in pairs],
-        kind,
-        shots,
-    )
+    pairs = list(itertools.product(plan.points, seeds))
+    runs = [(point.scale, replace(cfg, seed=run_seed(seed, point.index))) for point, seed in pairs]
+    results = vqe_lockstep(plan.operator, runs, kind, shots)
     return [(point, seed, result) for (point, seed), result in zip(pairs, results)]
 
 
 def records(
-    points: list[GridPoint],
+    plan: Plan,
     cfg: SpsaConfig,
     shots: int = 0,
     *,
@@ -277,9 +285,9 @@ def records(
     if not (kappa_t > 0 and kappa_p > 0):
         raise DomainError(f"kappa_t and kappa_p must be > 0, got {kappa_t} and {kappa_p}")
 
-    runs = iter(vqe_runs(points, ansatz, cfg, shots, seeds))
+    runs = iter(vqe_runs(plan, ansatz, cfg, shots, seeds))
     table: list[tuple[GridPoint, int | None, VqeResult | None]] = []
-    for point in points:
+    for point in plan.points:
         table.append((point, None, None))
         table += [next(runs) for _ in seeds]
 
@@ -354,8 +362,8 @@ def sweep(
         raise DomainError(f"unknown method {method!r}")
     layout = layout if layout is not None else HamiltonianLayout(variant=PAPER_CHAIN)
     lattice = lattice if lattice is not None else LatticeSpec()
-    points = plan(mass_grid, radius_grid, layout, lattice,
-                  inner_half=inner_half, radius_mode=radius_mode)
-    table = records(points, cfg, shots, ansatz=ansatz, seeds=seeds,
+    planned = plan(mass_grid, radius_grid, layout, lattice,
+                   inner_half=inner_half, radius_mode=radius_mode)
+    table = records(planned, cfg, shots, ansatz=ansatz, seeds=seeds,
                     kappa_t=kappa_t, kappa_p=kappa_p)
     return [rec for rec in table if rec.method == method]

@@ -12,13 +12,13 @@ with the parameters that produced it.
 Every optimization is written as a generator. It yields a (k, n_params)
 batch of points and is sent back their energies: `spsa_segment` is one SPSA
 segment, and a VQE run chains 16-candidate screens and segments until its
-iteration budget is spent. `vqe_lockstep` drives many runs at once: each
-step it simulates the pending batches of all active runs in one `run_batch`
-call, and each run contracts its own slice against its own Hamiltonian (or
-samples it from its own shot stream). Runs are independent, so a run's
-result does not depend on which other runs share its calls; `vqe_run` is
-the lockstep of one run, and `spsa_minimize` evaluates a scalar objective
-point by point.
+iteration budget is spent. `vqe_lockstep` drives many runs on scale * h at
+once: each step it simulates the pending batches of all active runs in one
+`run_batch` call, contracts them with the matrix of h in one product (or each
+run samples its slice from its own shot stream), and scales each run's
+slice. Runs are independent, so a run's result does not depend on which
+other runs share its calls; `vqe_run` is the lockstep of one run at scale 1,
+and `spsa_minimize` evaluates a scalar objective point by point.
 
 Look-ahead: a segment sends its start point together with iteration 0's two
 probes. After each update it sends the new iterate, and if iteration k + 1
@@ -44,7 +44,7 @@ from . import hamiltonian as ham
 from .ansatz import AnsatzKind, build
 # `run` stays importable as vqe.run: bench/test_bench.py traces it through this module
 from .circuits import batch_expectation, run, run_batch, sampled_expectation
-from .errors import NonFiniteObjectiveError, QubitMismatchError
+from .errors import NonFiniteObjectiveError
 
 
 @dataclass(frozen=True)
@@ -246,56 +246,49 @@ def _multistart(
     )
 
 
-def _run(
-    h: ham.PauliHamiltonian, n_params: int, cfg: SpsaConfig, shots: int
-) -> tuple[Search, Callable[[np.ndarray], Sequence[float]]]:
-    """A run's search and the energies of its states, on child streams of cfg.seed."""
-    init_ss, spsa_ss, shot_ss = np.random.SeedSequence(cfg.seed).spawn(3)
-    search = _multistart(
-        n_params, cfg, np.random.default_rng(init_ss), np.random.default_rng(spsa_ss)
-    )
-    if shots == 0:
-        matrix = ham.to_matrix(h)
-        return search, lambda states: batch_expectation(states, matrix)
-    shot_rng = np.random.default_rng(shot_ss)
-    return search, lambda states: sampled_expectation(states, h, shots, shot_rng)
-
-
 def vqe_lockstep(
-    runs: Sequence[tuple[ham.PauliHamiltonian, SpsaConfig]],
+    h: ham.PauliHamiltonian,
+    runs: Sequence[tuple[float, SpsaConfig]],
     kind: AnsatzKind,
     shots: int = 0,
 ) -> list[VqeResult]:
-    """vqe_run for every (Hamiltonian, cfg) pair, all advanced together.
+    """vqe_run on scale * h for every (scale, cfg) pair, all advanced together.
 
     Each step simulates the pending batches of all active runs in one
-    run_batch call and sends every run its slice: a run's screen can share
-    a call with other runs' SPSA steps, and a finished run drops out. Each
-    result equals vqe_run(h, kind, cfg, shots) bit for bit. Returns [] for
-    no runs; raises QubitMismatchError when the Hamiltonians differ in width.
+    run_batch call and sends every run its slice of the energies, times its
+    scale: a run's screen can share a call with other runs' SPSA steps, and
+    a finished run drops out. Each result equals vqe_lockstep(h, [(scale,
+    cfg)], kind, shots) bit for bit. Returns [] for no runs.
     """
     if not runs:
         return []
-    widths = sorted({h.n_qubits for h, _ in runs})
-    if len(widths) > 1:
-        raise QubitMismatchError(f"lockstep runs need one width, got {widths} qubits")
-    circuit = build(kind, widths[0])
+    circuit = build(kind, h.n_qubits)
+    matrix = ham.to_matrix(h) if shots == 0 else None
     results: list[VqeResult] = [None] * len(runs)
     waiting = iter(enumerate(runs))
-    active = []  # (index, search, energies, pending batch)
+    active = []  # (index, scale, search, shot generator, pending batch)
     while True:
-        for index, (h, cfg) in itertools.islice(waiting, MAX_LOCKSTEP_RUNS - len(active)):
-            search, energies = _run(h, circuit.n_params, cfg, shots)
-            active.append((index, search, energies, next(search)))
+        for index, (scale, cfg) in itertools.islice(waiting, MAX_LOCKSTEP_RUNS - len(active)):
+            streams = np.random.SeedSequence(cfg.seed).spawn(3)
+            init_rng, spsa_rng, shot_rng = map(np.random.default_rng, streams)
+            search = _multistart(circuit.n_params, cfg, init_rng, spsa_rng)
+            active.append((index, scale, search, shot_rng, next(search)))
         if not active:
             return results
         states = run_batch(circuit, np.concatenate([batch for *_, batch in active]))
+        values = None if matrix is None else batch_expectation(states, matrix)
         advanced = []
         start = 0
-        for index, search, energies, batch in active:
+        for index, scale, search, shot_rng, batch in active:
             stop = start + len(batch)
+            rows = states[start:stop]
+            if matrix is None:
+                energies = sampled_expectation(rows, h, shots, shot_rng)
+            else:
+                # numpy multiplies a lone row by gemv, which rounds unlike a row of a gemm
+                energies = values[start:stop] if len(rows) > 1 else batch_expectation(rows, matrix)
             try:
-                advanced.append((index, search, energies, search.send(energies(states[start:stop]))))
+                advanced.append((index, scale, search, shot_rng, search.send(scale * energies)))
             except StopIteration as done:
                 results[index] = done.value
             start = stop
@@ -317,7 +310,7 @@ def vqe_run(
     spurious local minima that trap a fraction of single starts, and early
     convergence there would otherwise waste the rest of the budget. The
     total across segments never exceeds cfg.max_iter iterations. This is
-    vqe_lockstep with one run.
+    vqe_lockstep with one run of scale 1.
 
     Args:
         h: Hamiltonian in Pauli-term form.
@@ -334,4 +327,4 @@ def vqe_run(
         rule fired. With shots=0 best_energy respects the variational
         bound best_energy >= exact ground energy.
     """
-    return vqe_lockstep([(h, cfg)], kind, shots)[0]
+    return vqe_lockstep(h, [(1.0, cfg)], kind, shots)[0]

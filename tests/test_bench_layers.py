@@ -7,10 +7,13 @@ per-layer metrics; these tests fail first.
 
 import importlib
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def _tracer_module(monkeypatch):
@@ -36,3 +39,17 @@ def test_run_is_one_function_wherever_the_benchmark_looks_it_up():
 
     assert vqe.run is circuits.run
     assert bhvqe.run is circuits.run
+
+
+def test_traced_benchmark_run_reports_every_per_layer_metric():
+    # a run can exit 0 with every gate passing and still drop the layers its
+    # tracer cannot resolve, or end on a line that is not its result
+    done = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "chain-vqe", "--seed", "1",
+         "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    metrics = json.loads(done.stdout.splitlines()[-1])["metrics"]
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert [m["name"] for m in declared if m["name"] not in metrics] == []

@@ -248,7 +248,7 @@ def test_sweep_interleaves_vqe_rows(tmp_path, capsys):
 
 
 def test_sweep_builds_each_point_once(tmp_path, capsys, monkeypatch):
-    calls = {"assemble": 0, "exact_ground_energy": 0, "pauli_decompose": 0}
+    calls = {"assemble": 0, "exact_ground_energy": 0, "pauli_decompose": 0, "to_matrix": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -262,6 +262,7 @@ def test_sweep_builds_each_point_once(tmp_path, capsys, monkeypatch):
     counted(observables, "assemble")
     counted(observables, "exact_ground_energy")
     counted(hamiltonian, "pauli_decompose")
+    counted(hamiltonian, "to_matrix")
     config = {
         "mass_grid": [1.0, 2.0, 3.0],
         "radius_grid": [5.0, 10.0],
@@ -272,9 +273,11 @@ def test_sweep_builds_each_point_once(tmp_path, capsys, monkeypatch):
     out_path = tmp_path / "sweep.csv"
     assert run_cli(capsys, "sweep", "--config", cfg, "--out", str(out_path))[0] == 0
     assert len(out_path.read_text().splitlines()) == 1 + 6 * 3
-    # one Hamiltonian and one diagonalization per grid point; the lattice block
-    # is decomposed at most once (not at all when an earlier run cached it)
-    assert calls["assemble"] == calls["exact_ground_energy"] == 6
+    # one operator and one diagonalization for all 6 grid points; one dense matrix
+    # for the eigensolve and one for all 12 VQE runs; the lattice block is
+    # decomposed at most once (not at all when an earlier run cached it)
+    assert calls["assemble"] == calls["exact_ground_energy"] == 1
+    assert calls["to_matrix"] == 2
     assert calls["pauli_decompose"] <= 1
 
 

@@ -19,6 +19,7 @@ from bhvqe.hamiltonian import (
     BlackHoleParams,
     HamiltonianLayout,
     assemble,
+    energy_scale,
     exact_ground_energy,
 )
 from bhvqe.lattice import LatticeSpec
@@ -41,7 +42,7 @@ from bhvqe.observables import (
 )
 from bhvqe import vqe
 from bhvqe.circuits import run_batch
-from bhvqe.vqe import INIT_CANDIDATES, SpsaConfig, vqe_run
+from bhvqe.vqe import INIT_CANDIDATES, SpsaConfig, vqe_lockstep
 
 PI = math.pi
 
@@ -296,16 +297,20 @@ positive = st.floats(1e-3, 1e3)
 )
 def test_plan_matches_per_point_assembly(masses, radii, shape, radius_mode, inner_half):
     layout, lattice = shape
-    points = plan(masses, radii, layout, lattice, inner_half=inner_half, radius_mode=radius_mode)
+    planned = plan(masses, radii, layout, lattice, inner_half=inner_half, radius_mode=radius_mode)
+    assert planned.operator.terms == assemble(None, layout, lattice).terms
+    ground = exact_ground_energy(planned.operator)
     grid = [(m, key, r) for m in masses for key, r in enumerate(radii)]
-    assert [p.index for p in points] == list(range(len(grid)))
-    for point, (mass, radius_key, radius) in zip(points, grid):
+    assert [p.index for p in planned.points] == list(range(len(grid)))
+    for point, (mass, radius_key, radius) in zip(planned.points, grid):
         r_abs = radius * mass if radius_mode == RADIUS_GM_MULTIPLE else radius
         assert point.params == BlackHoleParams(mass=mass, radius=r_abs)
         assert point.radius_key == radius_key
+        assert point.scale == energy_scale(point.params, inner_half)
+        assert point.energy_exact == point.scale * ground
+        # the point's own eigensolve rounds differently: agreement is to a tolerance
         h = assemble(point.params, layout, lattice, inner_half=inner_half)
-        assert point.hamiltonian.terms == h.terms
-        assert point.energy_exact == exact_ground_energy(h)
+        assert abs(point.energy_exact - exact_ground_energy(h)) <= 1e-12 * point.scale
 
 
 def test_run_seed_depends_on_seed_and_point_only():
@@ -320,12 +325,12 @@ def test_records_is_the_sweep_table_and_vqe_runs_seeds_each_run(monkeypatch, fam
     cfg = SpsaConfig(max_iter=60, window=2, tol=1e-2)
     kind = AnsatzKind.from_name(family)
     masses, radii, seeds = [1.0, 2.0, 3.0], [5.0, 10.0], [0, 1]
-    points = plan(masses, radii, CHAIN, N4)
-    table = records(points, cfg, shots, ansatz=kind, seeds=seeds)
+    planned = plan(masses, radii, CHAIN, N4)
+    table = records(planned, cfg, shots, ansatz=kind, seeds=seeds)
     # per point: the exact row, then one row per seed
     assert [(rec.mass, rec.radius, rec.method, rec.seed) for rec in table] == [
         (p.params.mass, p.params.radius, method, seed)
-        for p in points
+        for p in planned.points
         for method, seed in [(METHOD_EXACT, None), (METHOD_VQE, 0), (METHOD_VQE, 1)]
     ]
     exact_rows = [rec for rec in table if rec.method == METHOD_EXACT]
@@ -340,13 +345,13 @@ def test_records_is_the_sweep_table_and_vqe_runs_seeds_each_run(monkeypatch, fam
         return run_batch(circuit, params)
 
     monkeypatch.setattr(vqe, "run_batch", spy)
-    runs = vqe_runs(points, kind, cfg, shots, seeds)
+    runs = vqe_runs(planned, kind, cfg, shots, seeds)
     monkeypatch.undo()
     assert [(point.index, seed) for point, seed, _ in runs] == [
-        (point.index, seed) for point in points for seed in seeds]
+        (point.index, seed) for point in planned.points for seed in seeds]
     run_cfgs = [replace(cfg, seed=run_seed(seed, point.index)) for point, seed, _ in runs]
     for (point, seed, result), run_cfg, rec in zip(runs, run_cfgs, vqe_rows):
-        direct = vqe_run(point.hamiltonian, kind, run_cfg, shots)
+        (direct,) = vqe_lockstep(planned.operator, [(point.scale, run_cfg)], kind, shots)
         assert result.best_energy == direct.best_energy == rec.energy_vqe
         assert result.trace == direct.trace
         np.testing.assert_array_equal(result.best_params, direct.best_params)

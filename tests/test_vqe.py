@@ -9,7 +9,7 @@ from bhvqe import hamiltonian as ham
 from bhvqe import vqe
 from bhvqe.ansatz import AnsatzKind, build
 from bhvqe.circuits import expectation, run, run_batch
-from bhvqe.errors import NonFiniteObjectiveError, QubitMismatchError
+from bhvqe.errors import NonFiniteObjectiveError
 from bhvqe.hamiltonian import (
     DISJOINT,
     PAPER_CHAIN,
@@ -253,17 +253,13 @@ def test_vqe_screen_picks_first_lowest_candidate(monkeypatch, h):
 
 def test_lockstep_of_no_runs_builds_nothing():
     # kind None cannot be built, so any circuit construction would raise
-    assert vqe_lockstep([], None) == []
+    assert vqe_lockstep(CHAIN_H, [], None) == []
 
 
-def test_lockstep_rejects_mixed_widths():
-    one_qubit = PauliHamiltonian.from_terms(1, (PauliTerm(1.0, "Z"),))
-    with pytest.raises(QubitMismatchError):
-        vqe_lockstep([(CHAIN_H, SpsaConfig()), (one_qubit, SpsaConfig())], A3)
-
-
-def test_lockstep_starts_waiting_runs_as_others_finish(monkeypatch):
-    # five runs through two slots, of different lengths: each equals its run alone
+@pytest.mark.parametrize("shots", [0, 100], ids=["exact", "shots"])
+def test_lockstep_starts_waiting_runs_as_others_finish(monkeypatch, shots):
+    # five runs of five scales through two slots, of different lengths: in exact
+    # mode they share one contraction per step, and each equals its run alone
     sizes = []
 
     def spy(circuit, params):
@@ -272,19 +268,21 @@ def test_lockstep_starts_waiting_runs_as_others_finish(monkeypatch):
 
     monkeypatch.setattr(vqe, "MAX_LOCKSTEP_RUNS", 2)
     monkeypatch.setattr(vqe, "run_batch", spy)
-    runs = [(CHAIN_H, SpsaConfig(seed=seed, max_iter=10 + 7 * seed)) for seed in range(5)]
-    results = vqe_lockstep(runs, A3, shots=100)
+    scales = [0.3, 1.0, 1.7, 2.55, 4.1]
+    runs = [(scale, SpsaConfig(seed=seed, max_iter=10 + 7 * seed)) for seed, scale in enumerate(scales)]
+    results = vqe_lockstep(CHAIN_H, runs, A3, shots=shots)
     assert max(sizes) == 2 * vqe.INIT_CANDIDATES
-    for result, (h, cfg) in zip(results, runs):
-        direct = vqe_run(h, A3, cfg, shots=100)
+    for result, (scale, cfg) in zip(results, runs):
+        (direct,) = vqe_lockstep(CHAIN_H, [(scale, cfg)], A3, shots=shots)
         assert result.trace == direct.trace
+        assert result.best_energy == direct.best_energy
         np.testing.assert_array_equal(result.best_params, direct.best_params)
 
 
 def test_ansatz1_chain_hit_rate_over_fixed_seeds():
     # regression floor at the measured level: 8 of seeds 100-129 within 1e-2 of pi/8
     kind = AnsatzKind.from_name("ansatz1")
-    results = vqe_lockstep([(CHAIN_H, SpsaConfig(seed=seed)) for seed in range(100, 130)], kind)
+    results = vqe_lockstep(CHAIN_H, [(1.0, SpsaConfig(seed=seed)) for seed in range(100, 130)], kind)
     assert sum(abs(r.best_energy - PI / 8) < 1e-2 for r in results) >= 8
 
 
@@ -311,8 +309,8 @@ def test_lockstep_with_shots_equals_each_run_alone_over_several_settings():
     # two 3-qubit N=8 blocks: the greedy cover needs two measurement settings
     h = assemble(None, HamiltonianLayout(variant=DISJOINT, dims=2), LatticeSpec(8))
     assert len(h.settings) == 2
-    runs = [(h, SpsaConfig(seed=seed, max_iter=8)) for seed in range(3)]
-    for result, (h, cfg) in zip(vqe_lockstep(runs, A3, shots=50), runs):
+    runs = [(1.0, SpsaConfig(seed=seed, max_iter=8)) for seed in range(3)]
+    for result, (_, cfg) in zip(vqe_lockstep(h, runs, A3, shots=50), runs):
         direct = vqe_run(h, A3, cfg, shots=50)
         assert result.trace == direct.trace
         assert result.best_energy == direct.best_energy
