@@ -177,16 +177,6 @@ def _u3_matrices(angles: np.ndarray) -> np.ndarray:
     return entries.reshape(angles.shape[:-1] + (2, 2))
 
 
-def u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
-    """General single-qubit rotation; U3(0,0,0) = I, U3(pi,0,pi) = X."""
-    return _u3_matrices(np.array([theta, phi, lam], dtype=float))
-
-
-def ry_matrix(theta: float) -> np.ndarray:
-    """Y rotation, the phi = lam = 0 slice of U3."""
-    return u3_matrix(theta, 0.0, 0.0)
-
-
 def _apply(state: np.ndarray, matrix: np.ndarray, qubit: int) -> np.ndarray:
     """A (B, 2, 2) or (2, 2) matrix on one qubit of every row of a (B, 2^m) state."""
     batch, dim = state.shape

@@ -11,7 +11,8 @@ momentum operators. Two layouts are supported:
 Operators are stored in symplectic form (Aaronson & Gottesman, PRA 70, 052328,
 2004): per Pauli string a bit-flip mask x, a phase mask z (per qubit I=(0,0),
 Z=(0,1), X=(1,0), Y=(1,1), qubit 0 the most significant bit) and a real
-coefficient. Only this module maps masks to letters and back. The string with
+coefficient. Only this module maps masks to letters, and only one way: letters
+are a view for sorting and for `to_text`, never an input. The string with
 masks (x, z) is P(x, z) = i^popcount(x&z) X^x Z^z, so one Walsh-Hadamard
 transform converts matrices both ways (Hantzko, Binkowski & Gupta, arXiv:2310.13421):
 
@@ -34,7 +35,6 @@ import numpy as np
 from . import lattice, linalg
 from .errors import DomainError, NotPowerOfTwoError, UnsupportedLatticeError
 from .lattice import LatticeSpec
-from .linalg import PauliTerm
 
 PAPER_CHAIN = "paper-chain"
 DISJOINT = "disjoint"
@@ -45,9 +45,8 @@ COEFF_PRUNE_TOL = 1e-12
 # Largest Hamiltonian that exact diagonalization (and hence every run) accepts.
 MAX_EXACT_QUBITS = 6
 
-# Letter of a single-qubit (x, z) pair at index 2x + z, and each letter's x and z bit.
+# Letter of a single-qubit (x, z) pair at index 2x + z.
 _SYMPLECTIC_LETTERS = "IZXY"
-_X_BITS, _Z_BITS = str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011")
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
 
@@ -100,28 +99,6 @@ class PauliHamiltonian:
     x: np.ndarray
     z: np.ndarray
     coeffs: np.ndarray
-
-    @classmethod
-    def from_terms(cls, n_qubits: int, terms: tuple[PauliTerm, ...]) -> PauliHamiltonian:
-        """The sum of distinct letter-form PauliTerms, pruned and sorted like every instance."""
-        if not 1 <= n_qubits <= 31:  # x and z share one int64 merge key
-            raise ValueError(f"from_terms takes 1 to 31 qubits, got {n_qubits}")
-        strings = [t.string for t in terms]
-        if any(len(s) != n_qubits for s in strings):
-            raise ValueError(f"every term must act on {n_qubits} qubits")
-        if len(set(strings)) != len(strings):
-            raise ValueError("duplicate Pauli strings; coefficients must be merged")
-        coeffs = np.array([t.coefficient for t in terms])
-        if coeffs.dtype.kind not in "iuf" or not np.all(np.isfinite(coeffs)):
-            raise ValueError("Pauli coefficients must be finite real numbers")
-        x = np.array([int(s.translate(_X_BITS), 2) for s in strings], dtype=np.int64)
-        z = np.array([int(s.translate(_Z_BITS), 2) for s in strings], dtype=np.int64)
-        return _merged(n_qubits, x, z, coeffs)
-
-    @functools.cached_property
-    def terms(self) -> tuple[PauliTerm, ...]:
-        """The rows as letter-form PauliTerms, in stored order."""
-        return tuple(map(PauliTerm, self.coeffs.tolist(), _letters(self.x, self.z, self.n_qubits)))
 
     @functools.cached_property
     def identity_offset(self) -> float:
@@ -193,7 +170,12 @@ def metric_prefactor(params: BlackHoleParams) -> float:
 
 
 def energy_scale(params: BlackHoleParams | None, inner_half: bool = False) -> float:
-    """Metric prefactor (1 for params None), halved under inner_half: what assemble scales by."""
+    """Factor that scales the unit-prefactor operator into a point's Hamiltonian.
+
+    The metric prefactor (1 for params None). inner_half halves it: it
+    restores the literal (p^2)/2 per block instead of the p^2 the printed
+    Pauli coefficients correspond to.
+    """
     scale = 1.0 if params is None else metric_prefactor(params)
     return 0.5 * scale if inner_half else scale
 
@@ -303,7 +285,6 @@ def assemble(
     params: BlackHoleParams | None,
     layout: HamiltonianLayout,
     spec: LatticeSpec,
-    inner_half: bool = False,
 ) -> PauliHamiltonian:
     """Build the black-hole Hamiltonian in Pauli form.
 
@@ -313,12 +294,10 @@ def assemble(
         layout: paper-chain (4 qubits, overlapping pairs) or disjoint
             (one block of log2(N) qubits per dimension).
         spec: lattice size N per dimension; paper-chain requires N = 4.
-        inner_half: restore the literal (p^2)/2 per block instead of the
-            p^2 the printed Pauli coefficients correspond to.
 
     Returns:
         PauliHamiltonian with merged coefficients, every block scaled by
-        energy_scale(params, inner_half).
+        energy_scale(params).
     """
     block = _momentum_block(spec)
     block_qubits = spec.n_qubits
@@ -337,7 +316,7 @@ def assemble(
     shifts = [n_qubits - start - block_qubits for start in starts]
     x = np.concatenate([block.x << shift for shift in shifts])
     z = np.concatenate([block.z << shift for shift in shifts])
-    coeffs = energy_scale(params, inner_half) * block.coeffs
+    coeffs = energy_scale(params) * block.coeffs
     return _merged(n_qubits, x, z, np.tile(coeffs, len(starts)))
 
 
@@ -353,4 +332,5 @@ def exact_ground_energy(h: PauliHamiltonian) -> float:
 
 def to_text(h: PauliHamiltonian) -> str:
     """One `<coefficient> <letters>` line per term, sorted by letters, at 12 significant digits."""
-    return "\n".join(f"{t.coefficient:.12g} {t.string}" for t in h.terms)
+    rows = zip(h.coeffs.tolist(), _letters(h.x, h.z, h.n_qubits))
+    return "\n".join(f"{coefficient:.12g} {letters}" for coefficient, letters in rows)

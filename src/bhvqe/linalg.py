@@ -1,28 +1,14 @@
-"""Dense complex linear algebra and Pauli-string primitives.
+"""Dense complex linear algebra: Hermiticity checks and eigensystems.
 
-Matrices are plain square ``numpy`` arrays of dtype complex128. Qubit index 0
-is always the leftmost tensor factor, i.e. the most significant bit of a
-matrix/state index. Everything here is pure and allocation-only; inputs are
-never mutated.
+Matrices are plain square ``numpy`` arrays of dtype complex128. Everything
+here is pure and allocation-only; inputs are never mutated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import reduce
-
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, NotHermitianError
-
-PAULI_LETTERS = "IXYZ"
-
-SINGLE_QUBIT_PAULIS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 # Hermiticity gate used everywhere a Hermitian input is required.
 HERMITICITY_TOL = 1e-10
@@ -36,36 +22,6 @@ def as_matrix(m) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise DomainError("matrix contains NaN or Inf entries")
     return a
-
-
-def validate_pauli_string(letters: str) -> str:
-    if not letters:
-        raise ValueError("Pauli string must have length >= 1")
-    bad = set(letters) - set(PAULI_LETTERS)
-    if bad:
-        raise ValueError(f"invalid Pauli letters {sorted(bad)}; allowed: I, X, Y, Z")
-    return letters
-
-
-@dataclass(frozen=True)
-class PauliTerm:
-    """One real-weighted Pauli string, e.g. 0.3926 * XXII."""
-
-    coefficient: float
-    string: str
-
-    def __post_init__(self):
-        validate_pauli_string(self.string)
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.string)
-
-
-def pauli_matrix(letters: str) -> np.ndarray:
-    """Materialize a Pauli string as its 2^n x 2^n matrix."""
-    validate_pauli_string(letters)
-    return reduce(np.kron, (SINGLE_QUBIT_PAULIS[c] for c in letters))
 
 
 def hermiticity_defect(m: np.ndarray) -> float:

@@ -32,6 +32,7 @@ from .errors import (
     OutOfRangeError,
 )
 from .hamiltonian import (
+    COEFF_PRUNE_TOL,
     PAPER_CHAIN,
     BlackHoleParams,
     HamiltonianLayout,
@@ -223,10 +224,14 @@ def _fitted_observables(
     """Fit E vs M over one (seed, radius) family; map point index -> (T, P).
 
     Points whose inversion fails or lands at a nonpositive mass are simply
-    omitted; the caller falls back to the direct values for them.
+    omitted; the caller falls back to the direct values for them. A family
+    with an energy within COEFF_PRUNE_TOL * scale of 0, machine noise of a
+    zero ground energy whatever its sign, gets no fit.
     """
     masses = [p.params.mass for p, _ in group]
     if len(set(masses)) < MIN_FIT_POINTS:
+        return {}
+    if any(abs(e) <= COEFF_PRUNE_TOL * p.scale for p, e in group):
         return {}
     try:
         fit = fit_energy_vs_mass([(p.params.mass, e) for p, e in group])

@@ -1,15 +1,67 @@
-"""Term-list helpers that only the tests need."""
+"""The letter form of Pauli operators: the oracle the tests check the mask form against.
+
+A letter string names one Pauli per qubit, qubit 0 first; its masks have
+qubit 0 as the most significant bit, with X and Y setting the x bit and Y
+and Z setting the z bit. The library holds only the masks.
+"""
+
+from functools import reduce
+
+import numpy as np
 
 from bhvqe.hamiltonian import COEFF_PRUNE_TOL, PauliHamiltonian
-from bhvqe.linalg import PauliTerm
+
+LETTERS = "IXYZ"
+
+_MATRICES = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+_X_BITS, _Z_BITS = str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011")
+
+
+def masks(letters: str) -> tuple[int, int]:
+    """The (x, z) masks of one letter string."""
+    return int(letters.translate(_X_BITS), 2), int(letters.translate(_Z_BITS), 2)
+
+
+def from_letters(n_qubits: int, terms) -> PauliHamiltonian:
+    """The operator sum of (coefficient, letters) pairs with distinct strings.
+
+    Rows are pruned at COEFF_PRUNE_TOL and sorted by letters (I < X < Y < Z
+    per qubit), the order every PauliHamiltonian keeps.
+    """
+    kept = sorted((s, c) for c, s in terms if abs(c) > COEFF_PRUNE_TOL)
+    strings = [s for s, _ in kept]
+    assert all(len(s) == n_qubits and set(s) <= set(LETTERS) for s in strings), strings
+    assert len(set(strings)) == len(strings), "repeated Pauli string"
+    x = np.array([masks(s)[0] for s in strings], dtype=np.int64)
+    z = np.array([masks(s)[1] for s in strings], dtype=np.int64)
+    return PauliHamiltonian(n_qubits, x, z, np.array([float(c) for _, c in kept]))
+
+
+def letter_terms(h: PauliHamiltonian) -> list[tuple[float, str]]:
+    """(coefficient, letters) per row of h, in stored order."""
+    out = []
+    for x, z, c in zip(h.x.tolist(), h.z.tolist(), h.coeffs.tolist()):
+        bits = [(x >> b & 1, z >> b & 1) for b in range(h.n_qubits - 1, -1, -1)]
+        out.append((c, "".join("IZXY"[2 * xb + zb] for xb, zb in bits)))
+    return out
+
+
+def pauli_matrix(string: str) -> np.ndarray:
+    """The 2^n x 2^n matrix of a letter string: the kron of its letters, qubit 0 first."""
+    return reduce(np.kron, (_MATRICES[c] for c in string))
 
 
 def coefficient(h: PauliHamiltonian, string: str) -> float:
     """Coefficient of one string (0.0 if absent)."""
-    return next((t.coefficient for t in h.terms if t.string == string), 0.0)
+    return next((c for c, s in letter_terms(h) if s == string), 0.0)
 
 
 def scaled(h: PauliHamiltonian, factor: float) -> PauliHamiltonian:
     """Every coefficient times factor, pruned like a decomposition."""
-    terms = [PauliTerm(t.coefficient * factor, t.string) for t in h.terms]
-    return PauliHamiltonian.from_terms(h.n_qubits, tuple(t for t in terms if abs(t.coefficient) > COEFF_PRUNE_TOL))
+    return from_letters(h.n_qubits, [(c * factor, s) for c, s in letter_terms(h)])

@@ -1,10 +1,13 @@
-"""The names the benchmark traces must resolve in bhvqe.
+"""The names the benchmark traces and reads must resolve in bhvqe.
 
 A traced benchmark run reports only the layers its tracer finds, and skips
 the rest without failing. So a removed or renamed name would silently drop
-per-layer metrics; these tests fail first.
+per-layer metrics; these tests fail first. The benchmark also calls bhvqe
+names outside the traced layers, and a removed one would fail only when
+the benchmark runs; the static check below fails first for those too.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -14,6 +17,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "bench" / "tracer.py"
+BENCH_SOURCES = sorted((ROOT / "bench").glob("*.py"))
 
 
 def _tracer_module(monkeypatch):
@@ -53,3 +57,58 @@ def test_traced_benchmark_run_reports_every_per_layer_metric():
     metrics = json.loads(done.stdout.splitlines()[-1])["metrics"]
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert [m["name"] for m in declared if m["name"] not in metrics] == []
+
+
+def _bench_reads():
+    """(file, bound name, attribute chain) for every chain bench/*.py reads on a bhvqe import."""
+    reads = []
+    for path in BENCH_SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bound = {}  # local name -> the name imported from bhvqe, or "" for bhvqe itself
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "bhvqe":
+                bound.update({a.asname or a.name: a.name for a in node.names})
+            elif isinstance(node, ast.Import):
+                bound.update({a.asname or a.name: "" for a in node.names if a.name == "bhvqe"})
+        for node in ast.walk(tree):
+            chain = []
+            while isinstance(node, ast.Attribute):
+                chain.append(node.attr)
+                node = node.value
+            if chain and isinstance(node, ast.Name) and node.id in bound:
+                reads.append((path.name, bound[node.id], tuple(reversed(chain))))
+    return reads
+
+
+def _from_bhvqe_import(name):
+    """What `from bhvqe import name` binds: a package attribute, else a submodule."""
+    package = importlib.import_module("bhvqe")
+    if name and not hasattr(package, name):
+        importlib.import_module(f"bhvqe.{name}")
+    return getattr(package, name) if name else package
+
+
+def test_every_bhvqe_name_the_benchmark_reads_resolves():
+    reads = _bench_reads()
+    dotted = {".".join((name, *chain)) for _, name, chain in reads}
+    # the scan must see the names the workloads call, or it checks nothing
+    assert {"circuits.expectation", "cli.build_config", "hamiltonian.BlackHoleParams",
+            "vqe.SpsaConfig", "vqe.spsa_minimize"} <= dotted
+    unresolved = []
+    for path, name, chain in reads:
+        obj = _from_bhvqe_import(name)
+        for attr in chain:
+            if not hasattr(obj, attr):
+                unresolved.append(f"{path}: {'.'.join((name, *chain))}")
+                break
+            obj = getattr(obj, attr)
+    assert unresolved == []
+
+
+def test_every_public_name_resolves():
+    import bhvqe
+
+    assert [name for name in bhvqe.__all__ if not hasattr(bhvqe, name)] == []
+    namespace = {}
+    exec("from bhvqe import *", namespace)
+    assert set(bhvqe.__all__) <= namespace.keys()

@@ -17,25 +17,23 @@ from bhvqe.circuits import (
     MAX_SHOTS,
     N_PARAM_SLOTS,
     N_QUBITS_USED,
+    _u3_matrices,
     expectation,
     run,
     run_batch,
-    ry_matrix,
     sampled_expectation,
-    u3_matrix,
 )
 from bhvqe.errors import ParamLengthMismatchError, QubitMismatchError
 from bhvqe.hamiltonian import (
     PAPER_CHAIN,
     HamiltonianLayout,
-    PauliHamiltonian,
     assemble,
     exact_ground_energy,
     parity_eigenvalues,
     to_matrix,
 )
 from bhvqe.lattice import LatticeSpec
-from bhvqe.linalg import PauliTerm
+from pauli_helpers import from_letters, letter_terms
 
 PI = math.pi
 
@@ -118,6 +116,11 @@ def single_qubit_layer(n_qubits):
     return Circuit(n_qubits, gates, 3 * n_qubits)
 
 
+def u3_matrix(theta, phi, lam):
+    """The kernel's U3 matrix for one angle triple."""
+    return _u3_matrices(np.array([theta, phi, lam], dtype=float))
+
+
 def test_u3_special_angles():
     np.testing.assert_allclose(u3_matrix(0, 0, 0), np.eye(2), atol=1e-15)
     np.testing.assert_allclose(u3_matrix(PI, 0, PI), np.array([[0, 1], [1, 0]]), atol=1e-15)
@@ -134,9 +137,11 @@ def test_u3_unitary_random_angles():
 
 
 def test_ry_is_real_u3_slice():
+    # RY is U3(theta, 0, 0): a one-gate RY circuit gives the real first column of that matrix
     theta = 0.7
-    np.testing.assert_allclose(ry_matrix(theta), u3_matrix(theta, 0.0, 0.0), atol=1e-15)
-    np.testing.assert_allclose(ry_matrix(theta).imag, np.zeros((2, 2)), atol=1e-15)
+    state = run_batch(Circuit(1, (Gate(GateKind.RY, (0,), (0,)),), 1), np.array([[theta]]))[0]
+    np.testing.assert_allclose(state, u3_matrix(theta, 0.0, 0.0)[:, 0], atol=1e-15)
+    np.testing.assert_allclose(u3_matrix(theta, 0.0, 0.0).imag, np.zeros((2, 2)), atol=1e-15)
 
 
 def test_run_empty_circuit():
@@ -320,7 +325,7 @@ def test_run_batch_shapes():
 
 def _random_hamiltonian(rng, n_qubits):
     strings = {"".join(rng.choice(list("IXYZ"), n_qubits)) for _ in range(6)}
-    return PauliHamiltonian.from_terms(n_qubits, tuple(PauliTerm(rng.normal(), s) for s in sorted(strings)))
+    return from_letters(n_qubits, [(rng.normal(), s) for s in sorted(strings)])
 
 
 @settings(max_examples=25, deadline=None)
@@ -334,7 +339,7 @@ def test_expectation_matches_term_sum_and_dense_route(n_qubits, seed):
     batch = batch_expectation(states, dense)
     for psi, value in zip(states, batch):
         by_terms = sum(
-            t.coefficient * np.vdot(psi, apply_pauli_string(psi, t.string)) for t in h.terms
+            c * np.vdot(psi, apply_pauli_string(psi, s)) for c, s in letter_terms(h)
         )
         direct = np.vdot(psi, dense @ psi).real
         exact = expectation(StateVector(n_qubits, psi), h)
@@ -350,13 +355,13 @@ def test_apply_pauli_string_basics():
 
 
 def test_expectation_z_on_zero_state():
-    h = PauliHamiltonian.from_terms(4, (PauliTerm(1.0, "ZIII"),))
+    h = from_letters(4, [(1.0, "ZIII")])
     state = run(Circuit(4, (), 0), np.array([]))
     assert abs(expectation(state, h) - 1.0) < 1e-15
 
 
 def test_expectation_x_on_zero_state():
-    h = PauliHamiltonian.from_terms(1, (PauliTerm(1.0, "X"),))
+    h = from_letters(1, [(1.0, "X")])
     state = run(Circuit(1, (), 0), np.array([]))
     assert abs(expectation(state, h)) < 1e-15
 
@@ -471,17 +476,18 @@ def sampled_expectation_by_letters(states, h, shots, rng):
     rotations = {"X": _HADAMARD, "Y": _HADAMARD @ np.diag([1, -1j])}
     groups = []  # [letters, term indices]
     offset = 0.0
-    for i, term in enumerate(h.terms):
-        if set(term.string) == {"I"}:
-            offset += term.coefficient
+    terms = letter_terms(h)
+    for i, (c, string) in enumerate(terms):
+        if set(string) == {"I"}:
+            offset += c
             continue
         for group in groups:
-            if all("I" in (a, b) or a == b for a, b in zip(group[0], term.string)):
-                group[0] = "".join(b if a == "I" else a for a, b in zip(group[0], term.string))
+            if all("I" in (a, b) or a == b for a, b in zip(group[0], string)):
+                group[0] = "".join(b if a == "I" else a for a, b in zip(group[0], string))
                 group[1].append(i)
                 break
         else:
-            groups.append([term.string, [i]])
+            groups.append([string, [i]])
     eigenvalues = parity_eigenvalues(2**h.n_qubits)
     totals = np.full(len(states), offset)
     for letters, members in groups:
@@ -492,8 +498,8 @@ def sampled_expectation_by_letters(states, h, shots, rng):
         probs = np.abs(rotated) ** 2
         probs = probs / probs.sum(axis=1, keepdims=True)
         counts = np.array([rng.multinomial(shots, p) for p in probs])
-        supports = [int("".join("0" if c == "I" else "1" for c in h.terms[i].string), 2) for i in members]
-        weights = np.array([h.terms[i].coefficient for i in members]) @ eigenvalues[supports]
+        supports = [int("".join("0" if c == "I" else "1" for c in terms[i][1]), 2) for i in members]
+        weights = np.array([terms[i][0] for i in members]) @ eigenvalues[supports]
         totals += counts @ weights / shots
     return totals
 
@@ -547,7 +553,7 @@ def test_grouped_variance_at_equal_budget_is_at_most_per_term():
     # one setting reads all 7 chain terms; per-term sampling would split the
     # same shots x settings budget over 7 separate measurements
     (setting,) = CHAIN_H.settings
-    terms = [t for t in CHAIN_H.terms if set(t.string) != {"I"}]
+    terms = [(c, s) for c, s in letter_terms(CHAIN_H) if set(s) != {"I"}]
     circuit = build(AnsatzKind.from_name("ansatz1"), 4)
     states = run_batch(circuit, np.random.default_rng(31).uniform(-PI, PI, (50, circuit.n_params)))
     shots = 1000
@@ -555,10 +561,10 @@ def test_grouped_variance_at_equal_budget_is_at_most_per_term():
     grouped = (probs @ setting.weights**2 - (probs @ setting.weights) ** 2) / shots
     per_term_shots = shots * len(CHAIN_H.settings) / len(terms)
     means = [
-        batch_expectation(states, to_matrix(PauliHamiltonian.from_terms(4, (PauliTerm(1.0, t.string),))))
-        for t in terms
+        batch_expectation(states, to_matrix(from_letters(4, [(1.0, s)])))
+        for _, s in terms
     ]
-    per_term = sum(t.coefficient**2 * (1 - m**2) for t, m in zip(terms, means)) / per_term_shots
+    per_term = sum(c**2 * (1 - m**2) for (c, _), m in zip(terms, means)) / per_term_shots
     assert np.all(grouped <= per_term + 1e-12)
     assert np.median(grouped / per_term) < 0.5
 

@@ -13,8 +13,9 @@ from bhvqe.hamiltonian import (
     PAPER_CHAIN,
     BlackHoleParams,
     HamiltonianLayout,
-    PauliHamiltonian,
+    _merged,
     assemble,
+    energy_scale,
     exact_ground_energy,
     layout_qubits,
     metric_prefactor,
@@ -23,15 +24,8 @@ from bhvqe.hamiltonian import (
     to_text,
 )
 from bhvqe.lattice import LatticeSpec, momentum_squared
-from bhvqe.linalg import (
-    HERMITICITY_TOL,
-    PAULI_LETTERS,
-    PauliTerm,
-    hermitian_eigensystem,
-    hermiticity_defect,
-    pauli_matrix,
-)
-from pauli_helpers import coefficient, scaled
+from bhvqe.linalg import HERMITICITY_TOL, hermitian_eigensystem, hermiticity_defect
+from pauli_helpers import LETTERS, coefficient, from_letters, letter_terms, masks, pauli_matrix, scaled
 
 PI = math.pi
 
@@ -57,9 +51,9 @@ def brute_force_chain_minimum(h):
     best = math.inf
     for signs in itertools.product((1.0, -1.0), repeat=h.n_qubits):
         value = 0.0
-        for t in h.terms:
-            prod = t.coefficient
-            for q, letter in enumerate(t.string):
+        for c, string in letter_terms(h):
+            prod = c
+            for q, letter in enumerate(string):
                 if letter == "X":
                     prod *= signs[q]
             value += prod
@@ -71,7 +65,7 @@ def reference_decompose(m, prune_tol=1e-12):
     """Oracle: (string, coefficient) pairs from Tr[P m] / 2^n over all 4^n Pauli matrices."""
     dim = m.shape[0]
     terms = []
-    for letters in itertools.product(PAULI_LETTERS, repeat=dim.bit_length() - 1):
+    for letters in itertools.product(LETTERS, repeat=dim.bit_length() - 1):
         string = "".join(letters)
         coefficient = complex(np.einsum("ij,ji->", pauli_matrix(string), m)).real / dim
         if abs(coefficient) > prune_tol:
@@ -130,7 +124,7 @@ def test_black_hole_params_validation():
 def test_chain_merged_coefficients():
     h = assemble(None, CHAIN, N4)
     assert h.n_qubits == 4
-    assert {t.string for t in h.terms} == set(CHAIN_COEFFS)
+    assert {s for _, s in letter_terms(h)} == set(CHAIN_COEFFS)
     for string, expected in CHAIN_COEFFS.items():
         assert abs(coefficient(h, string) - expected) < 1e-14, string
 
@@ -138,10 +132,10 @@ def test_chain_merged_coefficients():
 def test_chain_non_identity_coefficients_take_three_values():
     h = assemble(None, CHAIN, N4)
     allowed = (PI / 16, PI / 8, 3 * PI / 16)
-    for t in h.terms:
-        if t.string == "IIII":
+    for c, string in letter_terms(h):
+        if string == "IIII":
             continue
-        assert min(abs(t.coefficient - v) for v in allowed) < 1e-14, t.string
+        assert min(abs(c - v) for v in allowed) < 1e-14, string
 
 
 def test_chain_physical_scaling_small_mass():
@@ -152,16 +146,18 @@ def test_chain_physical_scaling_small_mass():
 
 
 def test_chain_inner_half_scaling():
-    h = assemble(None, CHAIN, N4, inner_half=True)
+    # the point's Hamiltonian is energy_scale times the unit-prefactor operator
+    h = assemble(None, CHAIN, N4)
+    half = energy_scale(None, inner_half=True)
     for string, expected in CHAIN_COEFFS.items():
-        assert abs(coefficient(h, string) - 0.5 * expected) < 1e-14, string
+        assert abs(half * coefficient(h, string) - 0.5 * expected) < 1e-14, string
 
 
 def test_disjoint_single_block():
     h = assemble(None, HamiltonianLayout(variant=DISJOINT, dims=1), N4)
     assert h.n_qubits == 2
     expected = {"II": 3 * PI / 16, "IX": PI / 8, "XI": PI / 16, "XX": PI / 8}
-    assert {t.string for t in h.terms} == set(expected)
+    assert {s for _, s in letter_terms(h)} == set(expected)
     for string, value in expected.items():
         assert abs(coefficient(h, string) - value) < 1e-14
 
@@ -173,7 +169,7 @@ def test_disjoint_three_blocks():
     assert abs(coefficient(h, "XIIIII") - PI / 16) < 1e-14
     assert abs(coefficient(h, "IIXIII") - PI / 16) < 1e-14  # second block, no overlap
     assert abs(coefficient(h, "XXIIII") - PI / 8) < 1e-14
-    assert len(h.terms) == 10  # merged identity + 3 per block
+    assert len(letter_terms(h)) == 10  # merged identity + 3 per block
 
 
 def test_layout_qubits_is_the_assembled_width():
@@ -191,7 +187,7 @@ def test_chain_requires_four_point_lattice():
 
 
 def test_to_matrix_single_z():
-    h = PauliHamiltonian.from_terms(1, (PauliTerm(1.0, "Z"),))
+    h = from_letters(1, [(1.0, "Z")])
     np.testing.assert_allclose(to_matrix(h), np.diag([1.0, -1.0]), atol=1e-15)
 
 
@@ -204,9 +200,9 @@ def test_chain_matrix_real_symmetric():
 
 def test_pauli_decompose_single_x():
     h = pauli_decompose(np.array([[0, 1], [1, 0]], dtype=complex))
-    assert len(h.terms) == 1
-    assert h.terms[0].string == "X"
-    assert abs(h.terms[0].coefficient - 1.0) < 1e-15
+    [(c, string)] = letter_terms(h)
+    assert string == "X"
+    assert abs(c - 1.0) < 1e-15
 
 
 def test_pauli_decompose_momentum_squared():
@@ -214,7 +210,7 @@ def test_pauli_decompose_momentum_squared():
 
     h = pauli_decompose(momentum_squared(N4))
     expected = {"II": 3 * PI / 16, "IX": PI / 8, "XI": PI / 16, "XX": PI / 8}
-    assert {t.string for t in h.terms} == set(expected)
+    assert {s for _, s in letter_terms(h)} == set(expected)
     for string, value in expected.items():
         assert abs(coefficient(h, string) - value) < 1e-12
 
@@ -225,9 +221,9 @@ def test_pauli_decompose_matches_reference(n_qubits, seed):
     m = random_hermitian(np.random.default_rng(seed), n_qubits)
     expected = reference_decompose(m)
     h = pauli_decompose(m)
-    assert [t.string for t in h.terms] == [s for s, _ in expected]
-    for t, (_, coefficient) in zip(h.terms, expected):
-        assert abs(t.coefficient - coefficient) < 1e-12, t.string
+    assert [s for _, s in letter_terms(h)] == [s for s, _ in expected]
+    for (c, string), (_, coefficient) in zip(letter_terms(h), expected):
+        assert abs(c - coefficient) < 1e-12, string
 
 
 @settings(max_examples=40, deadline=None)
@@ -236,10 +232,10 @@ def test_to_matrix_matches_pauli_matrix_sum(n_qubits, seed):
     rng = np.random.default_rng(seed)
     picks = rng.choice(4**n_qubits, size=min(4**n_qubits, int(rng.integers(1, 40))), replace=False)
     strings = sorted(
-        "".join(PAULI_LETTERS[(p >> (2 * q)) & 3] for q in range(n_qubits)) for p in picks
+        "".join(LETTERS[(p >> (2 * q)) & 3] for q in range(n_qubits)) for p in picks
     )
-    h = PauliHamiltonian.from_terms(n_qubits, tuple(PauliTerm(float(rng.normal()), s) for s in strings))
-    expected = sum(t.coefficient * pauli_matrix(t.string) for t in h.terms)
+    h = from_letters(n_qubits, [(float(rng.normal()), s) for s in strings])
+    expected = sum(c * pauli_matrix(s) for c, s in letter_terms(h))
     np.testing.assert_allclose(to_matrix(h), expected, rtol=0, atol=1e-12)
 
 
@@ -255,17 +251,17 @@ def test_momentum_squared_blocks_match_reference():
         m = momentum_squared(LatticeSpec(n_points))
         expected = reference_decompose(m)
         h = pauli_decompose(m)
-        assert [t.string for t in h.terms] == [s for s, _ in expected], n_points
-        for t, (_, coefficient) in zip(h.terms, expected):
-            assert abs(t.coefficient - coefficient) < 1e-12, (n_points, t.string)
+        assert [s for _, s in letter_terms(h)] == [s for s, _ in expected], n_points
+        for (c, string), (_, coefficient) in zip(letter_terms(h), expected):
+            assert abs(c - coefficient) < 1e-12, (n_points, string)
 
 
 def test_to_matrix_without_terms_is_zero():
-    np.testing.assert_array_equal(to_matrix(PauliHamiltonian.from_terms(3, ())), np.zeros((8, 8)))
+    np.testing.assert_array_equal(to_matrix(from_letters(3, ())), np.zeros((8, 8)))
 
 
 def test_pauli_decompose_zero_matrix():
-    assert pauli_decompose(np.zeros((4, 4), dtype=complex)).terms == ()
+    assert letter_terms(pauli_decompose(np.zeros((4, 4), dtype=complex))) == []
 
 
 def test_pauli_decompose_rejects_bad_inputs():
@@ -337,7 +333,7 @@ def test_ground_state_is_alternating_product():
 
 
 def test_ground_energy_qubit_budget():
-    h = PauliHamiltonian.from_terms(7, (PauliTerm(1.0, "Z" * 7),))
+    h = from_letters(7, [(1.0, "Z" * 7)])
     with pytest.raises(DomainError):
         exact_ground_energy(h)
 
@@ -350,7 +346,7 @@ def _assert_settings_cover_each_row_once(h):
         for row in s.rows:
             # the setting measures every qubit of the row in the row's own basis
             assert ((int(h.x[row]) ^ s.x) | (int(h.z[row]) ^ s.z)) & int(masks[row]) == 0
-    assert h.identity_offset == sum(t.coefficient for t in h.terms if set(t.string) == {"I"})
+    assert h.identity_offset == sum(c for c, s in letter_terms(h) if set(s) == {"I"})
 
 
 @pytest.mark.parametrize(
@@ -372,15 +368,8 @@ def test_measurement_settings_of_assembled_hamiltonians(layout, n_points, count)
 def test_measurement_settings_cover_each_row_once(n_qubits, seed):
     rng = np.random.default_rng(seed)
     strings = {"".join(rng.choice(list("IXYZ"), n_qubits)) for _ in range(int(rng.integers(0, 12)))}
-    h = PauliHamiltonian.from_terms(n_qubits, tuple(PauliTerm(rng.normal(), s) for s in sorted(strings)))
+    h = from_letters(n_qubits, [(rng.normal(), s) for s in sorted(strings)])
     _assert_settings_cover_each_row_once(h)
-
-
-def test_pauli_hamiltonian_rejects_duplicates():
-    with pytest.raises(ValueError):
-        PauliHamiltonian.from_terms(2, (PauliTerm(1.0, "XX"), PauliTerm(2.0, "XX")))
-    with pytest.raises(ValueError):
-        PauliHamiltonian.from_terms(2, (PauliTerm(1.0, "XXX"),))
 
 
 def test_to_text_format():
@@ -416,9 +405,9 @@ def assemble_by_letters(params, layout, spec, inner_half):
         starts = [d * spec.n_qubits for d in range(layout.dims)]
     coeffs = {}
     for start in starts:
-        for t in block.terms:
-            s = embed_by_letters(t.string, start, n_qubits)
-            coeffs[s] = coeffs.get(s, 0.0) + scale * t.coefficient
+        for c, string in letter_terms(block):
+            s = embed_by_letters(string, start, n_qubits)
+            coeffs[s] = coeffs.get(s, 0.0) + scale * c
     kept = sorted((s, c) for s, c in coeffs.items() if abs(c) > COEFF_PRUNE_TOL)
     x = [int("".join("1" if c in "XY" else "0" for c in s), 2) for s, _ in kept]
     z = [int("".join("1" if c in "YZ" else "0" for c in s), 2) for s, _ in kept]
@@ -441,51 +430,37 @@ black_holes = st.none() | st.builds(
 @given(shape=st.sampled_from(ASSEMBLY_SHAPES), params=black_holes, inner_half=st.booleans())
 def test_assemble_matches_letter_oracle_bit_for_bit(shape, params, inner_half):
     layout, spec = shape
-    h = assemble(params, layout, spec, inner_half=inner_half)
+    h = assemble(params, layout, spec)
+    # inner_half halves energy_scale, the factor on the assembled operator; halving is exact
+    half = energy_scale(params, inner_half) / energy_scale(params)
     x, z, coeffs = assemble_by_letters(params, layout, spec, inner_half)
     assert h.x.tolist() == x
     assert h.z.tolist() == z
-    assert h.coeffs.tolist() == coeffs
+    assert (half * h.coeffs).tolist() == coeffs
 
 
-def assert_same_arrays(a, b):
-    assert a.n_qubits == b.n_qubits
-    for name in ("x", "z", "coeffs"):
-        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
-
-
-@settings(max_examples=30, deadline=None)
-@given(shape=st.sampled_from(ASSEMBLY_SHAPES), params=black_holes, seed=st.integers(0, 2**32 - 1))
-def test_from_terms_reproduces_arrays(shape, params, seed):
-    layout, spec = shape
-    h = assemble(params, layout, spec)
-    assert_same_arrays(PauliHamiltonian.from_terms(h.n_qubits, h.terms), h)
-    rng = np.random.default_rng(seed)
-    m = pauli_decompose(random_hermitian(rng, int(rng.integers(1, 6))))
-    assert_same_arrays(PauliHamiltonian.from_terms(m.n_qubits, m.terms), m)
-
-
-def test_from_terms_merges_into_letter_order():
-    terms = (PauliTerm(0.5, "ZI"), PauliTerm(-1.0, "IX"), PauliTerm(1e-13, "XX"), PauliTerm(2, "YI"))
-    h = PauliHamiltonian.from_terms(2, terms)
-    assert [t.string for t in h.terms] == ["IX", "YI", "ZI"]  # 1e-13 is pruned
+def test_merged_rows_sort_into_letter_order():
+    # rows ZI, IX, XX (below the prune bound), YI and IX again, as masks
+    x = np.array([0b00, 0b01, 0b11, 0b10, 0b01])
+    z = np.array([0b10, 0b00, 0b00, 0b10, 0b00])
+    h = _merged(2, x, z, np.array([0.5, -1.5, 1e-13, 2.0, 0.5]))
+    assert [s for _, s in letter_terms(h)] == ["IX", "YI", "ZI"]
     assert h.x.tolist() == [0b01, 0b10, 0b00]
     assert h.z.tolist() == [0b00, 0b10, 0b10]
     assert h.coeffs.tolist() == [-1.0, 2.0, 0.5]
 
 
-@pytest.mark.parametrize("bad", [1j, 1 + 0j, math.nan, math.inf, -math.inf])
-def test_from_terms_rejects_complex_and_non_finite_coefficients(bad):
-    with pytest.raises(ValueError):
-        PauliHamiltonian.from_terms(2, (PauliTerm(1.0, "XX"), PauliTerm(bad, "ZZ")))
-
-
-def test_from_terms_qubit_range():
-    # x and z share one int64 merge key, so 31 qubits is the widest operator
-    wide = PauliHamiltonian.from_terms(31, (PauliTerm(1.5, "Y" * 31),))
-    assert wide.x.tolist() == wide.z.tolist() == [2**31 - 1]
-    assert wide.terms == (PauliTerm(1.5, "Y" * 31),)
-    with pytest.raises(ValueError):
-        PauliHamiltonian.from_terms(32, (PauliTerm(1.0, "Z" * 32),))
-    with pytest.raises(ValueError):
-        PauliHamiltonian.from_terms(0, ())
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.sampled_from(ASSEMBLY_SHAPES),
+    params=black_holes,
+    n_qubits=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_to_text_parses_back_through_letter_oracle(shape, params, n_qubits, seed):
+    layout, spec = shape
+    m = pauli_decompose(random_hermitian(np.random.default_rng(seed), n_qubits))
+    for h in (assemble(params, layout, spec), m):
+        rows = [line.split() for line in to_text(h).splitlines()]
+        assert [masks(string) for _, string in rows] == list(zip(h.x.tolist(), h.z.tolist()))
+        assert [float(c) for c, _ in rows] == [float(f"{c:.12g}") for c in h.coeffs.tolist()]

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from bhvqe.errors import DimensionMismatchError, DomainError, NotHermitianError
-from bhvqe.linalg import PauliTerm, hermitian_eigensystem, hermiticity_defect, pauli_matrix
+from bhvqe.linalg import hermitian_eigensystem, hermiticity_defect
+from pauli_helpers import pauli_matrix
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -48,15 +49,6 @@ def test_pauli_trace_orthogonality_two_qubits():
             trace = np.trace(pauli_matrix(sa) @ pauli_matrix(sb))
             expected = 4.0 if sa == sb else 0.0
             assert abs(trace - expected) < 1e-12, (sa, sb, trace)
-
-
-def test_pauli_term_validates_letters():
-    term = PauliTerm(0.5, "XXII")
-    assert term.n_qubits == 4
-    with pytest.raises(ValueError):
-        PauliTerm(1.0, "XA")
-    with pytest.raises(ValueError):
-        PauliTerm(1.0, "")
 
 
 def test_shape_mismatch_raises():

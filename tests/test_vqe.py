@@ -15,13 +15,11 @@ from bhvqe.hamiltonian import (
     PAPER_CHAIN,
     BlackHoleParams,
     HamiltonianLayout,
-    PauliHamiltonian,
     assemble,
     exact_ground_energy,
     parity_eigenvalues,
 )
 from bhvqe.lattice import LatticeSpec
-from bhvqe.linalg import PauliTerm
 from bhvqe.vqe import SpsaConfig, VqeResult, spsa_minimize, vqe_lockstep, vqe_run
 import pauli_helpers
 
@@ -191,7 +189,7 @@ def test_directions_drawn_in_blocks_equal_one_draw_per_iteration(n_params, count
 
 
 def test_vqe_single_qubit_z():
-    h = PauliHamiltonian.from_terms(1, (PauliTerm(1.0, "Z"),))
+    h = pauli_helpers.from_letters(1, [(1.0, "Z")])
     result = vqe_run(h, A3, SpsaConfig(seed=0))
     assert abs(result.best_energy - (-1.0)) < 1e-3
 
@@ -231,7 +229,7 @@ def test_vqe_respects_variational_bound():
         assert min(result.trace) >= ground - 1e-10
 
 
-@pytest.mark.parametrize("h", [PauliHamiltonian.from_terms(4, ()), CHAIN_H], ids=["all-tied", "chain"])
+@pytest.mark.parametrize("h", [pauli_helpers.from_letters(4, ()), CHAIN_H], ids=["all-tied", "chain"])
 def test_vqe_screen_picks_first_lowest_candidate(monkeypatch, h):
     starts = []
 
