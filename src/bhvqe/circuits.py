@@ -7,11 +7,10 @@ array and returns the (B, 2^n) amplitudes. Each circuit is compiled once
 into a `Program` (`Circuit.program`). The single-qubit gates on a qubit
 before its first two-qubit gate act on |0>, so that qubit starts as one
 2-vector, and the state after all these prefixes is their product state.
-The remaining gates run in order: a gate on qubit q views the batch as
-(B, 2^q, 2, 2^(n-q-1)) and multiplies axis 2 by its 2x2 matrix, CU3 does the
-same on the control = 1 half, and CNOT is one gather along a permutation of
-the basis indices. The 2x2 matrices of all U3, RY and CU3 gates are built
-for the whole batch in one vectorized step. `run` is the batch of one.
+Every other U3, RY or CU3 gate is one step: two gathers, one multiply and
+one add. A CNOT is no step; its basis permutation is folded into the indices
+the next step reads, or into one final gather. All 2x2 matrices of a batch
+are built in one vectorized step. `run` is the batch of one.
 Exact expectation values contract a batch of states with the dense
 Hamiltonian matrix. Shot-noise estimates take the same batch: it is rotated
 once into each measurement setting of the Hamiltonian, a group of
@@ -91,34 +90,34 @@ class Circuit:
     def program(self) -> Program:
         """The circuit compiled for run_batch, built once per circuit."""
         n, zero = self.n_qubits, self.n_params
+        identity = sum(g.kind is not GateKind.CNOT for g in self.gates)  # U3(0, 0, 0), if used
         slots: list[tuple[int, ...]] = []
         prefixes: dict[int, list[int]] = {}
         entangled: set[int] = set()
-        steps: list[np.ndarray | tuple[int, ...]] = []
-        index = np.arange(2**n)
+        coef_index: list[np.ndarray] = []
+        sources: list[np.ndarray] = []
+        index = perm = np.arange(2**n)  # perm: the pending CNOTs; amplitude perm[i] is read as i
         for g in self.gates:
+            bits = [1 << (n - 1 - q) for q in g.qubits]
             if g.kind is GateKind.CNOT:
                 entangled.update(g.qubits)
-                cbit, tbit = (1 << (n - 1 - q) for q in g.qubits)
-                steps.append(np.where(index & cbit, index ^ tbit, index))
+                perm = perm[np.where(index & bits[0], index ^ bits[1], index)]
                 continue
             matrix = len(slots)
             slots.append((g.param_slots + (zero,) * 3)[:3])  # RY is U3(theta, 0, 0)
-            if g.kind is GateKind.CU3:
+            if g.kind is GateKind.CU3 or g.qubits[0] in entangled:
                 entangled.update(g.qubits)
-                control, target = g.qubits
-                # the control = 1 half is a state of the other qubits, which keep their order
-                steps.append((matrix, control, target - (target > control)))
-            elif g.qubits[0] in entangled:
-                steps.append((matrix, g.qubits[0]))
+                k = np.where(index & bits[0], matrix, identity) if g.kind is GateKind.CU3 else matrix
+                coef_index.append(4 * k + 2 * (index & bits[-1] > 0) + [[0], [1]])
+                sources.append(perm[[index & ~bits[-1], index | bits[-1]]])
+                perm = index
             else:
                 prefixes.setdefault(g.qubits[0], []).append(matrix)
         touched = tuple(sorted(prefixes))
         length = max(map(len, prefixes.values()), default=1)
-        identity = len(slots)  # U3(0, 0, 0), appended only if some prefix is short
-        if any(len(p) < length for p in prefixes.values()):
-            slots.append((zero,) * 3)
         prefix = [prefixes[q] + [identity] * (length - len(prefixes[q])) for q in touched]
+        if any(identity in p for p in prefix) or any(g.kind is GateKind.CU3 for g in self.gates):
+            slots.append((zero,) * 3)
         product_indices = np.zeros(1, dtype=int)
         for q in touched:
             product_indices = (product_indices[:, None] + [0, 1 << (n - 1 - q)]).reshape(-1)
@@ -127,30 +126,36 @@ class Circuit:
             touched,
             np.array(prefix, dtype=int).reshape(len(touched), length),
             product_indices,
-            tuple(steps),
+            tuple(coef_index),
+            tuple(sources),
+            None if np.array_equal(perm, index) else perm,
         )
 
 
 @dataclass(frozen=True, eq=False)
 class Program:
-    """A circuit as run_batch runs it: U3 matrices, a product-state prefix, then the other gates.
+    """A circuit as run_batch runs it: U3 matrices, a product-state prefix, then gather steps.
 
-    angle_slots (M, 3) gives the U3 angles of each matrix the program uses;
-    slot n_params stands for angle 0. Each touched qubit starts as column 0
-    of the product of its prefix matrices, prefix[t] in gate order, padded
-    with the identity U3(0, 0, 0) up to the longest prefix. The kron of these
-    2-vectors over the touched qubits sits at product_indices, the basis
-    indices where every untouched qubit is 0; all other amplitudes are 0.
-    Each later step is (matrix, qubit) for a single-qubit gate, (matrix,
-    control, target within the control = 1 half) for CU3, or, for CNOT, the
-    gather index where(i & control bit, i ^ target bit, i).
+    angle_slots (M, 3) gives the U3 angles of each matrix; slot n_params
+    stands for angle 0, and the last matrix is the identity U3(0, 0, 0) if a
+    CU3 or a short prefix reads it. Each touched qubit starts as column 0 of
+    the product of its prefix matrices, prefix[t] in gate order, padded with
+    the identity; their kron sits at product_indices, where every untouched
+    qubit is 0, and all other amplitudes are 0. Each later gate on qubit q
+    is one step s: amplitude i becomes the sum over c = 0, 1 of U3 entry
+    coef_index[s][c, i] = 4 * matrix + 2 * (bit q of i) + c (a CU3 reads the
+    identity where its control bit is 0) times amplitude sources[s][c, i],
+    i with bit q set to c. A CNOT's permutation where(i & control bit, i ^
+    target bit, i) is composed into the next step's sources, or into final.
     """
 
     angle_slots: np.ndarray
     touched: tuple[int, ...]
     prefix: np.ndarray
     product_indices: np.ndarray
-    steps: tuple[np.ndarray | tuple[int, ...], ...]
+    coef_index: tuple[np.ndarray, ...]
+    sources: tuple[np.ndarray, ...]
+    final: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -175,13 +180,6 @@ def _u3_matrices(angles: np.ndarray) -> np.ndarray:
     c, s = np.cos(half), np.sin(half)
     entries = np.concatenate([c, -s, s, c], axis=-1) * np.exp(1j * (angles @ _PHASE_MIX))
     return entries.reshape(angles.shape[:-1] + (2, 2))
-
-
-def _apply(state: np.ndarray, matrix: np.ndarray, qubit: int) -> np.ndarray:
-    """A (B, 2, 2) or (2, 2) matrix on one qubit of every row of a (B, 2^m) state."""
-    batch, dim = state.shape
-    block = state.reshape(batch, 2**qubit, 2, dim >> (qubit + 1))
-    return np.matmul(matrix.reshape(-1, 1, 2, 2), block).reshape(batch, dim)
 
 
 def run_batch(circuit: Circuit, params: np.ndarray) -> np.ndarray:
@@ -209,16 +207,18 @@ def run_batch(circuit: Circuit, params: np.ndarray) -> np.ndarray:
         product = (product[:, :, None] * columns[:, t, None]).reshape(batch, 2 << t)
     state = np.zeros((batch, dim), dtype=complex)
     state[:, program.product_indices] = product
-    for step in program.steps:
-        if isinstance(step, np.ndarray):  # CNOT
-            state = state[:, step]
-        elif len(step) == 2:
-            state = _apply(state, matrices[:, step[0]], step[1])
-        else:
-            index, control, sub_target = step
-            half = state.reshape(batch, 2**control, 2, dim >> (control + 1))[:, :, 1]
-            half[...] = _apply(half.reshape(batch, dim // 2), matrices[:, index], sub_target).reshape(half.shape)
-    return state
+    if not program.coef_index and program.final is None:
+        return state  # a product state: nothing to gather
+    # the steps gather rows of the (2^n, B) transpose: all B values of an amplitude at once
+    rows = state.T
+    entries = matrices.reshape(batch, 4 * len(program.angle_slots)).T.copy()
+    for use, source in zip(program.coef_index, program.sources):
+        terms = entries.take(use, axis=0)
+        terms *= rows.take(source, axis=0)
+        rows = terms[0] + terms[1]
+    if program.final is not None:
+        rows = rows.take(program.final, axis=0)
+    return np.ascontiguousarray(rows.T)
 
 
 def run(circuit: Circuit, params: np.ndarray) -> StateVector:
@@ -229,8 +229,8 @@ def run(circuit: Circuit, params: np.ndarray) -> StateVector:
 
 def batch_expectation(amplitudes: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """Exact <psi|H|psi> for every row of a (B, 2^n) amplitude batch, H dense."""
-    values = np.sum((amplitudes.conj() @ matrix) * amplitudes, axis=1)
-    residue = np.max(np.abs(values.imag), initial=0.0)
+    values = ((amplitudes.conj() @ matrix) * amplitudes).sum(axis=1)
+    residue = np.abs(values.imag).max(initial=0.0)
     if residue > EXPECTATION_IMAG_TOL:
         raise ValueError(f"expectation has imaginary residue {residue:.3e}")
     return values.real

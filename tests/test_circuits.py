@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -12,7 +13,6 @@ from bhvqe.circuits import (
     Gate,
     GateKind,
     StateVector,
-    _apply,
     batch_expectation,
     MAX_SHOTS,
     N_PARAM_SLOTS,
@@ -54,6 +54,13 @@ def _u3_reference(theta, phi, lam):
             [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c],
         ]
     )
+
+
+def _apply(state: np.ndarray, matrix: np.ndarray, qubit: int) -> np.ndarray:
+    """A (B, 2, 2) or (2, 2) matrix on one qubit of every row of a (B, 2^m) state."""
+    batch, dim = state.shape
+    block = state.reshape(batch, 2**qubit, 2, dim >> (qubit + 1))
+    return np.matmul(matrix.reshape(-1, 1, 2, 2), block).reshape(batch, dim)
 
 
 def _apply_1q(state, matrix, qubit):
@@ -271,7 +278,9 @@ def test_prefix_gates_interleaved_with_other_qubits_then_cut_by_an_entangler():
     assert program.touched == (0, 1, 2)
     # qubit 1 has three prefix gates, qubit 0 two and qubit 2 one: both are padded
     assert program.prefix.shape == (3, 3)
-    assert len(program.steps) == 5
+    # CU3, then the later U3 on qubit 1, RY and U3: the CNOT folds into the RY's sources
+    assert np.shape(program.coef_index) == np.shape(program.sources) == (4, 2, 16)
+    assert program.final is None
     params = np.random.default_rng(8).uniform(-2 * PI, 2 * PI, (3, circuit.n_params))
     for row, theta in zip(run_batch(circuit, params), params):
         np.testing.assert_allclose(row, reference_run(circuit, theta), rtol=0, atol=1e-12)
@@ -292,9 +301,11 @@ def test_program_is_built_once_per_circuit():
     program = circuit.program
     run_batch(circuit, np.zeros((2, circuit.n_params)))
     assert circuit.program is program
-    # the prefix takes the first U3 on each qubit; all 6 CNOTs are permutations
+    # the prefix takes the first U3 on each qubit; the other 8 are the steps, and
+    # the 6 CNOTs fold into their sources and the final permutation
     assert program.touched == (0, 1, 2, 3)
-    assert sum(isinstance(step, np.ndarray) for step in program.steps) == 6
+    assert np.shape(program.coef_index) == np.shape(program.sources) == (8, 2, 16)
+    assert program.final is not None
 
 
 @pytest.mark.parametrize("n_qubits", [2, 3, 4])
@@ -303,14 +314,78 @@ def test_cnot_steps_permute_every_basis_state_exactly(n_qubits):
     circuit = Circuit(n_qubits, tuple(Gate(GateKind.CNOT, pair) for pair in pairs), 0)
     dim = 2**n_qubits
     basis = np.eye(dim, dtype=complex)  # row k is |k>
-    states = basis
-    for step in circuit.program.steps:
-        states = states[:, step]
+    assert circuit.program.coef_index == circuit.program.sources == ()
+    states = basis[:, circuit.program.final]
     for k in range(dim):
         bits = [k >> (n_qubits - 1 - q) & 1 for q in range(n_qubits)]
         for control, target in pairs:
             bits[target] ^= bits[control]
         assert np.all(states[k] == basis[int("".join(map(str, bits)), 2)])
+
+
+def test_cu3_with_control_at_zero_leaves_the_state_unchanged():
+    # qubit 0 stays |0>: the CU3 reads the identity on every nonzero amplitude
+    gates = (
+        Gate(GateKind.U3, (1,), (0, 1, 2)),
+        Gate(GateKind.U3, (2,), (3, 4, 5)),
+        Gate(GateKind.CNOT, (1, 2)),
+        Gate(GateKind.U3, (1,), (6, 7, 8)),
+        Gate(GateKind.RY, (2,), (9,)),
+    )
+    without = Circuit(3, gates, 10)
+    controlled = Gate(GateKind.CU3, (0, 2), (10, 11, 12))
+    with_cu3 = Circuit(3, gates[:4] + (controlled,) + gates[4:], 13)
+    params = np.random.default_rng(5).uniform(-2 * PI, 2 * PI, (6, 13))
+    assert np.all(run_batch(with_cu3, params) == run_batch(without, params[:, :10]))
+
+
+FIXED_CIRCUITS = {
+    "starts with a CNOT": Circuit(3, (
+        Gate(GateKind.CNOT, (0, 2)),
+        Gate(GateKind.U3, (2,), (0, 1, 2)),
+        Gate(GateKind.U3, (0,), (3, 4, 5)),
+        Gate(GateKind.CU3, (2, 1), (6, 7, 8)),
+    ), 9),
+    "ends with two CNOTs": Circuit(3, (
+        Gate(GateKind.U3, (0,), (0, 1, 2)),
+        Gate(GateKind.U3, (1,), (3, 4, 5)),
+        Gate(GateKind.CNOT, (0, 1)),
+        Gate(GateKind.RY, (1,), (6,)),
+        Gate(GateKind.CNOT, (1, 2)),
+        Gate(GateKind.CNOT, (2, 0)),
+    ), 7),
+    "CU3 control below its target": Circuit(4, (
+        Gate(GateKind.U3, (3,), (0, 1, 2)),
+        Gate(GateKind.U3, (1,), (3, 4, 5)),
+        Gate(GateKind.CU3, (3, 1), (6, 7, 8)),
+        Gate(GateKind.CNOT, (1, 0)),
+        Gate(GateKind.CU3, (2, 0), (9, 10, 11)),
+        Gate(GateKind.U3, (3,), (12, 13, 14)),
+    ), 15),
+}
+
+
+@pytest.mark.parametrize("name", FIXED_CIRCUITS)
+def test_fixed_circuits_match_reference(name):
+    circuit = FIXED_CIRCUITS[name]
+    params = np.random.default_rng(17).uniform(-2 * PI, 2 * PI, (5, circuit.n_params))
+    for row, theta in zip(run_batch(circuit, params), params):
+        np.testing.assert_allclose(row, reference_run(circuit, theta), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("family", ["ansatz1", "ansatz2"])
+def test_run_batch_peak_memory_is_a_few_results(family):
+    # the steps gather per step: no array of every step's coefficients at once
+    circuit = build(AnsatzKind.from_name(family, reps=1), 6)
+    params = np.random.default_rng(3).uniform(-PI, PI, (2048, circuit.n_params))
+    circuit.program  # compiled outside the measurement
+    tracemalloc.start()
+    try:
+        states = run_batch(circuit, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * states.nbytes
 
 
 def test_run_batch_shapes():
