@@ -212,6 +212,7 @@ def run_batch(circuit: Circuit, params: np.ndarray) -> np.ndarray:
     # the steps gather rows of the (2^n, B) transpose: all B values of an amplitude at once
     rows = state.T
     entries = matrices.reshape(batch, 4 * len(program.angle_slots)).T.copy()
+    del angles, matrices, prefix, columns, product  # the steps read only entries and rows
     for use, source in zip(program.coef_index, program.sources):
         terms = entries.take(use, axis=0)
         terms *= rows.take(source, axis=0)

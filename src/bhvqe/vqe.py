@@ -9,16 +9,17 @@ below `tol`, or at `max_iter`. Because individual iterates can move uphill,
 the reported optimum is the best energy seen over every evaluation, together
 with the parameters that produced it.
 
-Every optimization is written as a generator. It yields a (k, n_params)
-batch of points and is sent back their energies: `spsa_segment` is one SPSA
-segment, and a VQE run chains 16-candidate screens and segments until its
-iteration budget is spent. `vqe_lockstep` drives many runs on scale * h at
-once: each step it simulates the pending batches of all active runs in one
-`run_batch` call, contracts them with the matrix of h in one product (or each
-run samples its slice from its own shot stream), and scales each run's
-slice. Runs are independent, so a run's result does not depend on which
-other runs share its calls; `vqe_run` is the lockstep of one run at scale 1,
-and `spsa_minimize` evaluates a scalar objective point by point.
+Every optimization is one `_SpsaRun` record, stepped in place: `points` is
+the batch of parameter vectors it waits on, and `step` takes their energies
+and sets the next batch. A VQE run chains 16-candidate screens and SPSA
+segments until its iteration budget is spent. `vqe_lockstep` drives many
+runs on scale * h at once: each step it simulates the pending batches of all
+active runs in one `run_batch` call, contracts them with the matrix of h in
+one product (or each run samples its slice from its own shot stream), and
+steps each run with its slice times its scale. Runs are independent, so a
+run's result does not depend on which other runs share its calls; `vqe_run`
+is the lockstep of one run at scale 1, and `spsa_minimize` steps one segment
+with a scalar objective, point by point.
 
 Look-ahead: a segment sends its start point together with iteration 0's two
 probes. After each update it sends the new iterate, and if iteration k + 1
@@ -35,8 +36,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Generator, Iterator, Sequence
-from dataclasses import dataclass, field, replace
+import numbers
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,19 +70,21 @@ class SpsaConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, minimum in (("max_iter", 1), ("window", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            if value < minimum:
+                raise ValueError(f"{name} must be >= {minimum}")
         if not (self.a > 0 and self.c > 0):
             raise ValueError("a and c must be positive")
         if not (0 < self.gamma < self.alpha <= 1):
             raise ValueError("need 0 < gamma < alpha <= 1")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
         # written as `not x >= 0` so NaN fails too
         if not self.stability_a >= 0:
             raise ValueError("stability_a must be >= 0")
         if not self.tol >= 0:
             raise ValueError("tol must be >= 0")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,88 +96,137 @@ class VqeResult:
     iterations_used: int = 0
 
 
-# Yields (k, n_params) point batches, is sent their k energies, returns the result.
-Search = Generator[np.ndarray, Sequence[float], VqeResult]
-
-
 # SPSA directions a VQE run draws per integers call. One call per iteration
 # costs ~16 us of a lockstep step; one call for the whole budget would hold
 # max_iter * n_params floats per run.
 DIRECTION_BLOCK = 64
 
+# Initial points drawn per optimization segment; the lowest-energy draw
+# becomes theta0. Screening evaluations are cheap next to SPSA iterations.
+INIT_CANDIDATES = 16
 
-def _directions(
-    rng: np.random.Generator, n_params: int, count: int, block: int = DIRECTION_BLOCK
-) -> Iterator[np.ndarray]:
-    """`count` Rademacher directions, drawn from rng `block` rows per call.
+# Runs advanced together at most; later runs start as earlier ones finish.
+# Bounds the batch, and its memory, without changing any run's result.
+MAX_LOCKSTEP_RUNS = 256
 
-    rng.integers(0, 2) takes one 32-bit draw per entry whatever the shape, so
-    the rows equal `count` draws of size n_params and leave rng in the same
-    state once all have been taken.
+# What a run's pending batch holds: the candidates of a screen; a segment's
+# start point with iteration 0's probes; an iterate with the next iteration's
+# probes (look-ahead); an iterate alone; an iteration's probes alone.
+_SCREEN, _START, _AHEAD, _VALUE, _PROBES = range(5)
+
+
+def _gains(cfg: SpsaConfig) -> tuple[list[float], list[float]]:
+    """The gain sequences a_k and c_k for every iteration index k < cfg.max_iter."""
+    a_k = [cfg.a / (cfg.stability_a + k + 1) ** cfg.alpha for k in range(cfg.max_iter)]
+    c_k = [cfg.c / (k + 1) ** cfg.gamma for k in range(cfg.max_iter)]
+    return a_k, c_k
+
+
+class _SpsaRun:
+    """One optimization's state, stepped in place: a VQE run, or one segment from theta0.
+
+    `points` is the batch the run waits on and `step` takes their energies,
+    in order, and sets the next batch by the look-ahead rule. With init_rng
+    the run screens INIT_CANDIDATES starts, runs a segment from the lowest,
+    and screens again after each segment that converges; its segments take
+    their directions in order from one stream of cfg.max_iter, the most
+    iterations they run in total. The best energy is kept with a strict <
+    over every SPSA evaluation in row order, so ties keep the first; a NaN
+    or Inf SPSA energy raises NonFiniteObjectiveError.
     """
-    for start in range(0, count, block):
-        rows = min(block, count - start)
-        yield from rng.integers(0, 2, size=(rows, n_params)) * 2.0 - 1.0
 
+    __slots__ = ("cfg", "a_k", "c_k", "init_rng", "spsa_rng", "block", "undrawn", "directions",
+                 "row", "phase", "points", "theta", "c", "delta", "k", "streak", "e_prev",
+                 "best_energy", "best_params", "trace", "converged")
 
-def _direction(cfg: SpsaConfig, k: int, directions: Iterator[np.ndarray]):
-    """Iteration k's perturbation size c_k and its Rademacher direction."""
-    return cfg.c / (k + 1) ** cfg.gamma, next(directions)
+    def __init__(self, cfg: SpsaConfig, gains, spsa_rng, n_params: int, *, init_rng=None,
+                 theta0=None, block: int = DIRECTION_BLOCK):
+        self.cfg, (self.a_k, self.c_k) = cfg, gains
+        self.init_rng, self.spsa_rng, self.block = init_rng, spsa_rng, block
+        self.undrawn, self.directions, self.row = cfg.max_iter, np.empty((0, n_params)), 0
+        self.best_energy, self.best_params = math.inf, None
+        self.trace, self.converged = [], False
+        if theta0 is None:
+            self._screen()
+        else:
+            self._start(theta0)
 
+    def _direction(self) -> np.ndarray:
+        """The next Rademacher direction, from blocks of `block` rows per integers call.
 
-def spsa_segment(theta0: np.ndarray, cfg: SpsaConfig, directions: Iterator[np.ndarray]) -> Search:
-    """One SPSA minimization from theta0, as a generator of point batches.
+        rng.integers(0, 2) takes one 32-bit draw per entry whatever the shape, so the
+        rows equal one draw per iteration and leave rng in the same state once all are taken.
+        """
+        if self.row == len(self.directions):
+            rows = min(self.block, self.undrawn)
+            self.undrawn -= rows
+            n_params = self.directions.shape[1]
+            self.directions = self.spsa_rng.integers(0, 2, size=(rows, n_params)) * 2.0 - 1.0
+            self.row = 0
+        self.row += 1
+        return self.directions[self.row - 1]
 
-    One iteration takes the next Rademacher direction, forms the two-sided
-    gradient estimate, steps, and records the energy at the new iterate;
-    batches follow the look-ahead rule of the module docstring. Raises
-    NonFiniteObjectiveError if an energy sent back is NaN or Inf.
-    """
-    theta = np.asarray(theta0, dtype=float).copy()
-    best_energy, best_params = math.inf, theta.copy()
+    def _screen(self) -> None:
+        shape = (INIT_CANDIDATES, self.directions.shape[1])
+        self.points, self.phase = self.init_rng.uniform(-np.pi, np.pi, shape), _SCREEN
 
-    def evaluate(points: list[np.ndarray]):
-        nonlocal best_energy, best_params
-        energies = [float(e) for e in (yield np.array(points))]
-        for point, e in zip(points, energies):
+    def _start(self, theta: np.ndarray) -> None:
+        self.theta, self.k, self.streak = theta, 0, 0
+        self.points, self.phase = [theta, *self._probes(0)], _START
+
+    def _probes(self, k: int) -> list[np.ndarray]:
+        """Take iteration k's direction; its two probe points around theta."""
+        self.c, self.delta = c, delta = self.c_k[k], self._direction()
+        shift = c * delta
+        return [self.theta + shift, self.theta - shift]
+
+    def step(self, energies: list[float]) -> bool:
+        """Take the energies of `points` and set the next batch; True once the run is done."""
+        phase, cfg, trace = self.phase, self.cfg, self.trace
+        if phase == _SCREEN:
+            # argmin keeps the first of tied candidates
+            self._start(self.points[int(np.argmin(energies))].copy())
+            return False
+        for point, e in zip(self.points, energies):
             if not math.isfinite(e):
                 raise NonFiniteObjectiveError(f"objective returned {e}")
-            if e < best_energy:
-                best_energy, best_params = e, point.copy()
-        return energies
-
-    trace: list[float] = []
-    converged = False
-    streak = 0
-    c_k, delta = _direction(cfg, 0, directions)
-    e_prev, *probed = yield from evaluate([theta, theta + c_k * delta, theta - c_k * delta])
-    for k in range(cfg.max_iter):
-        if not probed:
-            c_k, delta = _direction(cfg, k, directions)
-            probed = yield from evaluate([theta + c_k * delta, theta - c_k * delta])
-        e_plus, e_minus = probed
-        a_k = cfg.a / (cfg.stability_a + k + 1) ** cfg.alpha
-        gradient = (e_plus - e_minus) / (2.0 * c_k * delta)
-        theta = theta - a_k * gradient
-        points = [theta]
-        if streak + 1 < cfg.window and k + 1 < cfg.max_iter:
+            if e < self.best_energy:
+                self.best_energy, self.best_params = e, point
+        if phase == _START:
+            self.e_prev, e_plus, e_minus = energies
+        elif phase == _PROBES:
+            e_plus, e_minus = energies
+        else:  # iteration k's iterate, then (_AHEAD) iteration k + 1's probes
+            e_new = energies[0]
+            trace.append(e_new)
+            self.streak = self.streak + 1 if abs(e_new - self.e_prev) < cfg.tol else 0
+            self.e_prev = e_new
+            if self.streak >= cfg.window:
+                self.converged = True
+                if self.init_rng is None or len(trace) == cfg.max_iter:
+                    return True
+                self._screen()
+                return False
+            if len(trace) == cfg.max_iter:
+                return True
+            self.k += 1
+            if phase == _VALUE:
+                self.points, self.phase = self._probes(self.k), _PROBES
+                return False
+            _, e_plus, e_minus = energies
+        # iteration k's update; delta is +/-1, so this equals dividing by 2 c_k delta
+        descent = self.a_k[self.k] * ((e_plus - e_minus) / (2.0 * self.c))
+        self.theta = theta = self.theta - descent * self.delta
+        if self.streak + 1 < cfg.window and len(trace) + 1 < cfg.max_iter:
             # iteration k + 1 runs whatever this energy is: probe it in the same batch
-            c_k, delta = _direction(cfg, k + 1, directions)
-            points += [theta + c_k * delta, theta - c_k * delta]
-        e_new, *probed = yield from evaluate(points)
-        trace.append(e_new)
-        streak = streak + 1 if abs(e_new - e_prev) < cfg.tol else 0
-        e_prev = e_new
-        if streak >= cfg.window:
-            converged = True
-            break
-    return VqeResult(
-        best_params=best_params,
-        best_energy=best_energy,
-        trace=tuple(trace),
-        converged=converged,
-        iterations_used=len(trace),
-    )
+            self.points, self.phase = [theta, *self._probes(self.k + 1)], _AHEAD
+        else:
+            self.points, self.phase = [theta], _VALUE
+        return False
+
+    def result(self) -> VqeResult:
+        trace = tuple(self.trace)
+        return VqeResult(self.best_params, self.best_energy, trace, self.converged, len(trace))
 
 
 def spsa_minimize(
@@ -184,66 +237,19 @@ def spsa_minimize(
 ) -> VqeResult:
     """Minimize `objective` from `theta0` with simultaneous-perturbation SPSA.
 
-    Evaluates the points of spsa_segment one at a time, in order: the
-    objective is called 1 + 3 * iterations_used times. Deterministic for a
-    fixed cfg.seed. Raises NonFiniteObjectiveError if the objective ever
-    returns NaN or Inf.
+    One segment, no screen: evaluates the run's points one at a time, in
+    order, so the objective is called 1 + 3 * iterations_used times.
+    Deterministic for a fixed cfg.seed. Raises NonFiniteObjectiveError if
+    the objective ever returns NaN or Inf.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
+    theta0 = np.asarray(theta0, dtype=float).copy()
     # one direction per draw: rng advances only by the iterations that run
-    segment = spsa_segment(theta0, cfg, _directions(rng, np.size(theta0), cfg.max_iter, block=1))
-    energies = None
-    while True:
-        try:
-            points = segment.send(energies)
-        except StopIteration as done:
-            return done.value
-        energies = [objective(point) for point in points]
-
-
-# Initial points drawn per optimization segment; the lowest-energy draw
-# becomes theta0. Screening evaluations are cheap next to SPSA iterations.
-INIT_CANDIDATES = 16
-
-# Runs advanced together at most; later runs start as earlier ones finish.
-# Bounds the batch, and its memory, without changing any run's result.
-MAX_LOCKSTEP_RUNS = 256
-
-
-def _multistart(
-    n_params: int, cfg: SpsaConfig, init_rng: np.random.Generator, spsa_rng: np.random.Generator
-) -> Search:
-    """One VQE run: screen INIT_CANDIDATES starts, run a segment from the lowest, repeat.
-
-    Its segments take their directions in order from one stream of
-    cfg.max_iter, the most iterations they run in total.
-    """
-    directions = _directions(spsa_rng, n_params, cfg.max_iter)
-    best_energy = math.inf
-    best_params = np.zeros(n_params)
-    trace: list[float] = []
-    converged = False
-    remaining = cfg.max_iter
-    while remaining > 0:
-        candidates = init_rng.uniform(-np.pi, np.pi, (INIT_CANDIDATES, n_params))
-        # argmin keeps the first of tied candidates
-        theta0 = candidates[np.argmin((yield candidates))]
-        segment = yield from spsa_segment(theta0, replace(cfg, max_iter=remaining), directions)
-        trace.extend(segment.trace)
-        remaining -= segment.iterations_used
-        if segment.best_energy < best_energy:
-            best_energy, best_params = segment.best_energy, segment.best_params
-        if not segment.converged:
-            break
-        converged = True
-    return VqeResult(
-        best_params=best_params,
-        best_energy=best_energy,
-        trace=tuple(trace),
-        converged=converged,
-        iterations_used=len(trace),
-    )
+    record = _SpsaRun(cfg, _gains(cfg), rng, theta0.size, theta0=theta0, block=1)
+    while not record.step([float(objective(point)) for point in record.points]):
+        pass
+    return record.result()
 
 
 def vqe_lockstep(
@@ -255,10 +261,10 @@ def vqe_lockstep(
     """vqe_run on scale * h for every (scale, cfg) pair, all advanced together.
 
     Each step simulates the pending batches of all active runs in one
-    run_batch call and sends every run its slice of the energies, times its
-    scale: a run's screen can share a call with other runs' SPSA steps, and
-    a finished run drops out. Each result equals vqe_lockstep(h, [(scale,
-    cfg)], kind, shots) bit for bit. Returns [] for no runs.
+    run_batch call and steps every run with its slice of the energies, times
+    its scale: a run's screen can share a call with other runs' SPSA steps,
+    and a finished run drops out. Each result equals vqe_lockstep(h,
+    [(scale, cfg)], kind, shots) bit for bit. Returns [] for no runs.
     """
     if not runs:
         return []
@@ -266,33 +272,35 @@ def vqe_lockstep(
     matrix = ham.to_matrix(h) if shots == 0 else None
     results: list[VqeResult] = [None] * len(runs)
     waiting = iter(enumerate(runs))
-    active = []  # (index, scale, search, shot generator, pending batch)
+    gains = {}  # one pair of gain tables per distinct gain setting
+    active = []  # (index, scale, shot generator, record)
     while True:
         for index, (scale, cfg) in itertools.islice(waiting, MAX_LOCKSTEP_RUNS - len(active)):
             streams = np.random.SeedSequence(cfg.seed).spawn(3)
             init_rng, spsa_rng, shot_rng = map(np.random.default_rng, streams)
-            search = _multistart(circuit.n_params, cfg, init_rng, spsa_rng)
-            active.append((index, scale, search, shot_rng, next(search)))
+            key = (cfg.a, cfg.c, cfg.alpha, cfg.gamma, cfg.stability_a, cfg.max_iter)
+            if key not in gains:
+                gains[key] = _gains(cfg)
+            record = _SpsaRun(cfg, gains[key], spsa_rng, circuit.n_params, init_rng=init_rng)
+            active.append((index, float(scale), shot_rng, record))
         if not active:
             return results
-        states = run_batch(circuit, np.concatenate([batch for *_, batch in active]))
-        values = None if matrix is None else batch_expectation(states, matrix)
-        advanced = []
+        states = run_batch(circuit, np.array([p for *_, record in active for p in record.points]))
+        values = None if matrix is None else batch_expectation(states, matrix).tolist()
         start = 0
-        for index, scale, search, shot_rng, batch in active:
-            stop = start + len(batch)
-            rows = states[start:stop]
+        for index, scale, shot_rng, record in active:
+            stop = start + len(record.points)
             if matrix is None:
-                energies = sampled_expectation(rows, h, shots, shot_rng)
+                energies = sampled_expectation(states[start:stop], h, shots, shot_rng).tolist()
+            elif stop - start > 1:
+                energies = values[start:stop]
             else:
                 # numpy multiplies a lone row by gemv, which rounds unlike a row of a gemm
-                energies = values[start:stop] if len(rows) > 1 else batch_expectation(rows, matrix)
-            try:
-                advanced.append((index, scale, search, shot_rng, search.send(scale * energies)))
-            except StopIteration as done:
-                results[index] = done.value
+                energies = batch_expectation(states[start:stop], matrix).tolist()
+            if record.step([scale * e for e in energies]):
+                results[index] = record.result()
             start = stop
-        active = advanced
+        active = [entry for entry in active if results[entry[0]] is None]
 
 
 def vqe_run(
@@ -306,25 +314,14 @@ def vqe_run(
     Multi-start search: each segment screens INIT_CANDIDATES random starts
     (uniform in [-pi, pi) per parameter), keeps the lowest, and runs SPSA on
     it. If the segment's stopping rule fires with iteration budget left, a
-    fresh segment restarts from new candidates; the energy landscape has
-    spurious local minima that trap a fraction of single starts, and early
-    convergence there would otherwise waste the rest of the budget. The
-    total across segments never exceeds cfg.max_iter iterations. This is
+    fresh segment restarts from new candidates, since spurious local minima
+    trap a fraction of single starts. The total across segments never
+    exceeds cfg.max_iter iterations. cfg.seed drives the starts, the
+    directions and any shot sampling through independent child streams;
+    shots is 0 for exact values, else the shots per setting (h.settings).
+    The result holds the best energy and parameters seen anywhere, the
+    concatenated trace, and converged if any segment's stopping rule fired;
+    with shots=0, best_energy >= the exact ground energy. This is
     vqe_lockstep with one run of scale 1.
-
-    Args:
-        h: Hamiltonian in Pauli-term form.
-        kind: ansatz family and repetition depth; built at h.n_qubits.
-        cfg: SPSA settings. cfg.seed drives the candidate starts, the
-            perturbation directions, and any shot sampling, through
-            independent child streams.
-        shots: 0 for exact expectation values, otherwise the shots per
-            measurement setting (h.settings) of the shot-noise estimator.
-
-    Returns:
-        VqeResult over all segments: best energy and parameters seen
-        anywhere, concatenated trace, converged if any segment's stopping
-        rule fired. With shots=0 best_energy respects the variational
-        bound best_energy >= exact ground energy.
     """
     return vqe_lockstep(h, [(1.0, cfg)], kind, shots)[0]

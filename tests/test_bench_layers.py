@@ -112,3 +112,13 @@ def test_every_public_name_resolves():
     namespace = {}
     exec("from bhvqe import *", namespace)
     assert set(bhvqe.__all__) <= namespace.keys()
+
+
+def test_shot_workload_runs_and_passes_its_gates():
+    # the shot path end to end: sampling, the exact re-evaluation and the gates
+    done = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "chain-shots", "--seed", "1", "--seconds", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1])["correct"] is True

@@ -375,7 +375,8 @@ def test_fixed_circuits_match_reference(name):
 
 @pytest.mark.parametrize("family", ["ansatz1", "ansatz2"])
 def test_run_batch_peak_memory_is_a_few_results(family):
-    # the steps gather per step: no array of every step's coefficients at once
+    # the steps gather per step: no array of every step's coefficients at once,
+    # and the matrices and prefix are freed before the steps run (~8x measured)
     circuit = build(AnsatzKind.from_name(family, reps=1), 6)
     params = np.random.default_rng(3).uniform(-PI, PI, (2048, circuit.n_params))
     circuit.program  # compiled outside the measurement
@@ -385,7 +386,7 @@ def test_run_batch_peak_memory_is_a_few_results(family):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * states.nbytes
+    assert peak <= 10 * states.nbytes
 
 
 def test_run_batch_shapes():

@@ -1,8 +1,10 @@
+import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bhvqe import hamiltonian as ham
@@ -20,7 +22,7 @@ from bhvqe.hamiltonian import (
     parity_eigenvalues,
 )
 from bhvqe.lattice import LatticeSpec
-from bhvqe.vqe import SpsaConfig, VqeResult, spsa_minimize, vqe_lockstep, vqe_run
+from bhvqe.vqe import SpsaConfig, spsa_minimize, vqe_lockstep, vqe_run
 import pauli_helpers
 
 PI = math.pi
@@ -61,6 +63,28 @@ def test_spsa_config_validation():
     with pytest.raises(ValueError):
         SpsaConfig(tol=math.nan)
     assert SpsaConfig(stability_a=0.0, tol=0.0).stability_a == 0.0
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("max_iter", 2.5, TypeError),
+    ("max_iter", True, TypeError),
+    ("max_iter", "10", TypeError),
+    ("window", 2.5, TypeError),
+    ("window", True, TypeError),
+    ("seed", -1, ValueError),
+    ("seed", 1.0, TypeError),
+    ("seed", False, TypeError),
+    ("seed", None, TypeError),
+])
+def test_spsa_config_rejects_non_integer_counts_and_seeds(field, value, error):
+    # caught when the config is built, not deep inside a run
+    with pytest.raises(error):
+        SpsaConfig(**{field: value})
+
+
+def test_spsa_config_accepts_numpy_integers():
+    cfg = SpsaConfig(max_iter=np.int64(7), window=np.int32(2), seed=np.uint64(2**63))
+    assert (cfg.max_iter, cfg.window, cfg.seed) == (7, 2, 2**63)
 
 
 def test_spsa_minimizes_quadratic_bowl():
@@ -174,15 +198,16 @@ def test_spsa_evaluates_and_draws_only_what_it_uses(window, max_iter, tol, const
 @settings(max_examples=40, deadline=None)
 @given(
     n_params=st.integers(0, 40),
-    count=st.integers(0, 200),
+    count=st.integers(1, 200),
     block=st.integers(1, 70),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_directions_drawn_in_blocks_equal_one_draw_per_iteration(n_params, count, block, seed):
     # a VQE run draws its directions in blocks; SPSA's serial loop drew one per iteration
     blocked, serial = np.random.default_rng(seed), np.random.default_rng(seed)
-    rows = list(vqe._directions(blocked, n_params, count, block))
-    assert len(rows) == count
+    cfg = SpsaConfig(max_iter=count)
+    run = vqe._SpsaRun(cfg, vqe._gains(cfg), blocked, n_params, theta0=np.zeros(n_params), block=block)
+    rows = [run.delta] + [run._direction() for _ in range(count - 1)]  # the start took the first
     for row in rows:
         np.testing.assert_array_equal(row, serial.integers(0, 2, size=n_params) * 2.0 - 1.0)
     assert blocked.bit_generator.state == serial.bit_generator.state
@@ -231,15 +256,17 @@ def test_vqe_respects_variational_bound():
 
 @pytest.mark.parametrize("h", [pauli_helpers.from_letters(4, ()), CHAIN_H], ids=["all-tied", "chain"])
 def test_vqe_screen_picks_first_lowest_candidate(monkeypatch, h):
-    starts = []
+    batches = []
 
-    def one_step(theta0, cfg, directions):
-        starts.append(np.array(theta0))
-        return VqeResult(best_params=theta0, best_energy=0.0, trace=(0.0,), iterations_used=1)
-        yield  # a segment that needs no evaluation
+    def spy(circuit, params):
+        batches.append(np.array(params))
+        return run_batch(circuit, params)
 
-    monkeypatch.setattr(vqe, "spsa_segment", one_step)
-    vqe_run(h, A3, SpsaConfig(seed=4))
+    monkeypatch.setattr(vqe, "run_batch", spy)
+    vqe_run(h, A3, SpsaConfig(seed=4, max_iter=1))
+    # a segment's first batch opens with its start point, after the screen it follows
+    starts = [after[0] for before, after in zip(batches, batches[1:])
+              if len(before) == vqe.INIT_CANDIDATES]
     # the candidate stream vqe_run draws: first child of the seed, one start at a time
     circuit = build(A3, h.n_qubits)
     init_rng = np.random.default_rng(np.random.SeedSequence(4).spawn(3)[0])
@@ -275,6 +302,56 @@ def test_lockstep_starts_waiting_runs_as_others_finish(monkeypatch, shots):
         assert result.trace == direct.trace
         assert result.best_energy == direct.best_energy
         np.testing.assert_array_equal(result.best_params, direct.best_params)
+
+
+def _lockstep_equals_each_run_alone(runs, kind, shots):
+    """Run `runs` through two lockstep slots, check each against its run alone; return segment counts."""
+    segments = []
+    with mock.patch.object(vqe, "MAX_LOCKSTEP_RUNS", 2):
+        results = vqe_lockstep(CHAIN_H, runs, kind, shots=shots)
+    for result, run_spec in zip(results, runs):
+        sizes = []
+
+        def spy(circuit, params):
+            sizes.append(len(params))
+            return run_batch(circuit, params)
+
+        with mock.patch.object(vqe, "run_batch", spy):
+            (direct,) = vqe_lockstep(CHAIN_H, [run_spec], kind, shots=shots)
+        assert result.trace == direct.trace
+        assert result.best_energy == direct.best_energy
+        assert (result.iterations_used, result.converged) == (direct.iterations_used, direct.converged)
+        np.testing.assert_array_equal(result.best_params, direct.best_params)
+        # a run alone sends INIT_CANDIDATES rows only to screen a segment's starts
+        segments.append(sizes.count(vqe.INIT_CANDIDATES))
+    return segments
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    family=st.sampled_from(["ansatz1", "ansatz2", "ansatz3"]),
+    window=st.integers(1, 3),
+    tol=st.sampled_from([1e-2, 1e-1]),
+    runs=st.lists(st.tuples(st.floats(0.1, 5.0), st.integers(1, 60)), min_size=2, max_size=5),
+    shots=st.sampled_from([0, 50]),
+    seed=st.integers(0, 2**16),
+)
+@example(family="ansatz3", window=2, tol=1e-1, runs=[(0.4, 60), (1.0, 45), (2.3, 60)], shots=0, seed=0)
+@example(family="ansatz3", window=1, tol=1e-1, runs=[(1.0, 60), (0.7, 30)], shots=50, seed=0)
+def test_lockstep_through_restarts_equals_each_run_alone(family, window, tol, runs, shots, seed):
+    # loose stopping rules converge early and restart from fresh screens,
+    # which then share steps with other runs' SPSA points
+    specs = [(scale, SpsaConfig(seed=seed + i, max_iter=max_iter, window=window, tol=tol))
+             for i, (scale, max_iter) in enumerate(runs)]
+    _lockstep_equals_each_run_alone(specs, AnsatzKind.from_name(family), shots)
+
+
+@pytest.mark.parametrize("shots", [0, 50], ids=["exact", "shots"])
+def test_lockstep_restart_example_restarts(shots):
+    specs = [(scale, SpsaConfig(seed=seed, max_iter=60, window=2, tol=1e-1))
+             for seed, scale in enumerate([0.4, 1.0, 2.3, 3.1])]
+    segments = _lockstep_equals_each_run_alone(specs, A3, shots)
+    assert max(segments) >= 2
 
 
 def test_ansatz1_chain_hit_rate_over_fixed_seeds():
@@ -336,3 +413,77 @@ def test_ground_energy_linearity_supports_prefactor_scaling():
     base = exact_ground_energy(CHAIN_H)
     scaled = exact_ground_energy(pauli_helpers.scaled(CHAIN_H, lam))
     assert abs(scaled - lam * base) < 1e-10
+
+
+# Seeded paper-chain runs (M=1, r=10, default SpsaConfig), pinned bit for bit:
+# (family, shots, seed, best_energy.hex(), iterations_used, converged,
+#  sha256 of the trace as float64 bytes, sha256 of best_params' bytes).
+# Any change to how a seeded run is optimized or sampled shows here.
+GOLDEN_CHAIN_RUNS = [
+    ("ansatz1", 0, 0, "0x1.005e928289d46p-2", 500, True,
+     "aeecbb0112dff6d4d511f240ce3f3f1c8a1885d7d95c61b53c6384f816b07c57",
+     "93b0ea1d1623c5439328a278b69ce7987f3efcc150681efa8506789757a59beb"),
+    ("ansatz1", 0, 1, "0x1.cc4309a47b1c8p-3", 500, True,
+     "a76ad3ff869c167e16cfac72adf094a8892eaf81dbbf956a3f2f0bb69fe913d5",
+     "6b348c4dc6d90c4052e2876891afd27ae628d47c7c4e4814a43218dd8645644e"),
+    ("ansatz1", 0, 2, "0x1.0fac4cdfd036cp-2", 500, True,
+     "e6e4097d3d55b7f1f3a1abff98dca1ff946b870fedb22b3f1719379a21257c68",
+     "4e37f32eeb4522acd23c42a3e8f43548fecb2925af1e89faa5f6b529befd3a70"),
+    ("ansatz1", 1000, 0, "0x1.2ac7fae97c5c6p-2", 500, False,
+     "7916ea59a092f218f84a6be9942ba508d15950baa8084f5cae43c0ef40482923",
+     "daef990167acec553d215ef2ebf4ae1c783fea167d936a8e96c318fe6cf1684f"),
+    ("ansatz1", 1000, 1, "0x1.a47de3e9bb3acp-3", 500, False,
+     "11781eb40df8e939d9071deb70f52e45bff000559325d70d14c1ab37fe71a699",
+     "d63f04d332aceca26f1fbbe9542441148ff4e0b5bdd380eb2b2d6d231045701b"),
+    ("ansatz1", 1000, 2, "0x1.2752385aec726p-2", 500, False,
+     "f149c15ca3f68bb8394cf8ef337f2d03798607bf9452f30742766b7bc6d5ff84",
+     "3e49212355f0561ced109f80e03de8c613c36c2cda76be63e609356ca0416338"),
+    ("ansatz2", 0, 0, "0x1.54a9993efb156p-2", 500, True,
+     "c0618da39d84045b5bf577a5b57dd7cc5cb8d5486a584fd665831f5d6e3a5a58",
+     "f7df010aba71121b605161ab04fc2bd050a5483c9f6e3e94777f25c999e2592f"),
+    ("ansatz2", 0, 1, "0x1.a055929f9db94p-2", 500, True,
+     "1d4461835e86e84c64b61e7a9e599d53d5eb765a6092df47dcee8f5b2c02206a",
+     "4b7ff99b1de228cbdf7a8dd6020d954fbacc15abb74c7b3ac29f11553e2cabbd"),
+    ("ansatz2", 0, 2, "0x1.4925a77dd3434p-2", 500, True,
+     "7d6d2da051c10f5a8b6682c6e031d4520d6f91fd8302b90875a7b9145ff79fcc",
+     "7f9fa375fcb7f83c8c767fd2c5e184f5d26d4fc0616ad7006b6f70b3a40ffe81"),
+    ("ansatz2", 1000, 0, "0x1.2444aace131c6p-2", 500, False,
+     "cda54978a0d7b2d27a1106fa4565c3351fbf0bb6de9a40bcb9766c366aae1805",
+     "ac3ec8fca2ae96954d9dd8495b3bfc761104fcf304e2a16d0e8fd47c877ac81e"),
+    ("ansatz2", 1000, 1, "0x1.12277401d6622p-2", 500, False,
+     "06f35dfdc924eaab11405085de41aa62e9f37e3a0fd1d8d02f3f7b5c90886c01",
+     "7b7e59eae8a6d6b65ba87b7bec06989669584c3d843e949c9ed56db1d47d7017"),
+    ("ansatz2", 1000, 2, "0x1.37324b9dbcfeap-2", 500, False,
+     "fcc3aeb311f8f9b4dbf6f67dab0b434d4595866e4019375fb23d44344a355fbf",
+     "3c30f3be8605a621c5ad58ac36b4c7d3fc6b2f14d563d53e821da0f1ea6a5f1f"),
+    ("ansatz3", 0, 0, "0x1.996be59120a4bp-3", 500, True,
+     "3099112b5b6a78565fa5a33b314c4e2254bc464104a3afb33a49fb77be40396c",
+     "4e751256ab81afea96674c093f0cf9625291054a884b18e7ce66b99e490da262"),
+    ("ansatz3", 0, 1, "0x1.992b9a5f59a15p-3", 500, True,
+     "8edd78e808b72f520af0430820779c6c77f5940980222f10bf32a87cf98e987f",
+     "dad42fa26c136bd4dea30fd870b99c75d57ccb97efcb33c25566c6d87a1f741a"),
+    ("ansatz3", 0, 2, "0x1.9d6478d58a6a4p-3", 500, True,
+     "aa8f327a190ae21f96f2182f4867da87a773bc30a078c688c5d22281f5079f48",
+     "d7f3d0af25882628dc051b4e644bcd6bb0056d53820a7a00ef6038d3b9a5a2d3"),
+    ("ansatz3", 1000, 0, "0x1.970f0eb132264p-3", 500, True,
+     "324c94179b669f4e92d86a2f33bedbc27f8dba85b69e07b4446c5bb6290a24b3",
+     "a3cbce30fa59ea36f545427d9b6cd8480fb04579affbc0ab493f6217143e4a3a"),
+    ("ansatz3", 1000, 1, "0x1.970f0eb132264p-3", 500, False,
+     "cca565caf8ae3f5b24e50aa69861bc00d39d691dee2ac6a47047e6b467cf5a6e",
+     "5086532c9a28ac077abcb9e90d9a3b327dc4d6c354f27e848d6c5fa3c79c4d99"),
+    ("ansatz3", 1000, 2, "0x1.970f0eb132264p-3", 500, False,
+     "3f74b4c6813520367504f2a523f24d86e49231c246d25536f2b7ace02526b258",
+     "c5c8ec382d6f9831d8b3eca587eec391559629cbb1ad2a33e6bd306e4f8c022c"),
+]
+
+
+@pytest.mark.parametrize("family, shots, seed, energy, iterations, converged, trace_sha, params_sha",
+                         GOLDEN_CHAIN_RUNS)
+def test_paper_chain_runs_match_pinned_results(
+        family, shots, seed, energy, iterations, converged, trace_sha, params_sha):
+    h = assemble(BlackHoleParams(mass=1.0, radius=10.0), HamiltonianLayout(variant=PAPER_CHAIN), LatticeSpec(4))
+    result = vqe_run(h, AnsatzKind.from_name(family), SpsaConfig(seed=seed), shots)
+    assert result.best_energy.hex() == energy
+    assert (result.iterations_used, result.converged) == (iterations, converged)
+    assert hashlib.sha256(np.array(result.trace).tobytes()).hexdigest() == trace_sha
+    assert hashlib.sha256(result.best_params.tobytes()).hexdigest() == params_sha
