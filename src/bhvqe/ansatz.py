@@ -14,7 +14,7 @@ from enum import Enum
 from itertools import combinations
 
 from .circuits import Circuit, Gate, GateKind
-from .errors import TooFewQubitsError
+from .errors import TooFewQubitsError, require_int
 
 
 class AnsatzFamily(Enum):
@@ -33,8 +33,8 @@ class AnsatzKind:
     reps: int | None = None  # None picks the family default
 
     def __post_init__(self):
-        if self.reps is not None and self.reps < 1:
-            raise ValueError(f"reps must be >= 1, got {self.reps}")
+        if self.reps is not None:
+            require_int("reps", self.reps, 1)
 
     @property
     def repetitions(self) -> int:

@@ -26,7 +26,7 @@ from functools import cache, cached_property, reduce
 
 import numpy as np
 
-from .errors import ParamLengthMismatchError, QubitMismatchError
+from .errors import ParamLengthMismatchError, QubitMismatchError, require_int
 from .hamiltonian import PauliHamiltonian, to_matrix
 
 EXPECTATION_IMAG_TOL = 1e-10
@@ -283,8 +283,7 @@ def sampled_expectation(
         raise QubitMismatchError(
             f"amplitudes of shape {amplitudes.shape} are not rows of {h.n_qubits}-qubit states"
         )
-    if not 1 <= shots <= MAX_SHOTS:
-        raise ValueError(f"shots must be in [1, {MAX_SHOTS}], got {shots}")
+    require_int("shots", shots, 1, MAX_SHOTS)
     totals = np.full(amplitudes.shape[0], h.identity_offset)
     for setting in h.settings:
         rotated = amplitudes @ _measurement_rotation(h.n_qubits, setting.x, setting.z)

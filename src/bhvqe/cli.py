@@ -21,7 +21,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -32,9 +31,8 @@ import numpy as np
 from . import __version__
 from .ansatz import AnsatzKind
 from .circuits import MAX_SHOTS
-from .errors import BhvqeError, ConfigError
+from .errors import BhvqeError, ConfigError, UnsupportedLatticeError, finite_float, require_int
 from .hamiltonian import (
-    DISJOINT,
     MAX_EXACT_QUBITS,
     PAPER_CHAIN,
     HamiltonianLayout,
@@ -75,8 +73,8 @@ CSV_COLUMNS = (
     "energy,energy_exact,temperature,power,iterations,seed,converged"
 )
 
-_SPSA_KEYS = ("a", "c", "alpha", "gamma", "stability_a", "max_iter", "tol", "window")
-_SPSA_INT_KEYS = ("max_iter", "window")
+# spsa.seed is left out: per-run seeds derive from `seeds`
+_SPSA_KEYS = tuple(f.name for f in dataclasses.fields(SpsaConfig) if f.name != "seed")
 
 
 @dataclass(frozen=True)
@@ -100,52 +98,17 @@ class RunConfig:
     kappa_p: float = 1.0
 
 
-def _as_positive_floats(name: str, value) -> tuple[float, ...]:
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigError(f"{name} must be a non-empty list of numbers")
-    return tuple(_as_positive_float(f"{name} entry", entry) for entry in value)
-
-
-def _as_int(name: str, value, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
-def _as_float(name: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    number = float(value)
-    if not math.isfinite(number):
-        raise ConfigError(f"{name} must be finite, got {number}")
-    return number
-
-
-def _as_positive_float(name: str, value) -> float:
-    number = _as_float(name, value)
+def _positive_float(name: str, value) -> float:
+    number = finite_float(name, value)
     if not number > 0:
-        raise ConfigError(f"{name} must be > 0, got {number}")
+        raise ValueError(f"{name} must be > 0, got {number}")
     return number
 
 
-def _spsa_config(data) -> SpsaConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("spsa must be an object of optimizer settings")
-    unknown = set(data) - set(_SPSA_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown spsa keys: {sorted(unknown)} (allowed: {list(_SPSA_KEYS)})")
-    kwargs = {}
-    for key, value in data.items():
-        if key in _SPSA_INT_KEYS:
-            kwargs[key] = _as_int(f"spsa.{key}", value, 1)
-        else:
-            kwargs[key] = _as_float(f"spsa.{key}", value)
-    try:
-        return SpsaConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"invalid spsa settings: {exc}") from exc
+def _positive_floats(name: str, value) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ValueError(f"{name} must be a non-empty list of numbers")
+    return tuple(_positive_float(f"{name} entry", entry) for entry in value)
 
 
 def _load_config_file(path: str) -> dict:
@@ -177,68 +140,52 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if args.shots is not None:
         merged["shots"] = args.shots
 
-    layout = merged["layout"]
-    if layout not in (PAPER_CHAIN, DISJOINT):
-        raise ConfigError(f"layout must be {PAPER_CHAIN!r} or {DISJOINT!r}, got {layout!r}")
-    dims = _as_int("dims", merged["dims"], 1)
-    if dims > 3:
-        raise ConfigError(f"dims must be in 1..3, got {dims}")
-    lattice_n = _as_int("lattice_n", merged["lattice_n"], 2)
-    if lattice_n & (lattice_n - 1):
-        raise ConfigError(f"lattice_n must be a power of two, got {lattice_n}")
-    if layout == PAPER_CHAIN and lattice_n != 4:
-        raise ConfigError("paper-chain layout requires lattice_n = 4")
-
     mass_unit = merged["mass_unit"]
     if mass_unit not in (MASS_UNIT_PLANCK, MASS_UNIT_SOLAR):
         raise ConfigError(f"mass_unit must be planck or solar, got {mass_unit!r}")
     radius_mode = merged["radius_mode"]
     if radius_mode not in (RADIUS_ABSOLUTE, RADIUS_GM_MULTIPLE):
         raise ConfigError(f"radius_mode must be absolute or gm-multiple, got {radius_mode!r}")
-
-    try:
-        AnsatzKind.from_name(merged["ansatz"])
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"unknown ansatz {merged['ansatz']!r}") from exc
-    reps = merged["reps"]
-    if reps is not None:
-        reps = _as_int("reps", reps, 1)
-
-    seeds_raw = merged["seeds"]
-    if not isinstance(seeds_raw, (list, tuple)):
-        raise ConfigError("seeds must be a list of non-negative integers")
-    seeds = tuple(_as_int("seeds entry", s, 0) for s in seeds_raw)
-
-    shots = _as_int("shots", merged["shots"], 0)
-    if shots > MAX_SHOTS:
-        raise ConfigError(f"shots must be <= {MAX_SHOTS}, got {shots}")
-
-    spsa = merged["spsa"]
-    if not isinstance(spsa, SpsaConfig):
-        spsa = _spsa_config(spsa)
-
     if not isinstance(merged["inner_half"], bool):
         raise ConfigError(f"inner_half must be true or false, got {merged['inner_half']!r}")
+    spsa = merged["spsa"]
+    unknown = set(spsa) - set(_SPSA_KEYS) if isinstance(spsa, dict) else ()
+    if unknown:
+        raise ConfigError(f"unknown spsa keys: {sorted(unknown)} (allowed: {list(_SPSA_KEYS)})")
+    seeds = merged["seeds"]
+    if not isinstance(seeds, (list, tuple)):
+        raise ConfigError("seeds must be a list of non-negative integers")
 
-    config = RunConfig(
-        layout=layout,
-        dims=dims,
-        lattice_n=lattice_n,
-        mass_grid=_as_positive_floats("mass_grid", merged["mass_grid"]),
-        mass_unit=mass_unit,
-        radius_grid=_as_positive_floats("radius_grid", merged["radius_grid"]),
-        radius_mode=radius_mode,
-        ansatz=merged["ansatz"],
-        reps=reps,
-        spsa=spsa,
-        shots=shots,
-        seeds=seeds,
-        inner_half=merged["inner_half"],
-        kappa_t=_as_positive_float("kappa_t", merged["kappa_t"]),
-        kappa_p=_as_positive_float("kappa_p", merged["kappa_p"]),
-    )
+    # the library objects check their own fields; building them is the validation
+    try:
+        layout = HamiltonianLayout(merged["layout"], merged["dims"])
+        n_qubits = layout_qubits(layout, LatticeSpec(merged["lattice_n"]))
+        AnsatzKind.from_name(merged["ansatz"], merged["reps"])
+        if not isinstance(spsa, SpsaConfig):
+            spsa = SpsaConfig(**spsa)
+        for seed in seeds:
+            require_int("seeds entry", seed, 0)
+        require_int("shots", merged["shots"], 0, MAX_SHOTS)
+        config = RunConfig(
+            layout=layout.variant,
+            dims=layout.dims,
+            lattice_n=merged["lattice_n"],
+            mass_grid=_positive_floats("mass_grid", merged["mass_grid"]),
+            mass_unit=mass_unit,
+            radius_grid=_positive_floats("radius_grid", merged["radius_grid"]),
+            radius_mode=radius_mode,
+            ansatz=merged["ansatz"],
+            reps=merged["reps"],
+            spsa=spsa,
+            shots=merged["shots"],
+            seeds=tuple(seeds),
+            inner_half=merged["inner_half"],
+            kappa_t=_positive_float("kappa_t", merged["kappa_t"]),
+            kappa_p=_positive_float("kappa_p", merged["kappa_p"]),
+        )
+    except (TypeError, ValueError, UnsupportedLatticeError) as exc:
+        raise ConfigError(str(exc)) from exc
     # exact diagonalization backs every subcommand output
-    n_qubits = layout_qubits(_hamiltonian_layout(config), LatticeSpec(n_points=lattice_n))
     if n_qubits > MAX_EXACT_QUBITS:
         raise ConfigError(
             f"layout needs {n_qubits} qubits; exact diagonalization "

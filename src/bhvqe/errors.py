@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument checks every module shares."""
+
+import math
+import numbers
 
 
 class BhvqeError(Exception):
@@ -55,3 +58,22 @@ class OutOfRangeError(BhvqeError):
 
 class ConfigError(BhvqeError):
     """Run configuration failed validation (unknown key, bad value, bad combination)."""
+
+
+def require_int(name: str, value, minimum: int, maximum: int | None = None) -> None:
+    """TypeError unless value is an int (a bool is not), ValueError outside [minimum, maximum]."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < minimum or (maximum is not None and value > maximum):
+        bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+
+
+def finite_float(name: str, value) -> float:
+    """value as a float: TypeError unless it is real (a bool is not), ValueError unless finite."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {number}")
+    return number

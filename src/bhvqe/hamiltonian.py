@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lattice, linalg
-from .errors import DomainError, NotPowerOfTwoError, UnsupportedLatticeError
+from .errors import DomainError, NotPowerOfTwoError, UnsupportedLatticeError, require_int
 from .lattice import LatticeSpec
 
 PAPER_CHAIN = "paper-chain"
@@ -79,13 +79,12 @@ class HamiltonianLayout:
     """Which multi-dimensional assembly to build."""
 
     variant: str = PAPER_CHAIN
-    dims: int = 3  # disjoint layout only
+    dims: int = 3  # disjoint layout only, but checked for both
 
     def __post_init__(self):
         if self.variant not in (PAPER_CHAIN, DISJOINT):
-            raise ValueError(f"unknown layout variant {self.variant!r}")
-        if self.variant == DISJOINT and self.dims not in (1, 2, 3):
-            raise ValueError(f"disjoint layout needs dims in 1..3, got {self.dims}")
+            raise ValueError(f"layout must be {PAPER_CHAIN} or {DISJOINT}, got {self.variant!r}")
+        require_int("dims", self.dims, 1, 3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,8 +270,17 @@ def to_matrix(h: PauliHamiltonian) -> np.ndarray:
 
 
 def layout_qubits(layout: HamiltonianLayout, spec: LatticeSpec) -> int:
-    """Width of the assembled Hamiltonian: 4 for paper-chain, dims * log2(N) for disjoint."""
-    return 4 if layout.variant == PAPER_CHAIN else layout.dims * spec.n_qubits
+    """Width of the assembled Hamiltonian: 4 for paper-chain, dims * log2(N) for disjoint.
+
+    Raises UnsupportedLatticeError for a paper chain with N != 4.
+    """
+    if layout.variant == DISJOINT:
+        return layout.dims * spec.n_qubits
+    if spec.n_points != 4:
+        raise UnsupportedLatticeError(
+            f"paper-chain layout is defined for N=4 only, got N={spec.n_points}"
+        )
+    return 4
 
 
 @functools.cache
@@ -299,15 +307,10 @@ def assemble(
         PauliHamiltonian with merged coefficients, every block scaled by
         energy_scale(params).
     """
+    n_qubits = layout_qubits(layout, spec)
     block = _momentum_block(spec)
     block_qubits = spec.n_qubits
-    n_qubits = layout_qubits(layout, spec)
-
     if layout.variant == PAPER_CHAIN:
-        if spec.n_points != 4:
-            raise UnsupportedLatticeError(
-                f"paper-chain layout is defined for N=4 only, got N={spec.n_points}"
-            )
         starts = [0, 1, 2]
     else:
         starts = [d * block_qubits for d in range(layout.dims)]

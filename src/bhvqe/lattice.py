@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import require_int
+
 
 @dataclass(frozen=True)
 class LatticeSpec:
@@ -21,13 +23,13 @@ class LatticeSpec:
     n_points: int = 4
 
     def __post_init__(self):
-        n = self.n_points
-        if n < 2 or n & (n - 1) != 0:
-            raise ValueError(f"n_points must be a power of 2 and >= 2, got {n}")
+        require_int("n_points", self.n_points, 2)
+        if self.n_points & (self.n_points - 1):
+            raise ValueError(f"n_points must be a power of 2, got {self.n_points}")
 
     @property
     def n_qubits(self) -> int:
-        return self.n_points.bit_length() - 1
+        return int(self.n_points).bit_length() - 1
 
 
 def position_operator(spec: LatticeSpec) -> np.ndarray:

@@ -19,6 +19,7 @@ compared downstream.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -136,31 +137,34 @@ def mass_from_energy(fit: FitResult, energy: float) -> float:
     """Invert the mass-curve fit: M = ((E / a)^4 - 1) / c.
 
     Raises DomainError when the fit has no mass dependence (c == 0) and
-    OutOfRangeError when the energy sits at or below the M -> 0 floor a,
-    where the inverse is not defined.
+    OutOfRangeError when the energy is not finite or sits at or below the
+    M -> 0 floor a, where the inverse is not defined.
     """
     if fit.c == 0:
         raise DomainError("fit has zero mass coefficient; cannot invert")
+    if not math.isfinite(energy):
+        raise OutOfRangeError(f"energy must be finite, got {energy}")
     if energy <= fit.a:
         raise OutOfRangeError(f"energy {energy:.6g} at or below the zero-mass floor {fit.a:.6g}")
     return ((energy / fit.a) ** 4 - 1.0) / fit.c
 
 
+def _require_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise DomainError(f"{name} must be finite and > 0, got {value}")
+
+
 def temperature(mass: float, kappa_t: float = 1.0) -> float:
     """Hawking-style temperature kappa_t / M for mass in Planck units."""
-    if mass <= 0:
-        raise DomainError(f"mass must be positive, got {mass}")
-    if not kappa_t > 0:
-        raise DomainError(f"kappa_t must be > 0, got {kappa_t}")
+    _require_positive("mass", mass)
+    _require_positive("kappa_t", kappa_t)
     return kappa_t / mass
 
 
 def power(mass: float, kappa_p: float = 1.0) -> float:
     """Radiated power kappa_p / M^2 for mass in Planck units."""
-    if mass <= 0:
-        raise DomainError(f"mass must be positive, got {mass}")
-    if not kappa_p > 0:
-        raise DomainError(f"kappa_p must be > 0, got {kappa_p}")
+    _require_positive("mass", mass)
+    _require_positive("kappa_p", kappa_p)
     return kappa_p / mass**2
 
 

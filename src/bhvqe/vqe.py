@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
@@ -46,7 +45,7 @@ from . import hamiltonian as ham
 from .ansatz import AnsatzKind, build
 # `run` stays importable as vqe.run: bench/test_bench.py traces it through this module
 from .circuits import batch_expectation, run, run_batch, sampled_expectation
-from .errors import NonFiniteObjectiveError
+from .errors import NonFiniteObjectiveError, finite_float, require_int
 
 
 @dataclass(frozen=True)
@@ -71,20 +70,16 @@ class SpsaConfig:
 
     def __post_init__(self):
         for name, minimum in (("max_iter", 1), ("window", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            if value < minimum:
-                raise ValueError(f"{name} must be >= {minimum}")
+            require_int(name, getattr(self, name), minimum)
+        for name in ("a", "c", "alpha", "gamma", "stability_a", "tol"):
+            # a JSON 1 is stored as 1.0, so the config reads back the same either way
+            object.__setattr__(self, name, finite_float(name, getattr(self, name)))
         if not (self.a > 0 and self.c > 0):
-            raise ValueError("a and c must be positive")
+            raise ValueError(f"a and c must be > 0, got a={self.a}, c={self.c}")
         if not (0 < self.gamma < self.alpha <= 1):
-            raise ValueError("need 0 < gamma < alpha <= 1")
-        # written as `not x >= 0` so NaN fails too
-        if not self.stability_a >= 0:
-            raise ValueError("stability_a must be >= 0")
-        if not self.tol >= 0:
-            raise ValueError("tol must be >= 0")
+            raise ValueError(f"need 0 < gamma < alpha <= 1, got {self.gamma}, {self.alpha}")
+        if self.stability_a < 0 or self.tol < 0:
+            raise ValueError(f"need stability_a, tol >= 0, got {self.stability_a}, {self.tol}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -126,3 +126,10 @@ def test_kind_validation():
         AnsatzKind.from_name("ansatz9")
     with pytest.raises(ValueError):
         AnsatzKind.from_name("ansatz1", reps=0)
+
+
+@pytest.mark.parametrize("reps", [True, 2.0, 1.5, "2"])
+def test_kind_requires_integer_reps(reps):
+    # True would build one repetition, 2.0 fail only inside build
+    with pytest.raises(TypeError):
+        AnsatzKind.from_name("ansatz3", reps=reps)

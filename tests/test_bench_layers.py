@@ -15,6 +15,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "bench" / "tracer.py"
 BENCH_SOURCES = sorted((ROOT / "bench").glob("*.py"))
@@ -114,10 +116,12 @@ def test_every_public_name_resolves():
     assert set(bhvqe.__all__) <= namespace.keys()
 
 
-def test_shot_workload_runs_and_passes_its_gates():
-    # the shot path end to end: sampling, the exact re-evaluation and the gates
+@pytest.mark.parametrize("workload", ["chain-vqe", "chain-shots", "lattice64-exact"])
+def test_workload_runs_and_passes_its_gates(workload):
+    # each workload end to end: chain-vqe and lattice64-exact through cli.build_config
+    # and cli.main, chain-shots through sampling and the exact re-evaluation
     done = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "chain-shots", "--seed", "1", "--seconds", "1"],
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1", "--seconds", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr

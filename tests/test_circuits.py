@@ -661,6 +661,11 @@ def test_sampled_expectation_rejects_bad_shots():
     for shots in (0, -1, MAX_SHOTS + 1):
         with pytest.raises(ValueError):
             sampled_expectation(rows, CHAIN_H, shots, np.random.default_rng(0))
+    # 2.5 returned an energy, True ran one shot
+    for shots in (2.5, 2.0, True):
+        with pytest.raises(TypeError):
+            sampled_expectation(rows, CHAIN_H, shots, np.random.default_rng(0))
+    assert np.all(np.isfinite(sampled_expectation(rows, CHAIN_H, np.int64(3), np.random.default_rng(0))))
     assert np.all(np.isfinite(sampled_expectation(rows, CHAIN_H, MAX_SHOTS, np.random.default_rng(0))))
 
 

@@ -408,11 +408,31 @@ def test_config_validation_exit_codes(tmp_path, capsys):
         {"inner_half": "yes"},
         {"mass_unit": "kg"},
         {"radius_mode": "orbits"},
+        {"dims": 2.0},
+        {"dims": True},
+        {"lattice_n": 4.0},
+        {"reps": True},
+        {"reps": 1.5},
+        {"spsa": {"a": True}},
+        {"spsa": {"max_iter": 2.5}},
     ]
     for data in cases:
         cfg = write_config(tmp_path, data)
         code, _, _ = run_cli(capsys, "exact", "--config", cfg)
         assert code == 2, data
+
+
+@pytest.mark.parametrize("data, named", [
+    ({"lattice_n": 6}, "got 6"),
+    ({"layout": "disjoint", "dims": 2.0}, "got 2.0"),
+    ({"reps": True}, "got True"),
+    ({"spsa": {"a": math.inf}}, "got inf"),
+    ({"layout": "paper-chain", "lattice_n": 8}, "N=8"),
+])
+def test_config_error_names_the_bad_value(tmp_path, capsys, data, named):
+    code, out, err = run_cli(capsys, "exact", "--config", write_config(tmp_path, data))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and named in err
 
 
 def test_vqe_rejects_shots_numpy_cannot_draw(tmp_path, capsys):

@@ -184,6 +184,18 @@ def test_layout_qubits_is_the_assembled_width():
 def test_chain_requires_four_point_lattice():
     with pytest.raises(UnsupportedLatticeError):
         assemble(None, CHAIN, LatticeSpec(8))
+    with pytest.raises(UnsupportedLatticeError):
+        layout_qubits(CHAIN, LatticeSpec(2))
+
+
+@pytest.mark.parametrize("variant", [PAPER_CHAIN, DISJOINT])
+@pytest.mark.parametrize("dims, error", [
+    (2.0, TypeError), (True, TypeError), ("2", TypeError), (0, ValueError), (4, ValueError),
+])
+def test_layout_requires_integer_dims_in_range(variant, dims, error):
+    # a float dims made layout_qubits return 4.0
+    with pytest.raises(error):
+        HamiltonianLayout(variant=variant, dims=dims)
 
 
 def test_to_matrix_single_z():

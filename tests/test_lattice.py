@@ -24,6 +24,10 @@ def test_lattice_spec_validation():
     for bad in (0, 1, 3, 6, -4):
         with pytest.raises(ValueError):
             LatticeSpec(bad)
+    for bad in (4.0, True, "4", None):
+        with pytest.raises(TypeError):
+            LatticeSpec(bad)
+    assert LatticeSpec(np.int64(8)).n_qubits == 3
 
 
 def test_position_operator_n4():

@@ -137,6 +137,9 @@ def test_mass_inversion_domain_errors():
     flat = FitResult(a=0.2, c=0.0, rms_residual=0.0, n_points=5)
     with pytest.raises(DomainError):
         mass_from_energy(flat, 0.25)
+    for energy in (math.nan, math.inf, -math.inf):
+        with pytest.raises(OutOfRangeError):
+            mass_from_energy(fit, energy)
 
 
 def test_temperature_and_power_values():
@@ -164,11 +167,19 @@ def test_temperature_and_power_monotone_decreasing():
     assert all(hi > lo for hi, lo in zip(powers, powers[1:]))
 
 
-@pytest.mark.parametrize("kappa", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("kappa", [0.0, -1.0, math.nan, math.inf])
 @pytest.mark.parametrize("observable", [temperature, power])
 def test_observables_reject_non_positive_kappa(observable, kappa):
     with pytest.raises(DomainError):
         observable(2.0, kappa)
+
+
+@pytest.mark.parametrize("mass", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("observable", [temperature, power])
+def test_observables_reject_non_finite_mass(observable, mass):
+    # NaN passed `mass <= 0` and came back as a NaN temperature; inf gave 0.0
+    with pytest.raises(DomainError):
+        observable(mass)
 
 
 def test_sweep_exact_single_point():

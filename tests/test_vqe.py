@@ -82,6 +82,30 @@ def test_spsa_config_rejects_non_integer_counts_and_seeds(field, value, error):
         SpsaConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field, value, error", [
+    ("a", math.inf, ValueError),
+    ("c", math.inf, ValueError),
+    ("stability_a", math.inf, ValueError),
+    ("tol", math.inf, ValueError),
+    ("a", -math.inf, ValueError),
+    ("gamma", math.nan, ValueError),
+    ("a", True, TypeError),
+    ("alpha", "0.6", TypeError),
+    ("tol", None, TypeError),
+])
+def test_spsa_config_rejects_non_finite_or_non_real_floats(field, value, error):
+    # an infinite gain steps theta to inf and fails only inside the run
+    with pytest.raises(error):
+        SpsaConfig(**{field: value})
+
+
+def test_spsa_config_stores_its_float_fields_as_floats():
+    cfg = SpsaConfig(a=1, c=np.float64(0.5), alpha=1, stability_a=10, tol=0)
+    names = ("a", "c", "alpha", "gamma", "stability_a", "tol")
+    assert all(type(getattr(cfg, name)) is float for name in names)
+    assert cfg == SpsaConfig(a=1.0, c=0.5, alpha=1.0, stability_a=10.0, tol=0.0)
+
+
 def test_spsa_config_accepts_numpy_integers():
     cfg = SpsaConfig(max_iter=np.int64(7), window=np.int32(2), seed=np.uint64(2**63))
     assert (cfg.max_iter, cfg.window, cfg.seed) == (7, 2, 2**63)
