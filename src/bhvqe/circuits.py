@@ -9,8 +9,8 @@ before its first two-qubit gate act on |0>, so that qubit starts as one
 2-vector, and the state after all these prefixes is their product state.
 Every other U3, RY or CU3 gate is one step: two gathers, one multiply and
 one add. A CNOT is no step; its basis permutation is folded into the indices
-the next step reads, or into one final gather. All 2x2 matrices of a batch
-are built in one vectorized step. `run` is the batch of one.
+the next step reads, or into one final gather. All U3 entries are built from
+one real cos and sin table, in the layout the steps read. `run` is the batch of one.
 Exact expectation values contract a batch of states with the dense
 Hamiltonian matrix. Shot-noise estimates take the same batch: it is rotated
 once into each measurement setting of the Hamiltonian, a group of
@@ -94,7 +94,7 @@ class Circuit:
         slots: list[tuple[int, ...]] = []
         prefixes: dict[int, list[int]] = {}
         entangled: set[int] = set()
-        coef_index: list[np.ndarray] = []
+        steps: list[tuple[int | np.ndarray, np.ndarray]] = []  # (matrix, entry) per step
         sources: list[np.ndarray] = []
         index = perm = np.arange(2**n)  # perm: the pending CNOTs; amplitude perm[i] is read as i
         for g in self.gates:
@@ -108,7 +108,7 @@ class Circuit:
             if g.kind is GateKind.CU3 or g.qubits[0] in entangled:
                 entangled.update(g.qubits)
                 k = np.where(index & bits[0], matrix, identity) if g.kind is GateKind.CU3 else matrix
-                coef_index.append(4 * k + 2 * (index & bits[-1] > 0) + [[0], [1]])
+                steps.append((k, 2 * (index & bits[-1] > 0) + [[0], [1]]))
                 sources.append(perm[[index & ~bits[-1], index | bits[-1]]])
                 perm = index
             else:
@@ -118,15 +118,17 @@ class Circuit:
         prefix = [prefixes[q] + [identity] * (length - len(prefixes[q])) for q in touched]
         if any(identity in p for p in prefix) or any(g.kind is GateKind.CU3 for g in self.gates):
             slots.append((zero,) * 3)
+        m = len(slots)
+        prefix_matrices = np.array(prefix, dtype=int).reshape(len(touched), length).T
         product_indices = np.zeros(1, dtype=int)
         for q in touched:
             product_indices = (product_indices[:, None] + [0, 1 << (n - 1 - q)]).reshape(-1)
         return Program(
-            np.array(slots, dtype=int).reshape(-1, 3),
+            np.array(slots, dtype=int).reshape(m, 3)[:, [0, 2, 1, 1]].T,
             touched,
-            np.array(prefix, dtype=int).reshape(len(touched), length),
+            prefix_matrices[:, None, None] + m * np.arange(4).reshape(2, 2, 1),
             product_indices,
-            tuple(coef_index),
+            tuple(m * entry + k for k, entry in steps),
             tuple(sources),
             None if np.array_equal(perm, index) else perm,
         )
@@ -134,19 +136,22 @@ class Circuit:
 
 @dataclass(frozen=True, eq=False)
 class Program:
-    """A circuit as run_batch runs it: U3 matrices, a product-state prefix, then gather steps.
+    """A circuit as run_batch runs it: a U3 entry table, a product-state prefix, then gather steps.
 
-    angle_slots (M, 3) gives the U3 angles of each matrix; slot n_params
-    stands for angle 0, and the last matrix is the identity U3(0, 0, 0) if a
-    CU3 or a short prefix reads it. Each touched qubit starts as column 0 of
-    the product of its prefix matrices, prefix[t] in gate order, padded with
-    the identity; their kron sits at product_indices, where every untouched
-    qubit is 0, and all other amplitudes are 0. Each later gate on qubit q
-    is one step s: amplitude i becomes the sum over c = 0, 1 of U3 entry
-    coef_index[s][c, i] = 4 * matrix + 2 * (bit q of i) + c (a CU3 reads the
-    identity where its control bit is 0) times amplitude sources[s][c, i],
-    i with bit q set to c. A CNOT's permutation where(i & control bit, i ^
-    target bit, i) is composed into the next step's sources, or into final.
+    angle_slots (4, M) gives the slots of theta, lam, phi, phi of each U3
+    matrix m; slot n_params stands for angle 0, and the last matrix is the
+    identity U3(0, 0, 0) if a CU3 or a short prefix reads it. Row e * M + m
+    of the (4M, B) entry table holds entry e = 2 * row + column of matrix m.
+    Each touched qubit starts as column 0 of the product of its prefix
+    matrices in gate order, padded with the identity; prefix[j] (2, 2, T)
+    holds the table rows of each touched qubit's j-th prefix matrix. Their
+    kron sits at product_indices, where every untouched qubit is 0; all
+    other amplitudes are 0. Each later gate on qubit q is one step s:
+    amplitude i becomes the sum over c = 0, 1 of table row coef_index[s][c,
+    i] = (2 * (bit q of i) + c) * M + matrix (a CU3 reads the identity where
+    its control bit is 0) times amplitude sources[s][c, i], i with bit q set
+    to c. A CNOT's permutation where(i & control bit, i ^ target bit, i) is
+    composed into the next step's sources, or into final.
     """
 
     angle_slots: np.ndarray
@@ -170,18 +175,6 @@ class StateVector:
             raise ValueError("amplitude count must be 2^n_qubits")
 
 
-# Maps (theta, phi, lam) onto the phases (0, lam, phi, phi + lam) of U3's entries.
-_PHASE_MIX = np.array([[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 0, 1]], dtype=float)
-
-
-def _u3_matrices(angles: np.ndarray) -> np.ndarray:
-    """U3 matrices, shape S + (2, 2), for (theta, phi, lam) angles of shape S + (3,)."""
-    half = angles[..., :1] / 2
-    c, s = np.cos(half), np.sin(half)
-    entries = np.concatenate([c, -s, s, c], axis=-1) * np.exp(1j * (angles @ _PHASE_MIX))
-    return entries.reshape(angles.shape[:-1] + (2, 2))
-
-
 def run_batch(circuit: Circuit, params: np.ndarray) -> np.ndarray:
     """Apply the circuit's gates in order to |0...0> for each row of params, via circuit.program.
 
@@ -196,23 +189,30 @@ def run_batch(circuit: Circuit, params: np.ndarray) -> np.ndarray:
             f"circuit has {circuit.n_params} parameter slots, got params of shape {params.shape}"
         )
     batch, dim = params.shape[0], 2**circuit.n_qubits
-    angles = np.concatenate([params, np.zeros((batch, 1))], axis=1)[:, program.angle_slots]
-    matrices = _u3_matrices(angles)
-    prefix = matrices[:, program.prefix]  # (B, T, L, 2, 2)
-    columns = prefix[:, :, 0, :, 0]
-    for j in range(1, prefix.shape[2]):
-        columns = np.matmul(prefix[:, :, j], columns[..., None])[..., 0]
-    product = columns[:, 0] if program.touched else np.ones((batch, 1))
+    # U3 entry e is a real factor (c, -s, s, c) times exp(i * phase), phase (0, lam, phi, phi + lam)
+    table = np.concatenate([params.T, np.zeros((1, batch))]).take(program.angle_slots, axis=0)
+    table[0] /= 2  # theta / 2, whose cos and sin are c and s
+    table[3] += table[1]
+    cos, sin = np.cos(table), np.sin(table)
+    factors = np.concatenate([cos[:1], -sin[:1], sin[:1], cos[:1]])
+    cos[0], sin[0] = 1, 0
+    entries = np.empty(table.shape, dtype=complex)
+    np.multiply(factors, cos, out=entries.real)
+    np.multiply(factors, sin, out=entries.imag)
+    entries = entries.reshape(program.angle_slots.size, batch)
+    del table, cos, sin, factors  # the steps read only entries and rows
+    columns = entries.take(program.prefix[0, :, 0], axis=0)  # (2, T, B)
+    for use in program.prefix[1:]:
+        terms = entries.take(use, axis=0)
+        terms *= columns
+        columns = terms.sum(axis=1)
+    # the state is built and stepped as the (2^n, B) transpose: all B values of an amplitude at once
+    rows = columns[:, 0] if program.touched else np.ones((1, batch), dtype=complex)
     for t in range(1, len(program.touched)):
-        product = (product[:, :, None] * columns[:, t, None]).reshape(batch, 2 << t)
-    state = np.zeros((batch, dim), dtype=complex)
-    state[:, program.product_indices] = product
-    if not program.coef_index and program.final is None:
-        return state  # a product state: nothing to gather
-    # the steps gather rows of the (2^n, B) transpose: all B values of an amplitude at once
-    rows = state.T
-    entries = matrices.reshape(batch, 4 * len(program.angle_slots)).T.copy()
-    del angles, matrices, prefix, columns, product  # the steps read only entries and rows
+        rows = (rows[:, None] * columns[:, t]).reshape(2 << t, batch)
+    if len(program.touched) < circuit.n_qubits:  # else product_indices is every index in order
+        product, rows = rows, np.zeros((dim, batch), dtype=complex)
+        rows[program.product_indices] = product
     for use, source in zip(program.coef_index, program.sources):
         terms = entries.take(use, axis=0)
         terms *= rows.take(source, axis=0)

@@ -149,23 +149,28 @@ def mass_from_energy(fit: FitResult, energy: float) -> float:
     return ((energy / fit.a) ** 4 - 1.0) / fit.c
 
 
-def _require_positive(name: str, value: float) -> None:
+def _require_positive(name: str, value: float) -> float:
     if not (math.isfinite(value) and value > 0):
         raise DomainError(f"{name} must be finite and > 0, got {value}")
+    return value
 
 
 def temperature(mass: float, kappa_t: float = 1.0) -> float:
-    """Hawking-style temperature kappa_t / M for mass in Planck units."""
+    """Hawking-style temperature kappa_t / M in Planck units; DomainError unless finite, > 0."""
     _require_positive("mass", mass)
     _require_positive("kappa_t", kappa_t)
-    return kappa_t / mass
+    return _require_positive(f"temperature at mass {mass}", kappa_t / mass)
 
 
 def power(mass: float, kappa_p: float = 1.0) -> float:
-    """Radiated power kappa_p / M^2 for mass in Planck units."""
+    """Radiated power kappa_p / M^2 in Planck units; DomainError unless finite and > 0."""
     _require_positive("mass", mass)
     _require_positive("kappa_p", kappa_p)
-    return kappa_p / mass**2
+    try:
+        value = kappa_p / mass**2
+    except (OverflowError, ZeroDivisionError):  # M^2 overflows, or underflows to 0
+        value = 0.0 if mass > 1 else math.inf
+    return _require_positive(f"power at mass {mass}", value)
 
 
 @dataclass(frozen=True)
@@ -227,10 +232,10 @@ def _fitted_observables(
 ) -> dict[int, tuple[float, float]]:
     """Fit E vs M over one (seed, radius) family; map point index -> (T, P).
 
-    Points whose inversion fails or lands at a nonpositive mass are simply
-    omitted; the caller falls back to the direct values for them. A family
-    with an energy within COEFF_PRUNE_TOL * scale of 0, machine noise of a
-    zero ground energy whatever its sign, gets no fit.
+    Points whose inversion fails, or gives no mass with a finite nonzero T
+    and P, are simply omitted; the caller falls back to the direct values
+    for them. A family with an energy within COEFF_PRUNE_TOL * scale of 0,
+    machine noise of a zero ground energy whatever its sign, gets no fit.
     """
     masses = [p.params.mass for p, _ in group]
     if len(set(masses)) < MIN_FIT_POINTS:
@@ -245,11 +250,9 @@ def _fitted_observables(
     for point, energy in group:
         try:
             m_hat = mass_from_energy(fit, energy)
+            out[point.index] = (temperature(m_hat, kappa_t), power(m_hat, kappa_p))
         except (DomainError, OutOfRangeError):
             continue
-        if not np.isfinite(m_hat) or m_hat <= 0:
-            continue
-        out[point.index] = (kappa_t / m_hat, kappa_p / m_hat**2)
     return out
 
 
@@ -291,9 +294,8 @@ def records(
     """
     if seeds and ansatz is None:
         raise DomainError("variational sweeps need an ansatz")
-    if not (kappa_t > 0 and kappa_p > 0):
-        raise DomainError(f"kappa_t and kappa_p must be > 0, got {kappa_t} and {kappa_p}")
-
+    masses = [point.params.mass for point in plan.points]
+    direct = [(temperature(m, kappa_t), power(m, kappa_p)) for m in masses]  # fails before any run
     runs = iter(vqe_runs(plan, ansatz, cfg, shots, seeds))
     table: list[tuple[GridPoint, int | None, VqeResult | None]] = []
     for point in plan.points:
@@ -312,13 +314,11 @@ def records(
 
     out = []
     for point, seed, result in table:
-        mass = point.params.mass
-        t_direct = temperature(mass, kappa_t)
-        p_direct = power(mass, kappa_p)
+        t_direct, p_direct = direct[point.index]
         t_fit, p_fit = fitted.get((seed, point.index), (t_direct, p_direct))
         out.append(
             SweepRecord(
-                mass=mass,
+                mass=point.params.mass,
                 radius=point.params.radius,
                 rho=point.params.rho,
                 energy_exact=point.energy_exact,

@@ -17,7 +17,6 @@ from bhvqe.circuits import (
     MAX_SHOTS,
     N_PARAM_SLOTS,
     N_QUBITS_USED,
-    _u3_matrices,
     expectation,
     run,
     run_batch,
@@ -123,16 +122,41 @@ def single_qubit_layer(n_qubits):
     return Circuit(n_qubits, gates, 3 * n_qubits)
 
 
+# The U3 builder the kernel used before its real-trig entry table, kept as the oracle:
+# maps (theta, phi, lam) onto the phases (0, lam, phi, phi + lam) of U3's entries.
+_PHASE_MIX = np.array([[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 0, 1]], dtype=float)
+
+
+def _u3_matrices(angles: np.ndarray) -> np.ndarray:
+    """U3 matrices, shape S + (2, 2), for (theta, phi, lam) angles of shape S + (3,)."""
+    half = angles[..., :1] / 2
+    c, s = np.cos(half), np.sin(half)
+    entries = np.concatenate([c, -s, s, c], axis=-1) * np.exp(1j * (angles @ _PHASE_MIX))
+    return entries.reshape(angles.shape[:-1] + (2, 2))
+
+
 def u3_matrix(theta, phi, lam):
-    """The kernel's U3 matrix for one angle triple."""
+    """The oracle's U3 matrix for one angle triple."""
     return _u3_matrices(np.array([theta, phi, lam], dtype=float))
 
 
+ONE_U3 = Circuit(1, (Gate(GateKind.U3, (0,), (0, 1, 2)),), 3)
+
+
+def kernel_column(theta, phi, lam):
+    """Column 0 of U3(theta, phi, lam) as the kernel builds it: a one-gate run_batch."""
+    return run_batch(ONE_U3, np.array([[theta, phi, lam]]))[0]
+
+
 def test_u3_special_angles():
-    np.testing.assert_allclose(u3_matrix(0, 0, 0), np.eye(2), atol=1e-15)
-    np.testing.assert_allclose(u3_matrix(PI, 0, PI), np.array([[0, 1], [1, 0]]), atol=1e-15)
     hadamard = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-    np.testing.assert_allclose(u3_matrix(PI / 2, 0, PI), hadamard, atol=1e-15)
+    for angles, expected in (
+        ((0, 0, 0), np.eye(2)),
+        ((PI, 0, PI), np.array([[0, 1], [1, 0]])),
+        ((PI / 2, 0, PI), hadamard),
+    ):
+        np.testing.assert_allclose(u3_matrix(*angles), expected, atol=1e-15)
+        np.testing.assert_allclose(kernel_column(*angles), expected[:, 0], atol=1e-15)
 
 
 def test_u3_unitary_random_angles():
@@ -141,6 +165,7 @@ def test_u3_unitary_random_angles():
         theta, phi, lam = rng.uniform(-2 * PI, 2 * PI, 3)
         u = u3_matrix(theta, phi, lam)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-14)
+        assert abs(np.linalg.norm(kernel_column(theta, phi, lam)) - 1) < 1e-14
 
 
 def test_ry_is_real_u3_slice():
@@ -149,6 +174,37 @@ def test_ry_is_real_u3_slice():
     state = run_batch(Circuit(1, (Gate(GateKind.RY, (0,), (0,)),), 1), np.array([[theta]]))[0]
     np.testing.assert_allclose(state, u3_matrix(theta, 0.0, 0.0)[:, 0], atol=1e-15)
     np.testing.assert_allclose(u3_matrix(theta, 0.0, 0.0).imag, np.zeros((2, 2)), atol=1e-15)
+    assert np.all(state.imag == 0)
+
+
+# Qubit 0 is set by RY(pi), whose |1> amplitude sin(pi / 2) is exactly 1; a CNOT then also
+# sets qubit 1, so the CU3 on qubit 1 reads exactly column 0 (without it) or 1 (with it).
+_SET = Gate(GateKind.RY, (0,), (0,))
+_CU3 = Gate(GateKind.CU3, (0, 1), (1, 2, 3))
+CU3_COLUMN = {
+    0: Circuit(2, (_SET, _CU3), 4),
+    1: Circuit(2, (_SET, Gate(GateKind.CNOT, (0, 1)), _CU3), 4),
+}
+
+u3_angles = st.one_of(
+    st.sampled_from([0.0, -0.0, PI, -PI, PI / 2, -PI / 2, 1e3, -1e3]),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=u3_angles, phi=u3_angles, lam=u3_angles)
+def test_one_gate_circuits_match_u3_oracle_bit_for_bit(theta, phi, lam):
+    # The kernel builds each entry as (cos, sin) of its phase times a real factor, the oracle
+    # as that factor times numpy's complex exp of i * phase. They agree bit for bit where
+    # exp(i p) == cos p + i sin p exactly, the platform property the pinned VQE goldens need.
+    u = u3_matrix(theta, phi, lam)
+    assert np.array_equal(kernel_column(theta, phi, lam), u[:, 0])
+    ry = run_batch(Circuit(1, (Gate(GateKind.RY, (0,), (0,)),), 1), np.array([[theta]]))[0]
+    assert np.array_equal(ry, u3_matrix(theta, 0.0, 0.0)[:, 0])
+    for column, circuit in CU3_COLUMN.items():
+        state = run_batch(circuit, np.array([[PI, theta, phi, lam]]))[0]
+        assert np.array_equal(state[2:], u[:, column])
 
 
 def test_run_empty_circuit():
@@ -277,7 +333,7 @@ def test_prefix_gates_interleaved_with_other_qubits_then_cut_by_an_entangler():
     program = circuit.program
     assert program.touched == (0, 1, 2)
     # qubit 1 has three prefix gates, qubit 0 two and qubit 2 one: both are padded
-    assert program.prefix.shape == (3, 3)
+    assert program.prefix.shape == (3, 2, 2, 3)
     # CU3, then the later U3 on qubit 1, RY and U3: the CNOT folds into the RY's sources
     assert np.shape(program.coef_index) == np.shape(program.sources) == (4, 2, 16)
     assert program.final is None
@@ -376,7 +432,8 @@ def test_fixed_circuits_match_reference(name):
 @pytest.mark.parametrize("family", ["ansatz1", "ansatz2"])
 def test_run_batch_peak_memory_is_a_few_results(family):
     # the steps gather per step: no array of every step's coefficients at once,
-    # and the matrices and prefix are freed before the steps run (~8x measured)
+    # and the angle and trig tables are freed before the steps run (~7x measured;
+    # ~11x if they are kept)
     circuit = build(AnsatzKind.from_name(family, reps=1), 6)
     params = np.random.default_rng(3).uniform(-PI, PI, (2048, circuit.n_params))
     circuit.program  # compiled outside the measurement

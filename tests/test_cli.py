@@ -127,6 +127,21 @@ def test_overflowing_mass_or_radius_is_a_numeric_failure(tmp_path, capsys):
         assert not out_path.exists()
 
 
+@pytest.mark.parametrize("masses", [[1e200], [1e-200], [1e-310], [1.0, 1e-310]])
+@pytest.mark.parametrize("seeds", [[], [0]])
+def test_mass_whose_temperature_or_power_is_not_a_float_is_a_numeric_failure(
+    tmp_path, capsys, masses, seeds
+):
+    # M^2 overflowed (OverflowError) or underflowed to 0 (ZeroDivisionError) with exit 1,
+    # and T = 1/M came back as inf
+    cfg = write_config(tmp_path, {"mass_grid": masses, "seeds": seeds, "spsa": {"max_iter": 3}})
+    out_path = tmp_path / "sweep.csv"
+    code, out, err = run_cli(capsys, "sweep", "--config", cfg, "--out", str(out_path))
+    assert (code, out) == (3, "")
+    assert "DomainError" in err and "at mass" in err
+    assert not out_path.exists()
+
+
 def test_vqe_summary_line(tmp_path, capsys):
     cfg = write_config(tmp_path, RHO_ZERO_CONFIG)
     code, out, _ = run_cli(capsys, "vqe", "--config", cfg, "--seed", "0")

@@ -182,6 +182,19 @@ def test_observables_reject_non_finite_mass(observable, mass):
         observable(mass)
 
 
+@pytest.mark.parametrize("observable, mass, kappa", [
+    (temperature, 1e-310, 1.0),  # 1 / M overflows to inf
+    (temperature, 1e200, 1e-200),  # kappa / M underflows to 0
+    (power, 1e200, 1.0),  # M^2 overflows: OverflowError
+    (power, 1e-200, 1.0),  # M^2 underflows to 0: ZeroDivisionError
+    (power, 1e-160, 1e-10),  # M^2 is 1e-320, subnormal: the power overflows to inf
+    (power, 1e150, 1e-100),  # kappa / M^2 underflows to 0
+])
+def test_observables_reject_values_outside_the_float_range(observable, mass, kappa):
+    with pytest.raises(DomainError, match="at mass"):
+        observable(mass, kappa)
+
+
 def test_sweep_exact_single_point():
     records = sweep([1e-30], [1.0], METHOD_EXACT, SpsaConfig())
     assert len(records) == 1
