@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from itertools import combinations
 
 from .circuits import Circuit, Gate, GateKind
@@ -45,8 +46,12 @@ class AnsatzKind:
         return cls(AnsatzFamily(name), reps)
 
 
+@cache
 def build(kind: AnsatzKind, n_qubits: int) -> Circuit:
-    """Construct the ansatz circuit with one fresh slot per gate parameter."""
+    """Construct the ansatz circuit with one fresh slot per gate parameter.
+
+    Built once per (kind, n_qubits), so its program compiles once per process.
+    """
     need = _MIN_QUBITS[kind.family]
     if n_qubits < need:
         raise TooFewQubitsError(f"{kind.family.value} needs at least {need} qubits, got {n_qubits}")

@@ -12,7 +12,8 @@ Operators are stored in symplectic form (Aaronson & Gottesman, PRA 70, 052328,
 2004): per Pauli string a bit-flip mask x, a phase mask z (per qubit I=(0,0),
 Z=(0,1), X=(1,0), Y=(1,1), qubit 0 the most significant bit) and a real
 coefficient. Only this module maps masks to letters, and only one way: letters
-are a view for sorting and for `to_text`, never an input. The string with
+are a view for `to_text`, never an input. Rows sort in letter order by an
+integer key, each qubit's letter rank as one base-4 digit. The string with
 masks (x, z) is P(x, z) = i^popcount(x&z) X^x Z^z, so one Walsh-Hadamard
 transform converts matrices both ways (Hantzko, Binkowski & Gupta, arXiv:2310.13421):
 
@@ -45,8 +46,9 @@ COEFF_PRUNE_TOL = 1e-12
 # Largest Hamiltonian that exact diagonalization (and hence every run) accepts.
 MAX_EXACT_QUBITS = 6
 
-# Letter of a single-qubit (x, z) pair at index 2x + z.
+# Letter of a single-qubit (x, z) pair at index 2x + z, and that letter's rank in I < X < Y < Z.
 _SYMPLECTIC_LETTERS = "IZXY"
+_LETTER_RANKS = np.array([0, 3, 1, 2])
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
 
@@ -159,7 +161,8 @@ def _merged(n_qubits: int, x: np.ndarray, z: np.ndarray, coeffs: np.ndarray) -> 
     kept = np.abs(sums) > COEFF_PRUNE_TOL
     keys, sums = keys[kept], sums[kept]
     x, z = keys >> n_qubits, keys & ((1 << n_qubits) - 1)
-    order = np.argsort(_letters(x, z, n_qubits))
+    # rows are distinct, so sorting their base-4 letter ranks orders them as their letters do
+    order = np.argsort(_LETTER_RANKS[_codes(x, z, n_qubits)] @ 4 ** np.arange(n_qubits - 1, -1, -1))
     return PauliHamiltonian(n_qubits, x[order], z[order], sums[order])
 
 
@@ -179,8 +182,15 @@ def energy_scale(params: BlackHoleParams | None, inner_half: bool = False) -> fl
     return 0.5 * scale if inner_half else scale
 
 
+def _read_only(table: np.ndarray) -> np.ndarray:
+    """The table, marked read-only: a table cached per dimension is shared by every caller."""
+    table.flags.writeable = False
+    return table
+
+
+@functools.cache
 def popcount_table(dim: int) -> np.ndarray:
-    """popcount(a & b) for every a, b < dim, as a (dim, dim) array.
+    """popcount(a & b) for every a, b < dim, as a read-only (dim, dim) array built once per dim.
 
     Its values mod 4 give the Pauli phases i^popcount(x&z); mod 2, the
     parities (-1)^popcount(mask&k) of measurement outcomes.
@@ -190,16 +200,17 @@ def popcount_table(dim: int) -> np.ndarray:
     counts = np.zeros_like(overlap)
     for bit in range(dim.bit_length()):
         counts += (overlap >> bit) & 1
-    return counts
+    return _read_only(counts)
 
 
+@functools.cache
 def parity_eigenvalues(dim: int) -> np.ndarray:
     """(dim, dim) table whose row `mask` holds (-1)^popcount(mask & k) for every outcome k.
 
     That row is the +/-1 eigenvalue of each outcome, measured in the
-    eigenbasis of a Pauli string with support `mask`.
+    eigenbasis of a Pauli string with support `mask`. Built once per dim, read-only.
     """
-    return 1.0 - 2.0 * (popcount_table(dim) & 1)
+    return _read_only(1.0 - 2.0 * (popcount_table(dim) & 1))
 
 
 def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
@@ -216,22 +227,28 @@ def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
     return v
 
 
+@functools.cache
 def _phases(dim: int) -> np.ndarray:
-    """i^popcount(x&z) for every (x, z) mask pair, as a (dim, dim) array."""
-    return _I_POWERS[popcount_table(dim) & 3]
+    """i^popcount(x&z) for every (x, z) mask pair, as a read-only (dim, dim) array."""
+    return _read_only(_I_POWERS[popcount_table(dim) & 3])
 
 
+@functools.cache
 def _flip_index(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """(x ^ k, k) index arrays of shape (dim, dim): entry [x, k] addresses M[k ^ x, k]."""
+    """Read-only (x ^ k, k) index arrays of shape (dim, dim): entry [x, k] addresses M[k ^ x, k]."""
     k = np.arange(dim)
-    return k[:, None] ^ k, np.broadcast_to(k, (dim, dim))
+    return _read_only(k[:, None] ^ k), np.broadcast_to(k, (dim, dim))  # a broadcast is read-only
+
+
+def _codes(x: np.ndarray, z: np.ndarray, n_qubits: int) -> np.ndarray:
+    """(rows, n_qubits) array of each qubit's code 2x + z (I, Z, X, Y = 0-3), qubit 0 first."""
+    shifts = np.arange(n_qubits - 1, -1, -1)
+    return 2 * ((x[:, None] >> shifts) & 1) + ((z[:, None] >> shifts) & 1)
 
 
 def _letters(x: np.ndarray, z: np.ndarray, n_qubits: int) -> list[str]:
     """Pauli strings of parallel (x, z) mask arrays."""
-    shifts = np.arange(n_qubits - 1, -1, -1)
-    codes = 2 * ((x[:, None] >> shifts) & 1) + ((z[:, None] >> shifts) & 1)
-    return ["".join(_SYMPLECTIC_LETTERS[c] for c in row) for row in codes.tolist()]
+    return ["".join(_SYMPLECTIC_LETTERS[c] for c in row) for row in _codes(x, z, n_qubits).tolist()]
 
 
 def pauli_decompose(m: np.ndarray) -> PauliHamiltonian:

@@ -31,8 +31,8 @@ def hermiticity_defect(m: np.ndarray) -> float:
 
 
 def require_hermitian(m: np.ndarray) -> np.ndarray:
-    m = as_matrix(m)
-    defect = hermiticity_defect(m)
+    m = np.asarray(m, dtype=complex)
+    defect = hermiticity_defect(m)  # validates m through as_matrix
     if defect > HERMITICITY_TOL:
         raise NotHermitianError(f"matrix is not Hermitian: max |m - m^dag| = {defect:.3e}")
     return m

@@ -112,6 +112,13 @@ def test_ansatz3_reaches_chain_ground_state():
     assert abs(energy - PI / 8) < 1e-9
 
 
+def test_build_is_shared_per_kind_and_width():
+    kind = AnsatzKind.from_name("ansatz1")
+    assert build(kind, 4) is build(AnsatzKind.from_name("ansatz1"), 4)
+    assert build(kind, 3) is not build(kind, 4)
+    assert build(AnsatzKind.from_name("ansatz1", reps=2), 4).n_params == 2 * build(kind, 4).n_params
+
+
 def test_width_checks():
     with pytest.raises(TooFewQubitsError):
         build(AnsatzKind.from_name("ansatz1"), 1)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bhvqe import hamiltonian, observables
-from bhvqe.cli import CSV_COLUMNS, SOLAR_MASS_PLANCK, main
+from bhvqe.cli import CSV_COLUMNS, SOLAR_MASS_PLANCK, build_parser, main
 
 PI = math.pi
 
@@ -294,6 +294,21 @@ def test_sweep_builds_each_point_once(tmp_path, capsys, monkeypatch):
     assert calls["assemble"] == calls["exact_ground_energy"] == 1
     assert calls["to_matrix"] == 2
     assert calls["pauli_decompose"] <= 1
+
+
+def test_one_parser_serves_every_main_call(tmp_path, capsys):
+    config = write_config(tmp_path, {"mass_grid": [1.0, 2.0], "radius_grid": [10.0], "seeds": [0],
+                                     "spsa": {"max_iter": 10}})
+    first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+    assert run_cli(capsys, "sweep", "--config", config, "--out", str(first))[0] == 0
+    with pytest.raises(SystemExit) as rejected:
+        main(["sweep", "--no-such-flag"])
+    assert rejected.value.code == 2
+    bad = write_config(tmp_path, {"lattice_n": 6}, name="bad.json")
+    assert run_cli(capsys, "sweep", "--config", bad, "--out", str(again))[0] == 2
+    assert run_cli(capsys, "sweep", "--config", config, "--out", str(again))[0] == 0
+    assert again.read_bytes() == first.read_bytes()
+    assert build_parser() is build_parser()
 
 
 def test_threads_variable_is_not_read(tmp_path, capsys, monkeypatch):

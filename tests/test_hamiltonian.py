@@ -13,13 +13,18 @@ from bhvqe.hamiltonian import (
     PAPER_CHAIN,
     BlackHoleParams,
     HamiltonianLayout,
+    _flip_index,
+    _letters,
     _merged,
+    _phases,
     assemble,
     energy_scale,
     exact_ground_energy,
     layout_qubits,
     metric_prefactor,
+    parity_eigenvalues,
     pauli_decompose,
+    popcount_table,
     to_matrix,
     to_text,
 )
@@ -460,6 +465,45 @@ def test_merged_rows_sort_into_letter_order():
     assert h.x.tolist() == [0b01, 0b10, 0b00]
     assert h.z.tolist() == [0b00, 0b10, 0b10]
     assert h.coeffs.tolist() == [-1.0, 2.0, 0.5]
+
+
+@settings(max_examples=80, deadline=None)
+@given(n_qubits=st.integers(1, 6), data=st.data())
+def test_merged_integer_key_orders_rows_as_their_letters(n_qubits, data):
+    dim = 2**n_qubits
+    keys = data.draw(st.sets(st.integers(0, dim * dim - 1), max_size=40))
+    # all-I and all-Y rows: the smallest and the largest letter-rank key
+    keys = sorted(keys | {0, dim * dim - 1})
+    x, z = np.array(keys) // dim, np.array(keys) % dim
+    letters = _letters(x, z, n_qubits)
+    h = _merged(n_qubits, x, z, np.ones(len(keys)))
+    assert _letters(h.x, h.z, n_qubits) == sorted(letters)
+    assert sorted(zip(h.x.tolist(), h.z.tolist())) == sorted(zip(x.tolist(), z.tolist()))
+
+
+@pytest.mark.parametrize("shape", ASSEMBLY_SHAPES, ids=lambda shape: repr(shape))
+def test_assembled_rows_follow_sorted_to_text_letters(shape):
+    h = assemble(None, *shape)
+    letters = [line.split()[1] for line in to_text(h).splitlines()]
+    assert letters == sorted(letters) and len(set(letters)) == len(letters)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8, 16, 32, 64])
+def test_dimension_tables_are_built_once_and_read_only(dim):
+    tables = [popcount_table, parity_eigenvalues, _phases, lambda d: _flip_index(d)[0],
+              lambda d: _flip_index(d)[1]]
+    for table in tables:
+        first = table(dim)
+        assert table(dim) is first
+        assert first.shape == (dim, dim)
+        with pytest.raises(ValueError):
+            first[0, 0] = 1
+    # each to_matrix result is the caller's own array
+    h = pauli_decompose(random_hermitian(np.random.default_rng(dim), dim.bit_length() - 1))
+    expected = to_matrix(h)
+    changed = to_matrix(h)
+    changed[:] = 7.0
+    np.testing.assert_array_equal(to_matrix(h), expected)
 
 
 @settings(max_examples=60, deadline=None)

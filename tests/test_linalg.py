@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bhvqe import linalg
 from bhvqe.errors import DimensionMismatchError, DomainError, NotHermitianError
 from bhvqe.linalg import hermitian_eigensystem, hermiticity_defect
 from pauli_helpers import pauli_matrix
@@ -103,3 +104,21 @@ def test_eigensystem_rejects_non_hermitian():
     # defects below the 1e-10 gate pass through
     nearly = Z + np.array([[0, 1e-12], [0, 0]])
     hermitian_eigensystem(nearly)
+
+
+def test_require_hermitian_validates_its_input_once(monkeypatch):
+    calls = []
+    as_matrix = linalg.as_matrix
+
+    def counted(m):
+        calls.append(m)
+        return as_matrix(m)
+
+    monkeypatch.setattr(linalg, "as_matrix", counted)
+    m = linalg.require_hermitian([[1, 2], [2, 1]])
+    assert len(calls) == 1 and m.dtype == complex
+    bad_inputs = [([[1, np.nan], [np.nan, 1]], DomainError), (np.ones(3), DimensionMismatchError),
+                  ([[0, 1], [0, 0]], NotHermitianError)]
+    for bad, error in bad_inputs:
+        with pytest.raises(error):
+            linalg.require_hermitian(bad)
