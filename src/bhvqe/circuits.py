@@ -272,11 +272,11 @@ def sampled_expectation(
 
     Each of h.settings is one measurement: rotate the batch into its basis,
     draw `shots` outcomes per row from the Born distribution with one
-    multinomial call on rng, and average the setting's outcome energies over
-    them. So `shots` counts the shots of each setting, as in a hardware job.
-    Identity rows contribute exactly. The estimator's mean is the exact
-    expectation; with a single setting every outcome energy is an eigenvalue
-    of H, so no estimate falls below the ground energy.
+    multinomial call per row on rng, and average the setting's outcome
+    energies over them. So `shots` counts the shots of each setting, as in
+    a hardware job. Identity rows contribute exactly. The estimator's mean
+    is the exact expectation; with a single setting every outcome energy is
+    an eigenvalue of H, so no estimate falls below the ground energy.
     """
     dim = 2**h.n_qubits
     if amplitudes.ndim != 2 or amplitudes.shape[1] != dim:
@@ -289,5 +289,7 @@ def sampled_expectation(
         rotated = amplitudes @ _measurement_rotation(h.n_qubits, setting.x, setting.z)
         probs = np.abs(rotated) ** 2
         probs /= probs.sum(axis=1, keepdims=True)
-        totals += rng.multinomial(shots, probs) @ setting.weights / shots
+        # one 1-D draw per row: the 2-D call's stream, without its fixed cost
+        counts = np.array([rng.multinomial(shots, row) for row in probs]).reshape(probs.shape)
+        totals += counts @ setting.weights / shots
     return totals

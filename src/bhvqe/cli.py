@@ -36,6 +36,7 @@ from .errors import BhvqeError, ConfigError, UnsupportedLatticeError, finite_flo
 from .hamiltonian import (
     MAX_EXACT_QUBITS,
     PAPER_CHAIN,
+    BlackHoleParams,
     HamiltonianLayout,
     energy_scale,
     layout_qubits,
@@ -54,6 +55,7 @@ from .observables import (
     fit_energy_vs_radius,
     plan,
     records,
+    require_nonzero_energies,
     vqe_runs,
 )
 from .vqe import SpsaConfig
@@ -331,21 +333,23 @@ def cmd_fit(in_path: str, curve: str) -> int:
     """Fit the quartic energy curve to a sweep CSV and print coefficients."""
     with open(in_path, encoding="utf-8", newline="") as handle:
         rows = list(csv.DictReader(handle))
-    # a curve is one family: exact rows that share the other grid coordinate
-    regressor, family = ("mass", "radius") if curve == "mass" else ("radius", "mass")
-    points = []
-    families = set()
     try:
-        for row in rows:
-            if row["method"] == METHOD_EXACT:
-                points.append((float(row[regressor]), float(row["energy"])))
-                families.add(float(row[family]))
+        exact = [{key: float(row[key]) for key in ("mass", "radius", "energy")}
+                 for row in rows if row["method"] == METHOD_EXACT]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"input CSV is not a sweep table: {exc}") from exc
+    # a curve is one family: exact rows that share the other grid coordinate
+    regressor, family = ("mass", "radius") if curve == "mass" else ("radius", "mass")
+    families = {row[family] for row in exact}
     if len(families) > 1:
         raise ConfigError(
             f"exact rows mix {len(families)} {family} values; fit one {family} at a time"
         )
+    # the CSV does not record inner_half, so the unhalved scale bounds the noise
+    require_nonzero_energies(
+        (row["energy"], energy_scale(BlackHoleParams(row["mass"], row["radius"]))) for row in exact
+    )
+    points = [(row[regressor], row["energy"]) for row in exact]
     fit = fit_energy_vs_mass(points) if curve == "mass" else fit_energy_vs_radius(points)
     print(f"a={fit.a:.9g} b=1 c={fit.c:.9g} rms={fit.rms_residual:.9g}")
     return EXIT_OK

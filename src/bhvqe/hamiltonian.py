@@ -346,8 +346,8 @@ def exact_ground_energy(h: PauliHamiltonian) -> float:
         raise DomainError(
             f"exact diagonalization limited to {MAX_EXACT_QUBITS} qubits, got {h.n_qubits}"
         )
-    eigenvalues, _ = linalg.hermitian_eigensystem(to_matrix(h))
-    return float(eigenvalues[0])
+    # eigenvalues only (LAPACK jobz='N'): no eigenvector is computed to be dropped
+    return float(np.linalg.eigvalsh(linalg.require_hermitian(to_matrix(h)))[0])
 
 
 def to_text(h: PauliHamiltonian) -> str:

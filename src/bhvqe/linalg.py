@@ -42,7 +42,9 @@ def hermitian_eigensystem(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix.
 
     Raises NotHermitianError if the input deviates from Hermiticity by more
-    than 1e-10 in max norm.
+    than 1e-10 in max norm. Nothing in the package calls it: exact ground
+    energies need eigenvalues alone (np.linalg.eigvalsh). It stays until the
+    benchmark's layer list stops tracing it (ROADMAP item 1).
     """
     # eigh already returns eigenvalues in ascending order with orthonormal columns
     return np.linalg.eigh(require_hermitian(m))

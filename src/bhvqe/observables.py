@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -133,6 +133,20 @@ def fit_energy_vs_radius(points: list[tuple[float, float]]) -> FitResult:
     return _fit_quartic(1.0 / radii, energies)
 
 
+def require_nonzero_energies(pairs: Iterable[tuple[float, float]]) -> None:
+    """DegenerateDataError if an (energy, scale) pair has |energy| <= COEFF_PRUNE_TOL * scale.
+
+    Such an energy is machine noise of a zero ground energy (the disjoint
+    layout's), of either sign, and a curve fit to it fits rounding error.
+    """
+    for energy, scale in pairs:
+        if abs(energy) <= COEFF_PRUNE_TOL * scale:
+            raise DegenerateDataError(
+                f"ground energy {energy:.3g} is zero to within {COEFF_PRUNE_TOL:g} x scale "
+                f"{scale:.6g}; a fit would fit rounding noise"
+            )
+
+
 def mass_from_energy(fit: FitResult, energy: float) -> float:
     """Invert the mass-curve fit: M = ((E / a)^4 - 1) / c.
 
@@ -234,15 +248,13 @@ def _fitted_observables(
 
     Points whose inversion fails, or gives no mass with a finite nonzero T
     and P, are simply omitted; the caller falls back to the direct values
-    for them. A family with an energy within COEFF_PRUNE_TOL * scale of 0,
-    machine noise of a zero ground energy whatever its sign, gets no fit.
+    for them. A family that require_nonzero_energies refuses gets no fit.
     """
     masses = [p.params.mass for p, _ in group]
     if len(set(masses)) < MIN_FIT_POINTS:
         return {}
-    if any(abs(e) <= COEFF_PRUNE_TOL * p.scale for p, e in group):
-        return {}
     try:
+        require_nonzero_energies((e, p.scale) for p, e in group)
         fit = fit_energy_vs_mass([(p.params.mass, e) for p, e in group])
     except (DegenerateDataError, NegativeInterceptError):
         return {}

@@ -670,6 +670,51 @@ def test_sampled_expectation_matches_letter_oracle_bit_for_bit(n_qubits, seed, s
     assert ours.bit_generator.state == oracle.bit_generator.state
 
 
+class _RecordingGenerator:
+    """A generator that keeps each multinomial draw's probabilities and counts."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.draws = []
+
+    def multinomial(self, n, pvals):
+        counts = self.rng.multinomial(n, pvals)
+        self.draws.append((np.array(pvals), counts))
+        return counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_qubits=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    shots=st.integers(1, 2000),
+    batch=st.integers(0, 20),
+    letters=st.sampled_from(["IXYZ", "IZ"]),
+)
+def test_row_draws_equal_one_two_dimensional_multinomial(n_qubits, seed, shots, batch, letters):
+    rng = np.random.default_rng(seed)
+    strings = {"".join(rng.choice(list(letters), n_qubits)) for _ in range(6)}
+    h = from_letters(n_qubits, [(rng.normal(), s) for s in sorted(strings)])
+    psi = _random_states(rng, batch, n_qubits)
+    # a Z-only setting measures unrotated rows, so zero amplitudes are zero probabilities
+    psi[rng.random(psi.shape) < 0.3] = 0.0
+    psi[:, 0] += 1.0
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    recorder, two_d = _RecordingGenerator(seed + 1), np.random.default_rng(seed + 1)
+    estimates = sampled_expectation(psi, h, shots, recorder)
+    assert estimates.shape == (batch,)
+    assert len(recorder.draws) == batch * len(h.settings)
+    expected = np.full(batch, h.identity_offset)
+    for k, setting in enumerate(h.settings):
+        rows = recorder.draws[k * batch:(k + 1) * batch]
+        probs = np.array([p for p, _ in rows]).reshape(batch, 2**n_qubits)
+        counts = two_d.multinomial(shots, probs)
+        np.testing.assert_array_equal(np.array([c for _, c in rows]).reshape(counts.shape), counts)
+        expected += counts @ setting.weights / shots
+    np.testing.assert_array_equal(estimates, expected)
+    assert recorder.rng.bit_generator.state == two_d.bit_generator.state
+
+
 @settings(max_examples=40, deadline=None)
 @given(n_qubits=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
 def test_settings_closed_form_mean_is_the_exact_expectation(n_qubits, seed):

@@ -407,6 +407,27 @@ def test_fit_uses_exact_rows_of_one_family(tmp_path, capsys):
     assert abs(float(fields["c"]) - 0.05) / 0.05 < 1e-6
 
 
+@pytest.mark.parametrize("curve, dims, lattice_n, masses, radii", [
+    ("mass", 2, 8, [1.0, 2.0, 3.0, 5.0], [10.0]),
+    ("mass", 1, 16, [1.0, 2.0, 3.0, 5.0], [10.0]),
+    ("radius", 1, 16, [1.0], [5.0, 10.0, 20.0, 40.0]),
+    ("radius", 2, 8, [2.0], [4.0, 6.0, 8.0, 12.0]),
+])
+def test_fit_refuses_a_zero_ground_energy_family(tmp_path, capsys, curve, dims, lattice_n,
+                                                  masses, radii):
+    # the disjoint ground energy is rounding noise of either sign: no curve to fit
+    config = {"layout": "disjoint", "dims": dims, "lattice_n": lattice_n, "mass_grid": masses,
+              "radius_grid": radii, "seeds": []}
+    out_path = tmp_path / "sweep.csv"
+    assert run_cli(capsys, "sweep", "--config", write_config(tmp_path, config),
+                   "--out", str(out_path))[0] == 0
+    code, out, err = run_cli(capsys, "fit", "--in", str(out_path), "--curve", curve)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: DegenerateDataError: ground energy ")
+    assert "zero" in err
+
+
 def test_fit_missing_input(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "fit", "--in", str(tmp_path / "nope.csv"), "--curve", "mass")
     assert code == 4

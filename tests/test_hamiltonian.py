@@ -84,6 +84,15 @@ def random_hermitian(rng, n_qubits):
     return (a + a.conj().T) / 2
 
 
+def random_pauli_sum(rng, n_qubits):
+    """1 to 39 distinct strings with normal real coefficients."""
+    picks = rng.choice(4**n_qubits, size=min(4**n_qubits, int(rng.integers(1, 40))), replace=False)
+    strings = sorted(
+        "".join(LETTERS[(p >> (2 * q)) & 3] for q in range(n_qubits)) for p in picks
+    )
+    return from_letters(n_qubits, [(float(rng.normal()), s) for s in strings])
+
+
 def plus_minus_state(pattern):
     """Product state over (1,1)/sqrt(2) for '+' and (1,-1)/sqrt(2) for '-'."""
     state = np.array([1.0])
@@ -246,12 +255,7 @@ def test_pauli_decompose_matches_reference(n_qubits, seed):
 @settings(max_examples=40, deadline=None)
 @given(n_qubits=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
 def test_to_matrix_matches_pauli_matrix_sum(n_qubits, seed):
-    rng = np.random.default_rng(seed)
-    picks = rng.choice(4**n_qubits, size=min(4**n_qubits, int(rng.integers(1, 40))), replace=False)
-    strings = sorted(
-        "".join(LETTERS[(p >> (2 * q)) & 3] for q in range(n_qubits)) for p in picks
-    )
-    h = from_letters(n_qubits, [(float(rng.normal()), s) for s in strings])
+    h = random_pauli_sum(np.random.default_rng(seed), n_qubits)
     expected = sum(c * pauli_matrix(s) for c, s in letter_terms(h))
     np.testing.assert_allclose(to_matrix(h), expected, rtol=0, atol=1e-12)
 
@@ -520,3 +524,29 @@ def test_to_text_parses_back_through_letter_oracle(shape, params, n_qubits, seed
         rows = [line.split() for line in to_text(h).splitlines()]
         assert [masks(string) for _, string in rows] == list(zip(h.x.tolist(), h.z.tolist()))
         assert [float(c) for c, _ in rows] == [float(f"{c:.12g}") for c in h.coeffs.tolist()]
+
+
+# eigvalsh and eigh take different LAPACK routes, so their lowest eigenvalues
+# agree to rounding: within this bound for operators of norm up to ~1
+EIGENVALUE_ROUTE_TOL = 1e-13
+
+
+@pytest.mark.parametrize("shape", ASSEMBLY_SHAPES, ids=lambda shape: repr(shape))
+def test_ground_energy_matches_lowest_eigh_eigenvalue(shape):
+    h = assemble(None, *shape)
+    lowest = np.linalg.eigh(to_matrix(h))[0][0]
+    assert abs(exact_ground_energy(h) - lowest) <= EIGENVALUE_ROUTE_TOL
+
+
+def test_chain_ground_energy_is_pi_over_8_to_the_last_bits():
+    assert abs(exact_ground_energy(assemble(None, CHAIN, N4)) - PI / 8) <= 1e-15
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_qubits=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_ground_energy_of_random_pauli_sums_matches_eigh(n_qubits, seed):
+    h = random_pauli_sum(np.random.default_rng(seed), n_qubits)
+    lowest = np.linalg.eigh(to_matrix(h))[0][0]
+    # the rounding of both routes grows with the operator norm, at most sum |c|
+    bound = EIGENVALUE_ROUTE_TOL * max(1.0, float(np.abs(h.coeffs).sum()))
+    assert abs(exact_ground_energy(h) - lowest) <= bound

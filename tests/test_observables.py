@@ -35,6 +35,7 @@ from bhvqe.observables import (
     plan,
     power,
     records,
+    require_nonzero_energies,
     run_seed,
     sweep,
     temperature,
@@ -251,6 +252,26 @@ def test_zero_ground_energy_falls_back_to_direct_observables():
         assert rec.power == rec.power_direct
 
 
+def test_require_nonzero_energies_refuses_noise_of_either_sign():
+    for energy in (0.0, 3e-13, -3e-13, 5e-16, -5e-16):
+        with pytest.raises(DegenerateDataError, match="zero"):
+            require_nonzero_energies([(PI / 8, 1.0), (energy, 0.5)])
+    require_nonzero_energies([(PI / 8, 1.0), (-0.2, 1.0), (2e-12, 1.0)])
+    require_nonzero_energies([])
+
+
+def test_plan_computes_no_eigenvectors(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh computes eigenvectors that the plan throws away")
+
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solved.append(m.shape) or eigvalsh(m))
+    plan([1.0, 2.0, 3.0], [10.0, 20.0], HamiltonianLayout(variant=DISJOINT, dims=1), LatticeSpec(64))
+    assert solved == [(64, 64)]  # one eigenvalue-only solve per plan
+
+
 def test_sweep_vqe_tracks_exact():
     records = sweep([1e-30], [1.0], METHOD_VQE, SpsaConfig(), ansatz=A3, seeds=list(range(10)))
     assert len(records) == 10
@@ -345,6 +366,17 @@ def test_plan_matches_per_point_assembly(masses, radii, shape, radius_mode, inne
         h = assemble(point.params, layout, lattice)
         half = point.scale / energy_scale(point.params)  # 0.5 under inner_half, else 1
         assert abs(point.energy_exact - half * exact_ground_energy(h)) <= 1e-12 * point.scale
+
+
+@pytest.mark.parametrize(
+    "shape", [s for s in PLAN_SHAPES if s[0].variant == DISJOINT], ids=lambda shape: repr(shape)
+)
+@pytest.mark.parametrize("inner_half", [False, True])
+def test_disjoint_plans_are_refused_a_fit_whatever_the_noise_sign(shape, inner_half):
+    planned = plan([1.0, 2.0, 3.5], [0.5, 5.0], *shape, inner_half=inner_half)
+    for point in planned.points:
+        with pytest.raises(DegenerateDataError, match="ground energy"):
+            require_nonzero_energies([(point.energy_exact, point.scale)])
 
 
 def test_run_seed_depends_on_seed_and_point_only():
