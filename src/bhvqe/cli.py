@@ -300,7 +300,8 @@ def _records_to_csv(cfg: RunConfig, records: list[SweepRecord]) -> str:
 
 
 def _config_snapshot(cfg: RunConfig) -> dict:
-    snapshot = dataclasses.asdict(cfg)
+    # every field is an immutable value except spsa, copied to a dict of its own
+    snapshot = dict(vars(cfg), spsa=dict(vars(cfg.spsa)))
     # spsa.seed is never consumed (per-run seeds derive from `seeds`), so it
     # would only mislead in the manifest
     snapshot["spsa"].pop("seed", None)

@@ -19,9 +19,9 @@ transform converts matrices both ways (Hantzko, Binkowski & Gupta, arXiv:2310.13
 
     Tr[P(x, z) M] = i^popcount(x&z) * sum_k (-1)^popcount(z&k) M[k, k^x].
 
-`pauli_decompose` gathers v[x, k] = M[k, k^x] in one indexing step and a
-butterfly transform over k yields every z at once; `to_matrix` runs the
-same steps backwards. Each direction costs O(n 4^n) for 2^n x 2^n matrices,
+`pauli_decompose` gathers v[k, x] = M[k, k^x] in one flat `take` and a
+butterfly transform over k, on whole rows, yields every z at once; `to_matrix`
+runs the same steps backwards. Each direction costs O(n 4^n) for 2^n x 2^n matrices,
 against O(16^n) for a trace with each of the 4^n string matrices.
 """
 
@@ -214,12 +214,15 @@ def parity_eigenvalues(dim: int) -> np.ndarray:
 
 
 def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
-    """Unnormalized transform sum_k (-1)^popcount(z&k) v[..., k] over the last axis, in place."""
-    dim = v.shape[-1]
+    """Unnormalized transform sum_k (-1)^popcount(z&k) v[k, ...] over the first axis, in place.
+
+    v must be a fresh C-contiguous array: each butterfly adds and subtracts whole rows.
+    """
+    dim = len(v)
     half = 1
     while half < dim:
-        pairs = v.reshape(-1, dim // (2 * half), 2, half)
-        lo, hi = pairs[:, :, 0], pairs[:, :, 1]
+        pairs = v.reshape(dim // (2 * half), 2, half, -1)
+        lo, hi = pairs[:, 0], pairs[:, 1]
         diff = lo - hi
         lo += hi
         hi[...] = diff
@@ -235,9 +238,13 @@ def _phases(dim: int) -> np.ndarray:
 
 @functools.cache
 def _flip_index(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (x ^ k, k) index arrays of shape (dim, dim): entry [x, k] addresses M[k ^ x, k]."""
+    """Read-only flat (gather, scatter) indices of shape (dim, dim) into a C-order (dim, dim) array.
+
+    gather[k, x] = k*dim + (k^x) reads M[k, k^x]; scatter = gather.T reads v[c, r^c] into M[r, c].
+    """
     k = np.arange(dim)
-    return _read_only(k[:, None] ^ k), np.broadcast_to(k, (dim, dim))  # a broadcast is read-only
+    gather = k[:, None] * dim + (k[:, None] ^ k)
+    return _read_only(gather), _read_only(np.ascontiguousarray(gather.T))
 
 
 def _codes(x: np.ndarray, z: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -265,25 +272,22 @@ def pauli_decompose(m: np.ndarray) -> PauliHamiltonian:
         raise NotPowerOfTwoError(f"matrix dimension {dim} is not a power of two")
     linalg.require_hermitian(m)
 
-    flipped, k = _flip_index(dim)
-    # v[x, k] = m[k, k^x]; the transform over k gives every phase mask z at once
-    traces = _walsh_hadamard(m[k, flipped])
+    # v[k, x] = m[k, k^x]; the transform over k gives every phase mask z at once, as traces[z, x]
+    traces = _walsh_hadamard(m.take(_flip_index(dim)[0]))
     # the imaginary parts are at most half the Hermiticity defect, so they are dropped
     coeffs = _phases(dim) * traces / dim
-    x, z = np.nonzero(np.abs(coeffs.real) > COEFF_PRUNE_TOL)
-    return _merged(n, x, z, coeffs.real[x, z])
+    z, x = np.nonzero(np.abs(coeffs.real) > COEFF_PRUNE_TOL)
+    return _merged(n, x, z, coeffs.real[z, x])
 
 
 def to_matrix(h: PauliHamiltonian) -> np.ndarray:
     """Dense matrix of a Pauli-term Hamiltonian."""
     dim = 2**h.n_qubits
     grid = np.zeros((dim, dim), dtype=complex)
-    grid[h.x, h.z] = h.coeffs
-    # row x of sum c[x, z] P(x, z) is v[x, k] at m[k^x, k], v the transform over z of c * phase
+    grid[h.z, h.x] = h.coeffs
+    # column x of sum c[z, x] P(x, z) is v[k, x] at m[k^x, k], v the transform over z of c * phase
     grid *= _phases(dim)
-    m = np.empty((dim, dim), dtype=complex)
-    m[_flip_index(dim)] = _walsh_hadamard(grid)
-    return m
+    return _walsh_hadamard(grid).take(_flip_index(dim)[1])
 
 
 def layout_qubits(layout: HamiltonianLayout, spec: LatticeSpec) -> int:
@@ -341,13 +345,18 @@ def assemble(
 
 
 def exact_ground_energy(h: PauliHamiltonian) -> float:
-    """Smallest eigenvalue of the dense Hamiltonian matrix (n_qubits <= MAX_EXACT_QUBITS)."""
+    """Smallest eigenvalue of the dense Hamiltonian matrix (n_qubits <= MAX_EXACT_QUBITS).
+
+    A real matrix (every string with an even number of Y's, as `assemble`
+    builds) goes to the real symmetric solver, any other to the complex Hermitian one.
+    """
     if h.n_qubits > MAX_EXACT_QUBITS:
         raise DomainError(
             f"exact diagonalization limited to {MAX_EXACT_QUBITS} qubits, got {h.n_qubits}"
         )
+    m = linalg.require_hermitian(to_matrix(h))
     # eigenvalues only (LAPACK jobz='N'): no eigenvector is computed to be dropped
-    return float(np.linalg.eigvalsh(linalg.require_hermitian(to_matrix(h)))[0])
+    return float(np.linalg.eigvalsh(m if m.imag.any() else m.real)[0])
 
 
 def to_text(h: PauliHamiltonian) -> str:

@@ -3,13 +3,17 @@
 A letter string names one Pauli per qubit, qubit 0 first; its masks have
 qubit 0 as the most significant bit, with X and Y setting the x bit and Y
 and Z setting the z bit. The library holds only the masks.
+
+It also keeps a second route between masks and dense matrices, with
+butterflies along the last axis and 2-D fancy indexing: the bit-for-bit
+oracle of `to_matrix` and `pauli_decompose`.
 """
 
 from functools import reduce
 
 import numpy as np
 
-from bhvqe.hamiltonian import COEFF_PRUNE_TOL, PauliHamiltonian
+from bhvqe.hamiltonian import COEFF_PRUNE_TOL, PauliHamiltonian, _merged, _phases
 
 LETTERS = "IXYZ"
 
@@ -65,3 +69,42 @@ def coefficient(h: PauliHamiltonian, string: str) -> float:
 def scaled(h: PauliHamiltonian, factor: float) -> PauliHamiltonian:
     """Every coefficient times factor, pruned like a decomposition."""
     return from_letters(h.n_qubits, [(c * factor, s) for c, s in letter_terms(h)])
+
+
+def walsh_hadamard_last_axis(v: np.ndarray) -> np.ndarray:
+    """Unnormalized transform sum_k (-1)^popcount(z&k) v[..., k] over the last axis, in place.
+
+    The butterflies run along a strided last axis; the library runs the same
+    additions in the same order over the first axis.
+    """
+    dim = v.shape[-1]
+    half = 1
+    while half < dim:
+        pairs = v.reshape(-1, dim // (2 * half), 2, half)
+        lo, hi = pairs[:, :, 0], pairs[:, :, 1]
+        diff = lo - hi
+        lo += hi
+        hi[...] = diff
+        half *= 2
+    return v
+
+
+def to_matrix_by_last_axis(h: PauliHamiltonian) -> np.ndarray:
+    """Dense matrix of h: coefficients scattered as c[x, z], transformed over z, indexed in 2-D."""
+    dim = 2**h.n_qubits
+    k = np.arange(dim)
+    grid = np.zeros((dim, dim), dtype=complex)
+    grid[h.x, h.z] = h.coeffs
+    grid *= _phases(dim)
+    m = np.empty((dim, dim), dtype=complex)
+    m[k[:, None] ^ k, k] = walsh_hadamard_last_axis(grid)
+    return m
+
+
+def pauli_decompose_by_last_axis(m: np.ndarray) -> PauliHamiltonian:
+    """Pauli form of a Hermitian matrix: v[x, k] = m[k, k^x] gathered in 2-D, transformed over k."""
+    dim = m.shape[0]
+    k = np.arange(dim)
+    coeffs = _phases(dim) * walsh_hadamard_last_axis(m[k, k[:, None] ^ k]) / dim
+    x, z = np.nonzero(np.abs(coeffs.real) > COEFF_PRUNE_TOL)
+    return _merged(dim.bit_length() - 1, x, z, coeffs.real[x, z])

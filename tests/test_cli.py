@@ -242,6 +242,33 @@ def test_sweep_reproducible_and_manifested(tmp_path, capsys):
     assert "seed" not in manifest["config"]["spsa"]
 
 
+def test_manifest_config_records_every_setting_in_field_order(tmp_path, capsys):
+    config = {
+        "mass_grid": [1, 2.5],
+        "mass_unit": "solar",
+        "radius_grid": [10],
+        "ansatz": "ansatz1",
+        "reps": 2,
+        "spsa": {"a": 2, "max_iter": 40, "tol": 0},
+        "seeds": [],
+    }
+    out_path = tmp_path / "sweep.csv"
+    cfg = write_config(tmp_path, config)
+    assert run_cli(capsys, "sweep", "--config", cfg, "--out", str(out_path))[0] == 0
+    manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+    spsa = {"a": 2.0, "c": 0.1, "alpha": 0.602, "gamma": 0.101, "stability_a": 10.0,
+            "max_iter": 40, "tol": 0.0, "window": 10}
+    expected = {
+        "layout": "paper-chain", "dims": 3, "lattice_n": 4, "mass_grid": [1.0, 2.5],
+        "mass_unit": "solar", "radius_grid": [10.0], "radius_mode": "absolute",
+        "ansatz": "ansatz1", "reps": 2, "spsa": spsa, "shots": 0, "seeds": [],
+        "inner_half": False, "kappa_t": 1.0, "kappa_p": 1.0,
+        "solar_mass_planck": SOLAR_MASS_PLANCK,
+    }
+    assert list(manifest["config"].items()) == list(expected.items())
+    assert list(manifest["config"]["spsa"]) == list(spsa)
+
+
 def test_sweep_interleaves_vqe_rows(tmp_path, capsys):
     config = {
         "mass_grid": [1.0, 2.0],

@@ -30,7 +30,17 @@ from bhvqe.hamiltonian import (
 )
 from bhvqe.lattice import LatticeSpec, momentum_squared
 from bhvqe.linalg import HERMITICITY_TOL, hermitian_eigensystem, hermiticity_defect
-from pauli_helpers import LETTERS, coefficient, from_letters, letter_terms, masks, pauli_matrix, scaled
+from pauli_helpers import (
+    LETTERS,
+    coefficient,
+    from_letters,
+    letter_terms,
+    masks,
+    pauli_decompose_by_last_axis,
+    pauli_matrix,
+    scaled,
+    to_matrix_by_last_axis,
+)
 
 PI = math.pi
 
@@ -550,3 +560,60 @@ def test_ground_energy_of_random_pauli_sums_matches_eigh(n_qubits, seed):
     # the rounding of both routes grows with the operator norm, at most sum |c|
     bound = EIGENVALUE_ROUTE_TOL * max(1.0, float(np.abs(h.coeffs).sum()))
     assert abs(exact_ground_energy(h) - lowest) <= bound
+
+
+def assert_same_bits(a, b):
+    """Equal dtype, shape and bytes: the sign of every zero real and imaginary part included."""
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def assert_same_operator(h, expected):
+    assert h.n_qubits == expected.n_qubits
+    assert h.x.tolist() == expected.x.tolist() and h.z.tolist() == expected.z.tolist()
+    assert_same_bits(h.coeffs, expected.coeffs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n_qubits=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_transforms_match_last_axis_route_bit_for_bit(n_qubits, seed):
+    rng = np.random.default_rng(seed)
+    # the random sums draw from all 4^n strings, odd-Y ones included
+    h = random_pauli_sum(rng, n_qubits)
+    assert_same_bits(to_matrix(h), to_matrix_by_last_axis(h))
+    m = random_hermitian(rng, n_qubits)
+    assert_same_operator(pauli_decompose(m), pauli_decompose_by_last_axis(m))
+
+
+@pytest.mark.parametrize("shape", ASSEMBLY_SHAPES, ids=lambda shape: repr(shape))
+def test_assembled_transforms_match_last_axis_route_bit_for_bit(shape):
+    h = assemble(None, *shape)
+    m = to_matrix(h)
+    assert_same_bits(m, to_matrix_by_last_axis(h))
+    assert_same_operator(pauli_decompose(m), pauli_decompose_by_last_axis(m))
+
+
+def spy_eigensolver_dtypes(monkeypatch):
+    """The dtype of every matrix np.linalg.eigvalsh receives, in call order."""
+    dtypes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: dtypes.append(m.dtype) or eigvalsh(m))
+    return dtypes
+
+
+@pytest.mark.parametrize("shape", ASSEMBLY_SHAPES, ids=lambda shape: repr(shape))
+def test_assembled_operators_take_the_real_symmetric_solver(shape, monkeypatch):
+    dtypes = spy_eigensolver_dtypes(monkeypatch)
+    exact_ground_energy(assemble(None, *shape))
+    assert dtypes == [np.float64]
+
+
+@pytest.mark.parametrize(
+    "n_qubits, terms, lowest",
+    [(1, [(1.0, "Y")], -1.0), (2, [(0.5, "XY")], -0.5), (2, [(1.0, "XX"), (0.25, "YZ")], -1.25)],
+)
+def test_odd_y_operators_take_the_complex_solver(n_qubits, terms, lowest, monkeypatch):
+    dtypes = spy_eigensolver_dtypes(monkeypatch)
+    energy = exact_ground_energy(from_letters(n_qubits, terms))
+    assert dtypes == [np.complex128]
+    assert abs(energy - lowest) <= EIGENVALUE_ROUTE_TOL
