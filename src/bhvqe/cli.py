@@ -82,7 +82,10 @@ _SPSA_KEYS = tuple(f.name for f in dataclasses.fields(SpsaConfig) if f.name != "
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run settings, all grids in the units the user wrote."""
+    """Run settings in the units the user wrote; construction checks them in a fixed order.
+
+    Grids and couplings are stored as floats, `spsa` as a SpsaConfig and `seeds` as a tuple.
+    """
 
     layout: str = PAPER_CHAIN
     dims: int = 3
@@ -99,6 +102,43 @@ class RunConfig:
     inner_half: bool = False
     kappa_t: float = 1.0
     kappa_p: float = 1.0
+
+    def __post_init__(self):
+        if self.mass_unit not in (MASS_UNIT_PLANCK, MASS_UNIT_SOLAR):
+            raise ValueError(f"mass_unit must be planck or solar, got {self.mass_unit!r}")
+        if self.radius_mode not in (RADIUS_ABSOLUTE, RADIUS_GM_MULTIPLE):
+            raise ValueError(
+                f"radius_mode must be absolute or gm-multiple, got {self.radius_mode!r}"
+            )
+        if not isinstance(self.inner_half, bool):
+            raise TypeError(f"inner_half must be true or false, got {self.inner_half!r}")
+        unknown = set(self.spsa) - set(_SPSA_KEYS) if isinstance(self.spsa, dict) else ()
+        if unknown:
+            raise ValueError(f"unknown spsa keys: {sorted(unknown)} (allowed: {list(_SPSA_KEYS)})")
+        if not isinstance(self.seeds, (list, tuple)):
+            raise TypeError("seeds must be a list of non-negative integers")
+
+        # the library objects check their own fields; building them is the validation
+        layout = HamiltonianLayout(self.layout, self.dims)
+        n_qubits = layout_qubits(layout, LatticeSpec(self.lattice_n))
+        AnsatzKind.from_name(self.ansatz, self.reps)
+        if not isinstance(self.spsa, SpsaConfig):
+            object.__setattr__(self, "spsa", SpsaConfig(**self.spsa))
+        for seed in self.seeds:
+            require_int("seeds entry", seed, 0)
+        require_int("shots", self.shots, 0, MAX_SHOTS)
+        for name in ("mass_grid", "radius_grid"):
+            object.__setattr__(self, name, _positive_floats(name, getattr(self, name)))
+        for name in ("kappa_t", "kappa_p"):
+            object.__setattr__(self, name, _positive_float(name, getattr(self, name)))
+        object.__setattr__(self, "seeds", tuple(self.seeds))
+
+        # exact diagonalization backs every subcommand output
+        if n_qubits > MAX_EXACT_QUBITS:
+            raise ValueError(
+                f"layout needs {n_qubits} qubits; exact diagonalization "
+                f"supports at most {MAX_EXACT_QUBITS}"
+            )
 
 
 def _positive_float(name: str, value) -> float:
@@ -128,77 +168,20 @@ def _load_config_file(path: str) -> dict:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, config file, and flag overrides into a RunConfig."""
+    """The config file, with --seed and --shots applied, as a RunConfig."""
     data = _load_config_file(args.config) if args.config else {}
     known = {f.name for f in dataclasses.fields(RunConfig)}
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-    defaults = RunConfig()
-    merged = {f.name: getattr(defaults, f.name) for f in dataclasses.fields(RunConfig)}
-    merged.update(data)
     if args.seed is not None:
-        merged["seeds"] = [args.seed]
+        data["seeds"] = [args.seed]
     if args.shots is not None:
-        merged["shots"] = args.shots
-
-    mass_unit = merged["mass_unit"]
-    if mass_unit not in (MASS_UNIT_PLANCK, MASS_UNIT_SOLAR):
-        raise ConfigError(f"mass_unit must be planck or solar, got {mass_unit!r}")
-    radius_mode = merged["radius_mode"]
-    if radius_mode not in (RADIUS_ABSOLUTE, RADIUS_GM_MULTIPLE):
-        raise ConfigError(f"radius_mode must be absolute or gm-multiple, got {radius_mode!r}")
-    if not isinstance(merged["inner_half"], bool):
-        raise ConfigError(f"inner_half must be true or false, got {merged['inner_half']!r}")
-    spsa = merged["spsa"]
-    unknown = set(spsa) - set(_SPSA_KEYS) if isinstance(spsa, dict) else ()
-    if unknown:
-        raise ConfigError(f"unknown spsa keys: {sorted(unknown)} (allowed: {list(_SPSA_KEYS)})")
-    seeds = merged["seeds"]
-    if not isinstance(seeds, (list, tuple)):
-        raise ConfigError("seeds must be a list of non-negative integers")
-
-    # the library objects check their own fields; building them is the validation
+        data["shots"] = args.shots
     try:
-        layout = HamiltonianLayout(merged["layout"], merged["dims"])
-        n_qubits = layout_qubits(layout, LatticeSpec(merged["lattice_n"]))
-        AnsatzKind.from_name(merged["ansatz"], merged["reps"])
-        if not isinstance(spsa, SpsaConfig):
-            spsa = SpsaConfig(**spsa)
-        for seed in seeds:
-            require_int("seeds entry", seed, 0)
-        require_int("shots", merged["shots"], 0, MAX_SHOTS)
-        config = RunConfig(
-            layout=layout.variant,
-            dims=layout.dims,
-            lattice_n=merged["lattice_n"],
-            mass_grid=_positive_floats("mass_grid", merged["mass_grid"]),
-            mass_unit=mass_unit,
-            radius_grid=_positive_floats("radius_grid", merged["radius_grid"]),
-            radius_mode=radius_mode,
-            ansatz=merged["ansatz"],
-            reps=merged["reps"],
-            spsa=spsa,
-            shots=merged["shots"],
-            seeds=tuple(seeds),
-            inner_half=merged["inner_half"],
-            kappa_t=_positive_float("kappa_t", merged["kappa_t"]),
-            kappa_p=_positive_float("kappa_p", merged["kappa_p"]),
-        )
+        return RunConfig(**data)
     except (TypeError, ValueError, UnsupportedLatticeError) as exc:
         raise ConfigError(str(exc)) from exc
-    # exact diagonalization backs every subcommand output
-    if n_qubits > MAX_EXACT_QUBITS:
-        raise ConfigError(
-            f"layout needs {n_qubits} qubits; exact diagonalization "
-            f"supports at most {MAX_EXACT_QUBITS}"
-        )
-    return config
-
-
-def _hamiltonian_layout(cfg: RunConfig) -> HamiltonianLayout:
-    return HamiltonianLayout(variant=cfg.layout, dims=cfg.dims)
 
 
 def _ansatz_kind(cfg: RunConfig) -> AnsatzKind:
@@ -209,7 +192,7 @@ def _plan(cfg: RunConfig) -> Plan:
     """The run's plan, masses converted to Planck units."""
     scale = SOLAR_MASS_PLANCK if cfg.mass_unit == MASS_UNIT_SOLAR else 1.0
     return plan([m * scale for m in cfg.mass_grid], list(cfg.radius_grid),
-                _hamiltonian_layout(cfg), LatticeSpec(n_points=cfg.lattice_n),
+                HamiltonianLayout(cfg.layout, cfg.dims), LatticeSpec(cfg.lattice_n),
                 inner_half=cfg.inner_half, radius_mode=cfg.radius_mode)
 
 
@@ -358,30 +341,32 @@ def cmd_fit(in_path: str, curve: str) -> int:
 
 @functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="JSON config file")
-    common.add_argument("--seed", type=int, metavar="INT", help="replace the seed list")
-    common.add_argument("--out", metavar="PATH", help="output file (sweep CSV)")
-    common.add_argument(
-        "--format", choices=("pauli", "matrix"), default="pauli", help="hamiltonian output form"
-    )
-    common.add_argument("--shots", type=int, metavar="INT", help="measurement shots (0 = exact)")
-    common.add_argument("--trace", metavar="PATH", help="energy trace CSV (single vqe run)")
+    config_flag = argparse.ArgumentParser(add_help=False)
+    config_flag.add_argument("--config", metavar="PATH", help="JSON config file")
+    run_flags = argparse.ArgumentParser(add_help=False)
+    run_flags.add_argument("--seed", type=int, metavar="INT", help="replace the seed list")
+    run_flags.add_argument("--shots", type=int, metavar="INT", help="measurement shots (0 = exact)")
+    run_parents = [config_flag, run_flags]  # vqe and sweep
 
     parser = argparse.ArgumentParser(
         prog="bhvqe",
         description="Ground-state energies and Hawking-style observables for a "
         "discretized black-hole Hamiltonian.",
     )
+    # build_config reads both on every subcommand, flag or not
+    parser.set_defaults(seed=None, shots=None)
     sub = parser.add_subparsers(dest="command", required=True)
-    ham = sub.add_parser("hamiltonian", parents=[common], help="print the Hamiltonian")
+    ham = sub.add_parser("hamiltonian", parents=[config_flag], help="print the Hamiltonian")
+    ham.add_argument("--format", choices=("pauli", "matrix"), default="pauli", help="output form")
     ham.add_argument(
         "--normalized", action="store_true", help="drop the metric prefactor (normalize to 1)"
     )
-    sub.add_parser("exact", parents=[common], help="exact ground energy per grid point")
-    sub.add_parser("vqe", parents=[common], help="variational runs per (point, seed)")
-    sub.add_parser("sweep", parents=[common], help="write the results CSV and manifest")
-    fit = sub.add_parser("fit", parents=[common], help="fit the quartic energy curve")
+    sub.add_parser("exact", parents=[config_flag], help="exact ground energy per grid point")
+    vqe = sub.add_parser("vqe", parents=run_parents, help="variational runs per (point, seed)")
+    vqe.add_argument("--trace", metavar="PATH", help="energy trace CSV (single vqe run)")
+    sweep = sub.add_parser("sweep", parents=run_parents, help="write the results CSV and manifest")
+    sweep.add_argument("--out", metavar="PATH", help="output file (sweep CSV)")
+    fit = sub.add_parser("fit", help="fit the quartic energy curve")
     fit.add_argument("--in", dest="in_path", required=True, metavar="CSV", help="sweep CSV")
     fit.add_argument("--curve", choices=("mass", "radius"), required=True)
     return parser

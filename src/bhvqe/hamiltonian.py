@@ -131,7 +131,7 @@ class PauliHamiltonian:
                 members.append([row])
         parities = parity_eigenvalues(2**self.n_qubits)[self.x | self.z]
         return tuple(
-            MeasurementSetting(x, z, tuple(rows), self.coeffs[rows] @ parities[rows])
+            MeasurementSetting(x, z, self.coeffs[rows] @ parities[rows])
             for (x, z), rows in zip(bases, members)
         )
 
@@ -141,15 +141,13 @@ class MeasurementSetting:
     """One tensor-product basis that reads a group of qubit-wise-commuting rows at once.
 
     A qubit whose x bit is set is measured in X (z clear) or Y (z set), every
-    other qubit in Z. `rows` indexes the Hamiltonian rows the setting
-    measures, and weights[k] = sum over them of coeffs[i] *
-    (-1)^popcount((x[i] | z[i]) & k) is the energy they assign to outcome k of
-    the rotated state.
+    other qubit in Z. weights[k] = sum over the Hamiltonian rows the setting
+    measures of coeffs[i] * (-1)^popcount((x[i] | z[i]) & k) is the energy
+    they assign to outcome k of the rotated state.
     """
 
     x: int
     z: int
-    rows: tuple[int, ...]
     weights: np.ndarray = field(repr=False)
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -14,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bhvqe import hamiltonian, observables
-from bhvqe.cli import CSV_COLUMNS, SOLAR_MASS_PLANCK, build_parser, main
+from bhvqe.cli import CSV_COLUMNS, SOLAR_MASS_PLANCK, RunConfig, build_parser, main
+from bhvqe.errors import UnsupportedLatticeError
+from bhvqe.vqe import SpsaConfig
 
 PI = math.pi
 
@@ -467,34 +470,36 @@ def test_fit_rejects_malformed_csv(tmp_path, capsys):
     assert code == 2
 
 
+INVALID_CONFIGS = [
+    {"layout": "ring"},
+    {"layout": "paper-chain", "lattice_n": 8},
+    {"lattice_n": 6},
+    {"ansatz": "ansatz9"},
+    {"seeds": [-1]},
+    {"mass_grid": []},
+    {"mass_grid": [0.0]},
+    {"dims": 4},
+    {"mystery_knob": 1},
+    {"spsa": {"steps": 3}},
+    {"spsa": {"alpha": 0.1, "gamma": 0.2}},
+    {"spsa": {"stability_a": -1}},
+    {"shots": 2**63},
+    {"layout": "disjoint", "dims": 3, "lattice_n": 16},  # 12 qubits
+    {"inner_half": "yes"},
+    {"mass_unit": "kg"},
+    {"radius_mode": "orbits"},
+    {"dims": 2.0},
+    {"dims": True},
+    {"lattice_n": 4.0},
+    {"reps": True},
+    {"reps": 1.5},
+    {"spsa": {"a": True}},
+    {"spsa": {"max_iter": 2.5}},
+]
+
+
 def test_config_validation_exit_codes(tmp_path, capsys):
-    cases = [
-        {"layout": "ring"},
-        {"layout": "paper-chain", "lattice_n": 8},
-        {"lattice_n": 6},
-        {"ansatz": "ansatz9"},
-        {"seeds": [-1]},
-        {"mass_grid": []},
-        {"mass_grid": [0.0]},
-        {"dims": 4},
-        {"mystery_knob": 1},
-        {"spsa": {"steps": 3}},
-        {"spsa": {"alpha": 0.1, "gamma": 0.2}},
-        {"spsa": {"stability_a": -1}},
-        {"shots": 2**63},
-        {"layout": "disjoint", "dims": 3, "lattice_n": 16},  # 12 qubits
-        {"inner_half": "yes"},
-        {"mass_unit": "kg"},
-        {"radius_mode": "orbits"},
-        {"dims": 2.0},
-        {"dims": True},
-        {"lattice_n": 4.0},
-        {"reps": True},
-        {"reps": 1.5},
-        {"spsa": {"a": True}},
-        {"spsa": {"max_iter": 2.5}},
-    ]
-    for data in cases:
+    for data in INVALID_CONFIGS:
         cfg = write_config(tmp_path, data)
         code, _, _ = run_cli(capsys, "exact", "--config", cfg)
         assert code == 2, data
@@ -511,6 +516,93 @@ def test_config_error_names_the_bad_value(tmp_path, capsys, data, named):
     code, out, err = run_cli(capsys, "exact", "--config", write_config(tmp_path, data))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and named in err
+
+
+def test_run_config_rejects_each_invalid_case_on_construction():
+    for data in INVALID_CONFIGS:
+        with pytest.raises((TypeError, ValueError, UnsupportedLatticeError)):
+            RunConfig(**data)
+
+
+@pytest.mark.parametrize("change", [
+    {"mass_grid": (-1.0,)},
+    {"radius_grid": ()},
+    {"kappa_p": 0.0},
+    {"lattice_n": 6},
+    {"spsa": "x"},
+    {"seeds": (0, -1)},
+    {"layout": "disjoint", "dims": 3, "lattice_n": 16},
+])
+def test_replace_cannot_make_an_invalid_run_config(change):
+    with pytest.raises((TypeError, ValueError, UnsupportedLatticeError)):
+        dataclasses.replace(RunConfig(), **change)
+
+
+def test_json_shaped_config_equals_the_tuple_and_float_shaped_one():
+    from_json = RunConfig(mass_grid=[1, 2.5], radius_grid=[10], seeds=[0, 3],
+                          spsa={"max_iter": 10, "a": 2}, kappa_t=2, kappa_p=1)
+    native = RunConfig(mass_grid=(1.0, 2.5), radius_grid=(10.0,), seeds=(0, 3),
+                       spsa=SpsaConfig(max_iter=10, a=2.0), kappa_t=2.0, kappa_p=1.0)
+    assert from_json == native
+    numbers = [*from_json.mass_grid, *from_json.radius_grid, from_json.kappa_t, from_json.kappa_p]
+    assert all(type(x) is float for x in numbers)
+    assert type(from_json.seeds) is tuple and type(from_json.spsa) is SpsaConfig
+
+
+@pytest.mark.parametrize("data, first_error", [
+    ({"mass_unit": "kg", "radius_mode": "orbits", "lattice_n": 6},
+     "mass_unit must be planck or solar, got 'kg'"),
+    ({"lattice_n": 6, "mass_grid": [-1], "shots": -2}, "n_points must be a power of 2, got 6"),
+    ({"seeds": [-1], "shots": -1, "kappa_t": -1}, "seeds entry must be >= 0, got -1"),
+    # the qubit cap comes last
+    ({"layout": "disjoint", "dims": 3, "lattice_n": 16, "kappa_p": 0},
+     "kappa_p must be > 0, got 0.0"),
+])
+def test_several_bad_fields_report_the_same_first_error(tmp_path, capsys, data, first_error):
+    code, out, err = run_cli(capsys, "exact", "--config", write_config(tmp_path, data))
+    assert (code, out, err) == (2, "", f"error: {first_error}\n")
+
+
+@pytest.mark.parametrize("command", ["vqe", "sweep"])
+def test_spsa_that_is_not_a_mapping_exits_2(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, {"spsa": "x"})
+    out_path = tmp_path / "sweep.csv"
+    out_flag = ["--out", str(out_path)] if command == "sweep" else []
+    code, out, err = run_cli(capsys, command, "--config", cfg, *out_flag)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "mapping" in err
+    assert not out_path.exists()
+
+
+FLAG_VALUES = {"--config": "c.json", "--seed": "7", "--shots": "9", "--format": "matrix",
+               "--normalized": None, "--trace": "t.csv", "--out": "o.csv", "--in": "i.csv",
+               "--curve": "radius"}
+FLAG_DESTS = {"--in": "in_path"}
+FLAG_PARSED = {"--seed": 7, "--shots": 9, "--normalized": True}
+FLAGS_READ = {
+    "hamiltonian": {"--config", "--format", "--normalized"},
+    "exact": {"--config"},
+    "vqe": {"--config", "--seed", "--shots", "--trace"},
+    "sweep": {"--config", "--seed", "--shots", "--out"},
+    "fit": {"--in", "--curve"},
+}
+
+
+@pytest.mark.parametrize("command, flag", itertools.product(FLAGS_READ, FLAG_VALUES))
+def test_each_subcommand_parses_only_the_flags_it_reads(capsys, command, flag):
+    assert sum(map(len, FLAGS_READ.values())) == 14
+    value = FLAG_VALUES[flag]
+    required = {"--in": "i.csv", "--curve": "mass"} if command == "fit" else {}
+    argv = [command, *(x for k, v in required.items() if k != flag for x in (k, v)), flag]
+    argv += [] if value is None else [value]
+    if flag in FLAGS_READ[command]:
+        args = build_parser().parse_args(argv)
+        assert getattr(args, FLAG_DESTS.get(flag, flag[2:])) == FLAG_PARSED.get(flag, value)
+    else:
+        with pytest.raises(SystemExit) as rejected:
+            build_parser().parse_args(argv)
+        assert rejected.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_vqe_rejects_shots_numpy_cannot_draw(tmp_path, capsys):
@@ -538,7 +630,8 @@ def main_in_tempdir(command, config):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = write_config(pathlib.Path(tmp), config)
         out_path = os.path.join(tmp, "sweep.csv")
-        code = main([command, "--config", cfg, "--out", out_path])
+        out_flag = ["--out", out_path] if command == "sweep" else []
+        code = main([command, "--config", cfg, *out_flag])
         if not os.path.exists(out_path):
             return code, None
         with open(out_path, newline="") as handle:

@@ -370,13 +370,20 @@ def test_ground_energy_qubit_budget():
 
 
 def _assert_settings_cover_each_row_once(h):
+    # a setting's bits on a measured qubit never change once set, so each row belongs to the
+    # first setting that measures every qubit of the row in the row's own basis
     masks = h.x | h.z
-    members = sorted(row for s in h.settings for row in s.rows)
-    assert members == np.flatnonzero(masks).tolist()
-    for s in h.settings:
-        for row in s.rows:
-            # the setting measures every qubit of the row in the row's own basis
-            assert ((int(h.x[row]) ^ s.x) | (int(h.z[row]) ^ s.z)) & int(masks[row]) == 0
+    dim = 2**h.n_qubits
+    weights = [np.zeros(dim) for _ in h.settings]
+    for row in np.flatnonzero(masks).tolist():
+        x, z, mask = int(h.x[row]), int(h.z[row]), int(masks[row])
+        owner = next(k for k, s in enumerate(h.settings) if ((x ^ s.x) | (z ^ s.z)) & mask == 0)
+        signs = [(-1) ** bin(mask & k).count("1") for k in range(dim)]
+        weights[owner] += h.coeffs[row] * np.array(signs, dtype=float)
+    for s, expected in zip(h.settings, weights):
+        # every setting measures some row, and its weights are the sum over its own rows
+        assert expected.any()
+        np.testing.assert_allclose(s.weights, expected, rtol=0, atol=1e-12)
     assert h.identity_offset == sum(c for c, s in letter_terms(h) if set(s) == {"I"})
 
 
