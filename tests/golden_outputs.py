@@ -1,0 +1,147 @@
+"""The committed output matrix: every CLI subcommand over a fixed set of configs.
+
+Each entry runs one `bhvqe` subcommand in process and records what a user
+sees: the exit code, the stdout digest, the first stderr line, the CSV digest
+and manifest `config` block of a sweep, and every VQE energy as `float.hex`,
+so a move shows its size. `test_golden_outputs.py` compares a fresh run with
+`golden_outputs.json`. A change that moves outputs on purpose rewrites the
+file in the same commit and lists what moved:
+
+    PYTHONPATH=src python tests/golden_outputs.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import math
+import pathlib
+import tempfile
+from unittest import mock
+
+from bhvqe import observables
+from bhvqe.cli import main
+
+GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_outputs.json")
+
+# Small grids, few seeds and a cut max_iter keep the whole matrix to a few seconds.
+_CHAIN = {"mass_grid": [1.0, 2.0, 3.5], "radius_grid": [10.0]}
+CONFIGS = {
+    # valid: both layouts, both shot modes
+    "chain-exact": {**_CHAIN, "seeds": [0, 1], "spsa": {"max_iter": 30}},
+    "chain-shots": {**_CHAIN, "ansatz": "ansatz1", "shots": 200, "seeds": [0],
+                    "spsa": {"max_iter": 20}},
+    "chain-restarts": {"mass_grid": [1.0], "seeds": [2],
+                       "spsa": {"max_iter": 40, "window": 2, "tol": 1e-2}},
+    "disjoint-exact": {"layout": "disjoint", "dims": 1, "lattice_n": 8, "mass_grid": [1.0, 2.0],
+                       "ansatz": "ansatz2", "seeds": [0], "spsa": {"max_iter": 20}},
+    "disjoint-shots": {"layout": "disjoint", "dims": 2, "lattice_n": 4, "mass_grid": [1.0, 2.0],
+                       "shots": 300, "seeds": [0], "spsa": {"max_iter": 15}},
+    "solar-gm-multiple": {"mass_grid": [1.0, 2.0, 3.5], "mass_unit": "solar",
+                          "radius_grid": [20.0], "radius_mode": "gm-multiple",
+                          "inner_half": True, "ansatz": "ansatz1", "seeds": [3],
+                          "kappa_t": 1 / (8 * math.pi), "kappa_p": 1 / (15360 * math.pi),
+                          "spsa": {"max_iter": 10, "a": 2.0}},
+    "exact-only": {**_CHAIN, "seeds": []},
+    # valid, but a numerical failure (exit 3)
+    "power-overflows": {"mass_grid": [1e200], "spsa": {"max_iter": 3}},
+    # one bad field
+    "bad-lattice": {"lattice_n": 6},
+    "bad-mass-unit": {"mass_unit": "kg"},
+    "bad-spsa-key": {"spsa": {"steps": 3}},
+    "bad-spsa-gains": {"spsa": {"alpha": 0.1, "gamma": 0.2}},
+    "bad-shots": {"shots": -1},
+    "bad-ansatz": {"ansatz": "ansatz9"},
+    "bad-mass-grid": {"mass_grid": []},
+    "spsa-string": {"spsa": "x"},
+    "spsa-list": {"spsa": [1, 2]},
+    "spsa-null": {"spsa": None},
+    # several bad fields: the checks' order picks the one reported
+    "bad-unit-mode-lattice": {"mass_unit": "kg", "radius_mode": "orbits", "lattice_n": 6},
+    "bad-lattice-grid-shots": {"lattice_n": 6, "mass_grid": [-1], "shots": -2},
+    "bad-seeds-shots-kappa": {"seeds": [-1], "shots": -1, "kappa_t": -1},
+    "bad-spsa-string-lattice": {"spsa": "x", "lattice_n": 6},
+    "bad-qubits-kappa": {"layout": "disjoint", "dims": 3, "lattice_n": 16, "kappa_p": 0},
+}
+SUBCOMMANDS = ("hamiltonian", "exact", "vqe", "sweep")
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def run_entry(config: dict, command: str, workdir: pathlib.Path) -> dict:
+    """Run one subcommand on one config; the entry the golden file holds for it."""
+    config_path = workdir / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    csv_path = workdir / "sweep.csv"
+    manifest_path = workdir / "sweep.csv.manifest.json"
+    for path in (csv_path, manifest_path):
+        path.unlink(missing_ok=True)
+    argv = [command, "--config", str(config_path)]
+    if command == "sweep":
+        argv += ["--out", str(csv_path)]
+
+    energies = []
+
+    def recording_lockstep(*args, **kwargs):
+        results = lockstep(*args, **kwargs)
+        energies.extend(result.best_energy.hex() for result in results)
+        return results
+
+    lockstep = observables.vqe_lockstep
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(observables, "vqe_lockstep", recording_lockstep), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    stderr_lines = err.getvalue().splitlines()
+    written = csv_path.exists()
+    return {
+        "exit": code,
+        "stdout_sha256": _sha256(out.getvalue()),
+        "stderr_first_line": stderr_lines[0] if stderr_lines else "",
+        "csv_sha256": _sha256(csv_path.read_text(encoding="utf-8")) if written else None,
+        "config": json.loads(manifest_path.read_text(encoding="utf-8"))["config"]
+        if written else None,
+        "energies": energies,
+    }
+
+
+def run_matrix() -> dict:
+    """Every (config, subcommand) entry, keyed `config-name subcommand`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return {f"{name} {command}": run_entry(config, command, pathlib.Path(tmp))
+                for name, config in CONFIGS.items() for command in SUBCOMMANDS}
+
+
+def to_text(matrix: dict) -> str:
+    return json.dumps(matrix, indent=1) + "\n"
+
+
+def moves(old: dict, new: dict) -> list[str]:
+    """One line per entry field that differs, from what to what; VQE energies as relative moves."""
+    lines = []
+    for key in sorted(old.keys() | new.keys()):
+        before, after = old.get(key, {}), new.get(key, {})
+        for field in sorted(before.keys() | after.keys()):
+            was, now = before.get(field), after.get(field)
+            if was == now:
+                continue
+            if field == "energies" and was and now and len(was) == len(now):
+                pairs = [(float.fromhex(a), float.fromhex(b)) for a, b in zip(was, now)]
+                rel = [abs(b - a) / (abs(a) or 1.0) for a, b in pairs]
+                lines.append(f"{key} energies: {sum(a != b for a, b in zip(was, now))} of "
+                             f"{len(was)} moved, largest relative move {max(rel):.3g}")
+            else:
+                lines.append(f"{key} {field}: {was!r} -> {now!r}")
+    return lines
+
+
+if __name__ == "__main__":
+    current = run_matrix()
+    if GOLDEN_PATH.exists():
+        previous = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+        print("\n".join(moves(previous, current)) or "no entry moved")
+    GOLDEN_PATH.write_text(to_text(current), encoding="utf-8")
