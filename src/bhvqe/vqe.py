@@ -9,27 +9,17 @@ below `tol`, or at `max_iter`. Because individual iterates can move uphill,
 the reported optimum is the best energy seen over every evaluation, together
 with the parameters that produced it.
 
-Every optimization is one `_SpsaRun` record, stepped in place: `points` is
-the batch of parameter vectors it waits on, and `step` takes their energies
-and sets the next batch. A VQE run chains 16-candidate screens and SPSA
-segments until its iteration budget is spent. `vqe_lockstep` drives many
-runs on scale * h at once: each step it simulates the pending batches of all
-active runs in one `run_batch` call, contracts them with the matrix of h in
-one product (or each run samples its slice from its own shot stream), and
-steps each run with its slice times its scale. Runs are independent, so a
-run's result does not depend on which other runs share its calls; `vqe_run`
-is the lockstep of one run at scale 1, and `spsa_minimize` steps one segment
-with a scalar objective, point by point.
-
-Look-ahead: a segment sends its start point together with iteration 0's two
-probes. After each update it sends the new iterate, and if iteration k + 1
-runs whatever that energy turns out to be (streak + 1 < window and
-k + 1 < max_iter), also iteration k + 1's probes, taking that direction
-first. Otherwise the probes follow in a batch of their own once the stopping
-rule has let the iteration run. Nothing is evaluated speculatively: a run
-takes one direction per iteration it runs, in order, from blocks drawn on
-its own stream, and its one shot generator samples each batch it sends,
-setting by setting. So neither depends on the runs that share its steps.
+Every optimization is a generator that yields the batch of points it waits
+on and is sent their energies: `_segment` runs SPSA from one start (its
+docstring states the look-ahead rule), and `_vqe_search` chains 16-candidate
+screens and segments until a run's iteration budget is spent. `vqe_lockstep`
+drives many runs on scale * h at once: each step it simulates the pending
+batches of all active runs in one `run_batch` call, contracts them with the
+matrix of h in one product (or each run samples its slice from its own shot
+stream), and sends each run its slice times its scale. A run draws its
+directions and shots on its own streams, so its result does not depend on
+which runs share its calls; `vqe_run` is the lockstep of one run at scale 1,
+and `spsa_minimize` drives one segment with a scalar objective, point by point.
 """
 
 from __future__ import annotations
@@ -104,11 +94,6 @@ INIT_CANDIDATES = 16
 # Bounds the batch, and its memory, without changing any run's result.
 MAX_LOCKSTEP_RUNS = 256
 
-# What a run's pending batch holds: the candidates of a screen; a segment's
-# start point with iteration 0's probes; an iterate with the next iteration's
-# probes (look-ahead); an iterate alone; an iteration's probes alone.
-_SCREEN, _START, _AHEAD, _VALUE, _PROBES = range(5)
-
 
 def _gains(cfg: SpsaConfig) -> tuple[list[float], list[float]]:
     """The gain sequences a_k and c_k for every iteration index k < cfg.max_iter."""
@@ -117,111 +102,100 @@ def _gains(cfg: SpsaConfig) -> tuple[list[float], list[float]]:
     return a_k, c_k
 
 
-class _SpsaRun:
-    """One optimization's state, stepped in place: a VQE run, or one segment from theta0.
+def _directions(rng: np.random.Generator, n_params: int, block: int):
+    """Rademacher rows, drawn `block` rows per integers call.
 
-    `points` is the batch the run waits on and `step` takes their energies,
-    in order, and sets the next batch by the look-ahead rule. With init_rng
-    the run screens INIT_CANDIDATES starts, runs a segment from the lowest,
-    and screens again after each segment that converges; its segments take
-    their directions in order from one stream of cfg.max_iter, the most
-    iterations they run in total. The best energy is kept with a strict <
-    over every SPSA evaluation in row order, so ties keep the first; a NaN
-    or Inf SPSA energy raises NonFiniteObjectiveError.
+    rng.integers(0, 2) takes one 32-bit draw per entry whatever the shape, so the
+    rows equal one draw per row and leave rng in the same state after whole blocks.
+    """
+    while True:
+        yield from rng.integers(0, 2, size=(block, n_params)) * 2.0 - 1.0
+
+
+class _Best:
+    """The lowest SPSA energy seen and its point.
+
+    Called with a batch's points and energies, in row order; a strict < keeps
+    the first of ties, and a NaN or Inf energy raises NonFiniteObjectiveError.
     """
 
-    __slots__ = ("cfg", "a_k", "c_k", "init_rng", "spsa_rng", "block", "undrawn", "directions",
-                 "row", "phase", "points", "theta", "c", "delta", "k", "streak", "e_prev",
-                 "best_energy", "best_params", "trace", "converged")
+    __slots__ = ("energy", "params")
 
-    def __init__(self, cfg: SpsaConfig, gains, spsa_rng, n_params: int, *, init_rng=None,
-                 theta0=None, block: int = DIRECTION_BLOCK):
-        self.cfg, (self.a_k, self.c_k) = cfg, gains
-        self.init_rng, self.spsa_rng, self.block = init_rng, spsa_rng, block
-        self.undrawn, self.directions, self.row = cfg.max_iter, np.empty((0, n_params)), 0
-        self.best_energy, self.best_params = math.inf, None
-        self.trace, self.converged = [], False
-        if theta0 is None:
-            self._screen()
-        else:
-            self._start(theta0)
+    def __init__(self):
+        self.energy, self.params = math.inf, None
 
-    def _direction(self) -> np.ndarray:
-        """The next Rademacher direction, from blocks of `block` rows per integers call.
-
-        rng.integers(0, 2) takes one 32-bit draw per entry whatever the shape, so the
-        rows equal one draw per iteration and leave rng in the same state once all are taken.
-        """
-        if self.row == len(self.directions):
-            rows = min(self.block, self.undrawn)
-            self.undrawn -= rows
-            n_params = self.directions.shape[1]
-            self.directions = self.spsa_rng.integers(0, 2, size=(rows, n_params)) * 2.0 - 1.0
-            self.row = 0
-        self.row += 1
-        return self.directions[self.row - 1]
-
-    def _screen(self) -> None:
-        shape = (INIT_CANDIDATES, self.directions.shape[1])
-        self.points, self.phase = self.init_rng.uniform(-np.pi, np.pi, shape), _SCREEN
-
-    def _start(self, theta: np.ndarray) -> None:
-        self.theta, self.k, self.streak = theta, 0, 0
-        self.points, self.phase = [theta, *self._probes(0)], _START
-
-    def _probes(self, k: int) -> list[np.ndarray]:
-        """Take iteration k's direction; its two probe points around theta."""
-        self.c, self.delta = c, delta = self.c_k[k], self._direction()
-        shift = c * delta
-        return [self.theta + shift, self.theta - shift]
-
-    def step(self, energies: list[float]) -> bool:
-        """Take the energies of `points` and set the next batch; True once the run is done."""
-        phase, cfg, trace = self.phase, self.cfg, self.trace
-        if phase == _SCREEN:
-            # argmin keeps the first of tied candidates
-            self._start(self.points[int(np.argmin(energies))].copy())
-            return False
-        for point, e in zip(self.points, energies):
+    def __call__(self, points, energies: list[float]) -> list[float]:
+        for point, e in zip(points, energies):
             if not math.isfinite(e):
                 raise NonFiniteObjectiveError(f"objective returned {e}")
-            if e < self.best_energy:
-                self.best_energy, self.best_params = e, point
-        if phase == _START:
-            self.e_prev, e_plus, e_minus = energies
-        elif phase == _PROBES:
-            e_plus, e_minus = energies
-        else:  # iteration k's iterate, then (_AHEAD) iteration k + 1's probes
-            e_new = energies[0]
-            trace.append(e_new)
-            self.streak = self.streak + 1 if abs(e_new - self.e_prev) < cfg.tol else 0
-            self.e_prev = e_new
-            if self.streak >= cfg.window:
-                self.converged = True
-                if self.init_rng is None or len(trace) == cfg.max_iter:
-                    return True
-                self._screen()
-                return False
-            if len(trace) == cfg.max_iter:
-                return True
-            self.k += 1
-            if phase == _VALUE:
-                self.points, self.phase = self._probes(self.k), _PROBES
-                return False
-            _, e_plus, e_minus = energies
-        # iteration k's update; delta is +/-1, so this equals dividing by 2 c_k delta
-        descent = self.a_k[self.k] * ((e_plus - e_minus) / (2.0 * self.c))
-        self.theta = theta = self.theta - descent * self.delta
-        if self.streak + 1 < cfg.window and len(trace) + 1 < cfg.max_iter:
-            # iteration k + 1 runs whatever this energy is: probe it in the same batch
-            self.points, self.phase = [theta, *self._probes(self.k + 1)], _AHEAD
-        else:
-            self.points, self.phase = [theta], _VALUE
-        return False
+            if e < self.energy:
+                self.energy, self.params = e, point
+        return energies
 
-    def result(self) -> VqeResult:
-        trace = tuple(self.trace)
-        return VqeResult(self.best_params, self.best_energy, trace, self.converged, len(trace))
+
+def _segment(cfg: SpsaConfig, gains, directions, theta: np.ndarray, trace: list[float],
+             best: _Best):
+    """SPSA from theta: yields each batch of points and is sent their energies, in order.
+
+    The first batch is theta with iteration 0's two probes. After each update
+    the segment sends the new iterate, and if iteration k + 1 runs whatever
+    that energy turns out to be (streak + 1 < window and len(trace) + 1 <
+    max_iter), also iteration k + 1's probes, taking its direction first.
+    Otherwise the probes follow in a batch of their own once the stopping rule
+    has let the iteration run. Nothing is evaluated speculatively: the segment
+    takes one direction per iteration it runs, in order. k counts this
+    segment's updates; each iterate's energy is appended to trace, which
+    carries the budget across a run's segments. Every energy goes to best.
+    Returns whether the stopping rule fired: `window` consecutive energy
+    differences below `tol`. Else the segment stops at max_iter.
+    """
+    a_k, c_k = gains
+    k = streak = 0
+    c, delta = c_k[0], next(directions)
+    shift = c * delta
+    batch = [theta, theta + shift, theta - shift]
+    e_prev, e_plus, e_minus = best(batch, (yield batch))
+    while True:
+        # iteration k's update; delta is +/-1, so this equals dividing by 2 c_k delta
+        theta = theta - a_k[k] * ((e_plus - e_minus) / (2.0 * c)) * delta
+        batch = [theta]
+        ahead = streak + 1 < cfg.window and len(trace) + 1 < cfg.max_iter
+        if ahead:
+            c, delta = c_k[k + 1], next(directions)
+            shift = c * delta
+            batch += (theta + shift, theta - shift)
+        e_new, *probes = best(batch, (yield batch))
+        trace.append(e_new)
+        streak = streak + 1 if abs(e_new - e_prev) < cfg.tol else 0
+        e_prev = e_new
+        if streak >= cfg.window or len(trace) == cfg.max_iter:
+            return streak >= cfg.window
+        k += 1
+        if not ahead:
+            c, delta = c_k[k], next(directions)
+            shift = c * delta
+            batch = [theta + shift, theta - shift]
+            probes = best(batch, (yield batch))
+        e_plus, e_minus = probes
+
+
+def _vqe_search(cfg: SpsaConfig, gains, init_rng, spsa_rng, n_params: int):
+    """One VQE run: yields each batch of points, is sent their energies, returns a VqeResult.
+
+    Screens INIT_CANDIDATES starts, runs a segment from the lowest, and
+    screens again after each segment that converges while iterations are
+    left. Its segments take their directions in order from one stream, drawn
+    DIRECTION_BLOCK rows at a time, and share one best energy, which never
+    sees the screens.
+    """
+    directions = _directions(spsa_rng, n_params, DIRECTION_BLOCK)
+    trace, best, converged = [], _Best(), False
+    while len(trace) < cfg.max_iter:
+        candidates = init_rng.uniform(-np.pi, np.pi, (INIT_CANDIDATES, n_params))
+        # argmin takes the first of tied candidates
+        theta = candidates[int(np.argmin((yield candidates)))].copy()
+        converged |= yield from _segment(cfg, gains, directions, theta, trace, best)
+    return VqeResult(best.params, best.energy, tuple(trace), converged, len(trace))
 
 
 def spsa_minimize(
@@ -232,7 +206,7 @@ def spsa_minimize(
 ) -> VqeResult:
     """Minimize `objective` from `theta0` with simultaneous-perturbation SPSA.
 
-    One segment, no screen: evaluates the run's points one at a time, in
+    One segment, no screen: evaluates the segment's points one at a time, in
     order, so the objective is called 1 + 3 * iterations_used times.
     Deterministic for a fixed cfg.seed. Raises NonFiniteObjectiveError if
     the objective ever returns NaN or Inf.
@@ -240,11 +214,15 @@ def spsa_minimize(
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     theta0 = np.asarray(theta0, dtype=float).copy()
+    trace, best = [], _Best()
     # one direction per draw: rng advances only by the iterations that run
-    record = _SpsaRun(cfg, _gains(cfg), rng, theta0.size, theta0=theta0, block=1)
-    while not record.step([float(objective(point)) for point in record.points]):
-        pass
-    return record.result()
+    segment = _segment(cfg, _gains(cfg), _directions(rng, theta0.size, 1), theta0, trace, best)
+    points = next(segment)
+    try:
+        while True:
+            points = segment.send([float(objective(point)) for point in points])
+    except StopIteration as stop:
+        return VqeResult(best.params, best.energy, tuple(trace), stop.value, len(trace))
 
 
 def vqe_lockstep(
@@ -256,8 +234,8 @@ def vqe_lockstep(
     """vqe_run on scale * h for every (scale, cfg) pair, all advanced together.
 
     Each step simulates the pending batches of all active runs in one
-    run_batch call and steps every run with its slice of the energies, times
-    its scale: a run's screen can share a call with other runs' SPSA steps,
+    run_batch call and sends every run its slice of the energies, times its
+    scale: a run's screen can share a call with other runs' SPSA steps,
     and a finished run drops out. Each result equals vqe_lockstep(h,
     [(scale, cfg)], kind, shots) bit for bit. Returns [] for no runs.
     """
@@ -268,7 +246,7 @@ def vqe_lockstep(
     results: list[VqeResult] = [None] * len(runs)
     waiting = iter(enumerate(runs))
     gains = {}  # one pair of gain tables per distinct gain setting
-    active = []  # (index, scale, shot generator, record)
+    active = []  # (index, scale, shot generator, search, the points it waits on)
     while True:
         for index, (scale, cfg) in itertools.islice(waiting, MAX_LOCKSTEP_RUNS - len(active)):
             streams = np.random.SeedSequence(cfg.seed).spawn(3)
@@ -276,15 +254,15 @@ def vqe_lockstep(
             key = (cfg.a, cfg.c, cfg.alpha, cfg.gamma, cfg.stability_a, cfg.max_iter)
             if key not in gains:
                 gains[key] = _gains(cfg)
-            record = _SpsaRun(cfg, gains[key], spsa_rng, circuit.n_params, init_rng=init_rng)
-            active.append((index, float(scale), shot_rng, record))
+            search = _vqe_search(cfg, gains[key], init_rng, spsa_rng, circuit.n_params)
+            active.append((index, float(scale), shot_rng, search, next(search)))
         if not active:
             return results
-        states = run_batch(circuit, np.array([p for *_, record in active for p in record.points]))
+        states = run_batch(circuit, np.array([p for *_, points in active for p in points]))
         values = None if matrix is None else batch_expectation(states, matrix).tolist()
-        start = 0
-        for index, scale, shot_rng, record in active:
-            stop = start + len(record.points)
+        start, still = 0, []
+        for index, scale, shot_rng, search, points in active:
+            stop = start + len(points)
             if matrix is None:
                 energies = sampled_expectation(states[start:stop], h, shots, shot_rng).tolist()
             elif stop - start > 1:
@@ -292,10 +270,14 @@ def vqe_lockstep(
             else:
                 # numpy multiplies a lone row by gemv, which rounds unlike a row of a gemm
                 energies = batch_expectation(states[start:stop], matrix).tolist()
-            if record.step([scale * e for e in energies]):
-                results[index] = record.result()
+            try:
+                points = search.send([scale * e for e in energies])
+            except StopIteration as done:
+                results[index] = done.value
+            else:
+                still.append((index, scale, shot_rng, search, points))
             start = stop
-        active = [entry for entry in active if results[entry[0]] is None]
+        active = still
 
 
 def vqe_run(

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 from unittest import mock
 
@@ -219,22 +220,24 @@ def test_spsa_evaluates_and_draws_only_what_it_uses(window, max_iter, tol, const
     np.testing.assert_array_equal(result.best_params, best_params)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=15, deadline=None)
 @given(
     n_params=st.integers(0, 40),
     count=st.integers(1, 200),
-    block=st.integers(1, 70),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_directions_drawn_in_blocks_equal_one_draw_per_iteration(n_params, count, block, seed):
+def test_directions_drawn_in_blocks_equal_one_draw_per_iteration(n_params, count, seed):
     # a VQE run draws its directions in blocks; SPSA's serial loop drew one per iteration
-    blocked, serial = np.random.default_rng(seed), np.random.default_rng(seed)
-    cfg = SpsaConfig(max_iter=count)
-    run = vqe._SpsaRun(cfg, vqe._gains(cfg), blocked, n_params, theta0=np.zeros(n_params), block=block)
-    rows = [run.delta] + [run._direction() for _ in range(count - 1)]  # the start took the first
-    for row in rows:
-        np.testing.assert_array_equal(row, serial.integers(0, 2, size=n_params) * 2.0 - 1.0)
-    assert blocked.bit_generator.state == serial.bit_generator.state
+    for block in range(1, 71):
+        blocked, serial = np.random.default_rng(seed), np.random.default_rng(seed)
+        rows = list(itertools.islice(vqe._directions(blocked, n_params, block), count))
+        expected = [serial.integers(0, 2, size=n_params) * 2.0 - 1.0 for _ in range(count)]
+        np.testing.assert_array_equal(np.reshape(rows, (count, n_params)),
+                                      np.reshape(expected, (count, n_params)))
+        # the generator draws whole blocks: with block 1, exactly the rows taken
+        for _ in range(-count % block):
+            serial.integers(0, 2, size=n_params)
+        assert blocked.bit_generator.state == serial.bit_generator.state
 
 
 def test_vqe_single_qubit_z():
