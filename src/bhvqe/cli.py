@@ -112,6 +112,8 @@ class RunConfig:
             )
         if not isinstance(self.inner_half, bool):
             raise TypeError(f"inner_half must be true or false, got {self.inner_half!r}")
+        if not isinstance(self.spsa, (dict, SpsaConfig)):
+            raise TypeError(f"spsa must be an object, got {self.spsa!r}")
         unknown = set(self.spsa) - set(_SPSA_KEYS) if isinstance(self.spsa, dict) else ()
         if unknown:
             raise ValueError(f"unknown spsa keys: {sorted(unknown)} (allowed: {list(_SPSA_KEYS)})")

@@ -563,14 +563,15 @@ def test_several_bad_fields_report_the_same_first_error(tmp_path, capsys, data, 
     assert (code, out, err) == (2, "", f"error: {first_error}\n")
 
 
+@pytest.mark.parametrize("spsa", ["x", [1, 2], None])
 @pytest.mark.parametrize("command", ["vqe", "sweep"])
-def test_spsa_that_is_not_a_mapping_exits_2(tmp_path, capsys, command):
-    cfg = write_config(tmp_path, {"spsa": "x"})
+def test_spsa_that_is_not_a_mapping_exits_2(tmp_path, capsys, command, spsa):
+    # it was reported with Python's own `SpsaConfig() argument after **` text
+    cfg = write_config(tmp_path, {"spsa": spsa})
     out_path = tmp_path / "sweep.csv"
     out_flag = ["--out", str(out_path)] if command == "sweep" else []
     code, out, err = run_cli(capsys, command, "--config", cfg, *out_flag)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and "mapping" in err
+    assert (code, out, err) == (2, "", f"error: spsa must be an object, got {spsa!r}\n")
     assert not out_path.exists()
 
 
