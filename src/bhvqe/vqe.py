@@ -113,18 +113,15 @@ def _directions(rng: np.random.Generator, n_params: int, block: int):
 
 
 class _Best:
-    """The lowest SPSA energy seen and its point.
+    """The lowest SPSA energy seen and its point, over the batches `see` takes.
 
-    Called with a batch's points and energies, in row order; a strict < keeps
-    the first of ties, and a NaN or Inf energy raises NonFiniteObjectiveError.
+    A strict < in row order keeps the first of ties; a NaN or Inf energy
+    raises NonFiniteObjectiveError.
     """
 
-    __slots__ = ("energy", "params")
+    energy, params = math.inf, None
 
-    def __init__(self):
-        self.energy, self.params = math.inf, None
-
-    def __call__(self, points, energies: list[float]) -> list[float]:
+    def see(self, points, energies: list[float]) -> list[float]:
         for point, e in zip(points, energies):
             if not math.isfinite(e):
                 raise NonFiniteObjectiveError(f"objective returned {e}")
@@ -149,34 +146,38 @@ def _segment(cfg: SpsaConfig, gains, directions, theta: np.ndarray, trace: list[
     Returns whether the stopping rule fired: `window` consecutive energy
     differences below `tol`. Else the segment stops at max_iter.
     """
-    a_k, c_k = gains
+    (a_k, c_k), see = gains, best.see
+    window, tol, max_iter = cfg.window, cfg.tol, cfg.max_iter
     k = streak = 0
     c, delta = c_k[0], next(directions)
     shift = c * delta
     batch = [theta, theta + shift, theta - shift]
-    e_prev, e_plus, e_minus = best(batch, (yield batch))
+    e_prev, e_plus, e_minus = see(batch, (yield batch))
     while True:
         # iteration k's update; delta is +/-1, so this equals dividing by 2 c_k delta
         theta = theta - a_k[k] * ((e_plus - e_minus) / (2.0 * c)) * delta
-        batch = [theta]
-        ahead = streak + 1 < cfg.window and len(trace) + 1 < cfg.max_iter
+        ahead = streak + 1 < window and len(trace) + 1 < max_iter
         if ahead:
             c, delta = c_k[k + 1], next(directions)
             shift = c * delta
-            batch += (theta + shift, theta - shift)
-        e_new, *probes = best(batch, (yield batch))
+            batch = [theta, theta + shift, theta - shift]
+        else:
+            batch = [theta]
+        energies = see(batch, (yield batch))
+        e_new = energies[0]
         trace.append(e_new)
-        streak = streak + 1 if abs(e_new - e_prev) < cfg.tol else 0
+        streak = streak + 1 if abs(e_new - e_prev) < tol else 0
         e_prev = e_new
-        if streak >= cfg.window or len(trace) == cfg.max_iter:
-            return streak >= cfg.window
+        if streak >= window or len(trace) == max_iter:
+            return streak >= window
         k += 1
-        if not ahead:
+        if ahead:
+            e_plus, e_minus = energies[1], energies[2]
+        else:
             c, delta = c_k[k], next(directions)
             shift = c * delta
             batch = [theta + shift, theta - shift]
-            probes = best(batch, (yield batch))
-        e_plus, e_minus = probes
+            e_plus, e_minus = see(batch, (yield batch))
 
 
 def _vqe_search(cfg: SpsaConfig, gains, init_rng, spsa_rng, n_params: int):
