@@ -43,6 +43,9 @@ class AnsatzKind:
 
     @classmethod
     def from_name(cls, name: str, reps: int | None = None) -> "AnsatzKind":
+        names = [family.value for family in AnsatzFamily]
+        if name not in names:
+            raise ValueError(f"ansatz must be {', '.join(names[:-1])} or {names[-1]}, got {name!r}")
         return cls(AnsatzFamily(name), reps)
 
 

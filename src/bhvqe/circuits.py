@@ -175,6 +175,19 @@ class StateVector:
             raise ValueError("amplitude count must be 2^n_qubits")
 
 
+@cache  # one entry per touched-qubit count
+def _kron_rows(touched: int) -> np.ndarray:
+    """(T, 2^T) index into the T prefix columns as (2T, B) rows: take, then prod(axis=0), is their kron.
+
+    Entry [t, i] is b * T + t, b the bit of touched qubit t in kron index i,
+    the first qubit most significant.
+    """
+    t = np.arange(touched)[:, None]
+    rows = (np.arange(2**touched) >> (touched - 1 - t) & 1) * touched + t
+    rows.flags.writeable = False
+    return rows
+
+
 def run_batch(circuit: Circuit, params: np.ndarray) -> np.ndarray:
     """Apply the circuit's gates in order to |0...0> for each row of params, via circuit.program.
 
@@ -201,16 +214,19 @@ def run_batch(circuit: Circuit, params: np.ndarray) -> np.ndarray:
     np.multiply(factors, sin, out=entries.imag)
     entries = entries.reshape(program.angle_slots.size, batch)
     del table, cos, sin, factors  # the steps read only entries and rows
-    columns = entries.take(program.prefix[0, :, 0], axis=0)  # (2, T, B)
-    for use in program.prefix[1:]:
-        terms = entries.take(use, axis=0)
+    prefix = entries.take(program.prefix, axis=0)  # (L, 2, 2, T, B): every prefix matrix at once
+    columns = prefix[0, :, 0]  # (2, T, B)
+    for terms in prefix[1:]:
         terms *= columns
         columns = terms.sum(axis=1)
     # the state is built and stepped as the (2^n, B) transpose: all B values of an amplitude at once
-    rows = columns[:, 0] if program.touched else np.ones((1, batch), dtype=complex)
-    for t in range(1, len(program.touched)):
-        rows = (rows[:, None] * columns[:, t]).reshape(2 << t, batch)
-    if len(program.touched) < circuit.n_qubits:  # else product_indices is every index in order
+    touched = len(program.touched)
+    rows = columns[:, 0] if touched else np.ones((1, batch), dtype=complex)
+    if touched > 1:  # the kron, in qubit order ((c0 c1) c2) c3
+        rows = columns.reshape(2 * touched, batch).take(_kron_rows(touched), axis=0)
+        # initial=None starts from c0: a start from 1 + 0j would turn a -0j into +0j
+        rows = rows.prod(axis=0, initial=None)
+    if touched < circuit.n_qubits:  # else product_indices is every index in order
         product, rows = rows, np.zeros((dim, batch), dtype=complex)
         rows[program.product_indices] = product
     for use, source in zip(program.coef_index, program.sources):
@@ -285,11 +301,13 @@ def sampled_expectation(
         )
     require_int("shots", shots, 1, MAX_SHOTS)
     totals = np.full(amplitudes.shape[0], h.identity_offset)
+    counts = np.empty(amplitudes.shape, dtype=np.int64)  # every setting's draws, row by row
     for setting in h.settings:
         rotated = amplitudes @ _measurement_rotation(h.n_qubits, setting.x, setting.z)
         probs = np.abs(rotated) ** 2
         probs /= probs.sum(axis=1, keepdims=True)
         # one 1-D draw per row: the 2-D call's stream, without its fixed cost
-        counts = np.array([rng.multinomial(shots, row) for row in probs]).reshape(probs.shape)
+        for row, p in enumerate(probs):
+            counts[row] = rng.multinomial(shots, p)
         totals += counts @ setting.weights / shots
     return totals

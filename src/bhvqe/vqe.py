@@ -35,7 +35,7 @@ from . import hamiltonian as ham
 from .ansatz import AnsatzKind, build
 # `run` stays importable as vqe.run: bench/test_bench.py traces it through this module
 from .circuits import batch_expectation, run, run_batch, sampled_expectation
-from .errors import NonFiniteObjectiveError, finite_float, require_int
+from .errors import DomainError, NonFiniteObjectiveError, finite_float, require_int
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,9 @@ def _segment(cfg: SpsaConfig, gains, directions, theta: np.ndarray, trace: list[
     segment's updates; each iterate's energy is appended to trace, which
     carries the budget across a run's segments. Every energy goes to best.
     Returns whether the stopping rule fired: `window` consecutive energy
-    differences below `tol`. Else the segment stops at max_iter.
+    differences below `tol`. Else the segment stops at max_iter. Either way,
+    a last iterate so large that theta + c_k delta == theta raises
+    DomainError: its probes no longer move it, so neither end means anything.
     """
     (a_k, c_k), see = gains, best.see
     window, tol, max_iter = cfg.window, cfg.tol, cfg.max_iter
@@ -169,6 +171,10 @@ def _segment(cfg: SpsaConfig, gains, directions, theta: np.ndarray, trace: list[
         streak = streak + 1 if abs(e_new - e_prev) < tol else 0
         e_prev = e_new
         if streak >= window or len(trace) == max_iter:
+            if np.array_equal(theta + shift, theta):
+                size = np.abs(theta).max()
+                raise DomainError(f"SPSA iterate ran away to |theta| = {size:.3g}, "
+                                  f"where its probes theta +/- {c:.3g} delta no longer move it")
             return streak >= window
         k += 1
         if ahead:
@@ -210,7 +216,7 @@ def spsa_minimize(
     One segment, no screen: evaluates the segment's points one at a time, in
     order, so the objective is called 1 + 3 * iterations_used times.
     Deterministic for a fixed cfg.seed. Raises NonFiniteObjectiveError if
-    the objective ever returns NaN or Inf.
+    the objective ever returns NaN or Inf, DomainError if the iterate runs away.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)

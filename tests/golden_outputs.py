@@ -8,10 +8,16 @@ so a move shows its size. `test_golden_outputs.py` compares a fresh run with
 file in the same commit and lists what moved:
 
     PYTHONPATH=src python tests/golden_outputs.py
+
+With --check the script prints what moved (or `no entry moved`) and leaves
+the file as it is; it exits 1 if any entry moved, else 0:
+
+    PYTHONPATH=src python tests/golden_outputs.py --check
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -47,6 +53,8 @@ CONFIGS = {
     "exact-only": {**_CHAIN, "seeds": []},
     # valid, but a numerical failure (exit 3)
     "power-overflows": {"mass_grid": [1e200], "spsa": {"max_iter": 3}},
+    # energies ~1e74: SPSA's first step throws theta where its probes no longer move it (exit 3)
+    "runaway-scale": {"radius_grid": [1e-300], "spsa": {"max_iter": 20}},
     # one bad field
     "bad-lattice": {"lattice_n": 6},
     "bad-mass-unit": {"mass_unit": "kg"},
@@ -140,8 +148,14 @@ def moves(old: dict, new: dict) -> list[str]:
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Rewrite golden_outputs.json and print what moved.")
+    parser.add_argument("--check", action="store_true",
+                        help="print what moved and leave the file alone; exit 1 if anything moved")
+    check = parser.parse_args().check
     current = run_matrix()
-    if GOLDEN_PATH.exists():
-        previous = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-        print("\n".join(moves(previous, current)) or "no entry moved")
+    previous = json.loads(GOLDEN_PATH.read_text(encoding="utf-8")) if GOLDEN_PATH.exists() else {}
+    moved = moves(previous, current)
+    print("\n".join(moved) or "no entry moved")
+    if check:
+        raise SystemExit(1 if moved else 0)
     GOLDEN_PATH.write_text(to_text(current), encoding="utf-8")
