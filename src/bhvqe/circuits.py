@@ -177,11 +177,7 @@ class StateVector:
 
 @cache  # one entry per touched-qubit count
 def _kron_rows(touched: int) -> np.ndarray:
-    """(T, 2^T) index into the T prefix columns as (2T, B) rows: take, then prod(axis=0), is their kron.
-
-    Entry [t, i] is b * T + t, b the bit of touched qubit t in kron index i,
-    the first qubit most significant.
-    """
+    """(T, 2^T) rows of the (2T, B) prefix columns: entry [t, i] is T * (bit of qubit t in i) + t."""
     t = np.arange(touched)[:, None]
     rows = (np.arange(2**touched) >> (touched - 1 - t) & 1) * touched + t
     rows.flags.writeable = False
@@ -222,10 +218,9 @@ def run_batch(circuit: Circuit, params: np.ndarray) -> np.ndarray:
     # the state is built and stepped as the (2^n, B) transpose: all B values of an amplitude at once
     touched = len(program.touched)
     rows = columns[:, 0] if touched else np.ones((1, batch), dtype=complex)
-    if touched > 1:  # the kron, in qubit order ((c0 c1) c2) c3
+    if touched > 1:  # the kron in qubit order, ((c0 c1) c2) c3, from c0: 1 + 0j would turn -0j to +0j
         rows = columns.reshape(2 * touched, batch).take(_kron_rows(touched), axis=0)
-        # initial=None starts from c0: a start from 1 + 0j would turn a -0j into +0j
-        rows = rows.prod(axis=0, initial=None)
+        rows = rows.prod(axis=0, initial=None)  # rebound: the (T, 2^T, B) factors are freed
     if touched < circuit.n_qubits:  # else product_indices is every index in order
         product, rows = rows, np.zeros((dim, batch), dtype=complex)
         rows[program.product_indices] = product

@@ -23,6 +23,12 @@ def test_default_repetitions():
     assert AnsatzKind.from_name("ansatz3").repetitions == 2
 
 
+def test_unknown_name_names_the_ansatz_key():
+    # was Python's enum text, "'ansatz9' is not a valid AnsatzFamily"
+    with pytest.raises(ValueError, match=r"^ansatz must be ansatz1, ansatz2 or ansatz3, got 'ansatz9'$"):
+        AnsatzKind.from_name("ansatz9")
+
+
 def test_ansatz1_four_qubits_one_rep():
     circuit = build(AnsatzKind.from_name("ansatz1", reps=1), 4)
     kinds = [g.kind for g in circuit.gates]

@@ -98,6 +98,53 @@ def reference_run(circuit, params):
     return state.reshape(-1)
 
 
+def loop_run_batch(circuit, params):
+    """The kernel with one gather per prefix layer and a loop-form kron, kept as the bitwise oracle.
+
+    run_batch's one prefix gather and one ordered product must give the same
+    bits; a product in another order, or started from 1 + 0j, would not.
+    """
+    program = circuit.program
+    batch, dim = params.shape[0], 2**circuit.n_qubits
+    table = np.concatenate([params.T, np.zeros((1, batch))]).take(program.angle_slots, axis=0)
+    table[0] /= 2
+    table[3] += table[1]
+    cos, sin = np.cos(table), np.sin(table)
+    factors = np.concatenate([cos[:1], -sin[:1], sin[:1], cos[:1]])
+    cos[0], sin[0] = 1, 0
+    entries = np.empty(table.shape, dtype=complex)
+    np.multiply(factors, cos, out=entries.real)
+    np.multiply(factors, sin, out=entries.imag)
+    entries = entries.reshape(program.angle_slots.size, batch)
+    columns = entries.take(program.prefix[0, :, 0], axis=0)
+    for use in program.prefix[1:]:
+        terms = entries.take(use, axis=0)
+        terms *= columns
+        columns = terms.sum(axis=1)
+    rows = columns[:, 0] if program.touched else np.ones((1, batch), dtype=complex)
+    for t in range(1, len(program.touched)):
+        rows = (rows[:, None] * columns[:, t]).reshape(2 << t, batch)
+    state = np.zeros((dim, batch), dtype=complex)
+    state[program.product_indices] = rows
+    for use, source in zip(program.coef_index, program.sources):
+        terms = entries.take(use, axis=0)
+        terms *= state.take(source, axis=0)
+        state = terms[0] + terms[1]
+    if program.final is not None:
+        state = state.take(program.final, axis=0)
+    return np.ascontiguousarray(state.T)
+
+
+def assert_run_batch_equals_oracle_bitwise(circuit, params):
+    states = run_batch(circuit, params)
+    expected = loop_run_batch(circuit, params)
+    assert states.shape == expected.shape
+    assert states.tobytes() == expected.tobytes()
+    # each row equals that row run alone, as vqe_lockstep relies on
+    for row, theta in zip(states, params):
+        assert row.tobytes() == run_batch(circuit, theta[None]).tobytes()
+
+
 def apply_pauli_string(amplitudes, letters):
     """Reference P|psi> for a Pauli string, acting axis by axis on the reshaped state."""
     n = len(letters)
@@ -307,53 +354,7 @@ def test_run_batch_matches_reference_on_random_circuits(circuit, batch, seed):
     assert states.shape == (batch, 2**circuit.n_qubits)
     for row, theta in zip(states, params):
         np.testing.assert_allclose(row, reference_run(circuit, theta), rtol=0, atol=1e-12)
-
-
-def loop_run_batch(circuit, params):
-    """run_batch with one gather per prefix layer and a loop-form kron: the bitwise oracle.
-
-    Both multiply in the same order as run_batch's one gather and one ordered
-    product, so the two agree bit for bit; a reordered product would not.
-    """
-    program = circuit.program
-    batch, dim = params.shape[0], 2**circuit.n_qubits
-    table = np.concatenate([params.T, np.zeros((1, batch))]).take(program.angle_slots, axis=0)
-    table[0] /= 2
-    table[3] += table[1]
-    cos, sin = np.cos(table), np.sin(table)
-    factors = np.concatenate([cos[:1], -sin[:1], sin[:1], cos[:1]])
-    cos[0], sin[0] = 1, 0
-    entries = np.empty(table.shape, dtype=complex)
-    np.multiply(factors, cos, out=entries.real)
-    np.multiply(factors, sin, out=entries.imag)
-    entries = entries.reshape(program.angle_slots.size, batch)
-    columns = entries.take(program.prefix[0, :, 0], axis=0)
-    for use in program.prefix[1:]:
-        terms = entries.take(use, axis=0)
-        terms *= columns
-        columns = terms.sum(axis=1)
-    rows = columns[:, 0] if program.touched else np.ones((1, batch), dtype=complex)
-    for t in range(1, len(program.touched)):
-        rows = (rows[:, None] * columns[:, t]).reshape(2 << t, batch)
-    state = np.zeros((dim, batch), dtype=complex)
-    state[program.product_indices] = rows
-    for use, source in zip(program.coef_index, program.sources):
-        terms = entries.take(use, axis=0)
-        terms *= state.take(source, axis=0)
-        state = terms[0] + terms[1]
-    if program.final is not None:
-        state = state.take(program.final, axis=0)
-    return np.ascontiguousarray(state.T)
-
-
-def assert_run_batch_equals_oracle_bitwise(circuit, params):
-    states = run_batch(circuit, params)
-    expected = loop_run_batch(circuit, params)
-    assert states.shape == expected.shape
-    assert states.tobytes() == expected.tobytes()
-    # each row equals that row run alone, as vqe_lockstep relies on
-    for row, theta in zip(states, params):
-        assert row.tobytes() == run_batch(circuit, theta[None]).tobytes()
+    assert_run_batch_equals_oracle_bitwise(circuit, params)
 
 
 @pytest.mark.parametrize("family,n_qubits", FAMILY_WIDTHS)
@@ -375,13 +376,6 @@ def test_real_product_states_keep_the_oracles_signed_zeros(layers):
     params = np.random.default_rng(4).uniform(-2 * PI, 2 * PI, (16, 9 * layers))
     params[:, 1::3] = params[:, 2::3] = -0.0
     assert_run_batch_equals_oracle_bitwise(Circuit(3, gates, 9 * layers), params)
-
-
-@settings(max_examples=80, deadline=None)
-@given(circuit=random_circuits(), batch=st.sampled_from([0, 1, 3]), seed=st.integers(0, 2**32 - 1))
-def test_run_batch_equals_loop_oracle_on_random_circuits(circuit, batch, seed):
-    params = np.random.default_rng(seed).uniform(-2 * PI, 2 * PI, (batch, circuit.n_params))
-    assert_run_batch_equals_oracle_bitwise(circuit, params)
 
 
 def _interleaved_circuit():

@@ -145,6 +145,19 @@ def test_mass_whose_temperature_or_power_is_not_a_float_is_a_numeric_failure(
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("command", ["vqe", "sweep"])
+def test_runaway_spsa_iterate_is_a_numeric_failure(tmp_path, capsys, command):
+    # energies ~1e74: the first update throws theta to ~7e73, where the probes no longer
+    # move it; this printed a VQE energy 2.2x the exact one with converged=true and exit 0
+    cfg = write_config(tmp_path, {"radius_grid": [1e-300], "spsa": {"max_iter": 20}})
+    out_path = tmp_path / "sweep.csv"
+    out_flag = ["--out", str(out_path)] if command == "sweep" else []
+    code, out, err = run_cli(capsys, command, "--config", cfg, *out_flag)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: DomainError: SPSA iterate ran away to |theta| = ")
+    assert not out_path.exists()
+
+
 def test_vqe_summary_line(tmp_path, capsys):
     cfg = write_config(tmp_path, RHO_ZERO_CONFIG)
     code, out, _ = run_cli(capsys, "vqe", "--config", cfg, "--seed", "0")

@@ -12,7 +12,7 @@ from bhvqe import hamiltonian as ham
 from bhvqe import vqe
 from bhvqe.ansatz import AnsatzKind, build
 from bhvqe.circuits import expectation, run, run_batch
-from bhvqe.errors import NonFiniteObjectiveError
+from bhvqe.errors import DomainError, NonFiniteObjectiveError
 from bhvqe.hamiltonian import (
     DISJOINT,
     PAPER_CHAIN,
@@ -144,6 +144,15 @@ def test_spsa_rejects_non_finite_objective():
     cfg = SpsaConfig(max_iter=10)
     with pytest.raises(NonFiniteObjectiveError):
         spsa_minimize(lambda th: float("nan"), np.array([1.0]), cfg,
+                      rng=np.random.default_rng(0))
+
+
+def test_spsa_raises_when_its_iterate_runs_away():
+    # a slope of 1e80 throws theta to ~2e79 on the first update, where theta +/- c delta ==
+    # theta: every later energy is the same, so the stopping rule fires on a frozen point
+    cfg = SpsaConfig(max_iter=50)
+    with pytest.raises(DomainError, match=r"ran away to \|theta\| = "):
+        spsa_minimize(lambda th: 1e80 * float(th[0]), np.array([1.0]), cfg,
                       rng=np.random.default_rng(0))
 
 
