@@ -601,6 +601,21 @@ def test_expectation_respects_variational_bound():
         assert expectation(state, CHAIN_H) >= ground - 1e-10
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 2.9e8, 1e14, 1e60])
+def test_imaginary_residue_is_judged_at_the_matrix_scale(scale):
+    # rounding leaves a residue in proportion to H: at one solar mass (E0 ~ 2.9e8)
+    # an absolute 1e-10 bar rejected most exact chain energies
+    circuit = build(AnsatzKind.from_name("ansatz1"), 4)
+    states = run_batch(circuit, np.random.default_rng(3).uniform(-PI, PI, (50, circuit.n_params)))
+    dense = to_matrix(CHAIN_H)
+    np.testing.assert_allclose(batch_expectation(states, scale * dense),
+                               scale * batch_expectation(states, dense), rtol=1e-13, atol=0)
+    # a real anti-Hermitian part still raises; below unit scale the absolute bar 1e-10 judges it
+    leak = 1e-6j * max(scale, 1.0) * np.eye(16)
+    with pytest.raises(ValueError, match="imaginary residue"):
+        batch_expectation(states, scale * dense + leak)
+
+
 def test_circuit_preserves_norm():
     rng = np.random.default_rng(17)
     kinds = [AnsatzKind.from_name(n) for n in ("ansatz1", "ansatz2", "ansatz3")]

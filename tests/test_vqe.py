@@ -475,6 +475,15 @@ def test_shot_run_builds_its_settings_once(monkeypatch):
     assert calls == [16]
 
 
+def test_vqe_runs_at_one_solar_mass():
+    # exact energies near 1e9 leave rounding residues far above an absolute 1e-10
+    h = assemble(BlackHoleParams(mass=9.136e37, radius=10.0), HamiltonianLayout(variant=PAPER_CHAIN),
+                 LatticeSpec(4))
+    result = vqe_run(h, AnsatzKind.from_name("ansatz1"), SpsaConfig(seed=0, max_iter=5))
+    assert result.iterations_used == 5
+    assert result.best_energy >= exact_ground_energy(h) * (1 - 1e-12)
+
+
 def test_ground_energy_linearity_supports_prefactor_scaling():
     # scaling the Hamiltonian scales its ground energy, which is why the
     # normalized chain result transfers to any metric prefactor
