@@ -17,6 +17,7 @@ Exit codes: 0 success, 2 config validation, 3 numerical failure, 4 I/O.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -212,10 +213,16 @@ def _point_prefix(point: GridPoint) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write text to path + '.partial', then rename it to path; a failed write or rename removes it."""
     partial = path + ".partial"
-    with open(partial, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
-    os.replace(partial, path)
+    try:
+        with open(partial, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        os.replace(partial, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(partial)
+        raise
 
 
 def cmd_hamiltonian(cfg: RunConfig, fmt: str, normalized: bool) -> int:

@@ -394,6 +394,18 @@ def test_sweep_unwritable_path(tmp_path, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("command, flag", [("sweep", "--out"), ("vqe", "--trace")])
+def test_failed_rename_leaves_no_partial_file(tmp_path, capsys, command, flag):
+    cfg = write_config(tmp_path, {**RHO_ZERO_CONFIG, "seeds": [0], "spsa": {"max_iter": 3}})
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    code, _, err = run_cli(capsys, command, "--config", cfg, flag, str(taken))
+    assert code == 4
+    assert "Is a directory" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
+    assert list(taken.iterdir()) == []
+
+
 def test_fit_recovers_curve_from_sweep(tmp_path, capsys):
     config = {"mass_grid": [float(m) for m in range(1, 11)], "radius_grid": [10.0], "seeds": []}
     cfg = write_config(tmp_path, config)
