@@ -241,7 +241,11 @@ def run(circuit: Circuit, params: np.ndarray) -> StateVector:
 
 def batch_expectation(amplitudes: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """Exact <psi|H|psi> for every row of a (B, 2^n) amplitude batch, H dense."""
-    values = ((amplitudes.conj() @ matrix) * amplitudes).sum(axis=1)
+    if amplitudes.ndim != 2 or amplitudes.shape[1] != len(matrix):
+        raise QubitMismatchError(f"amplitudes {amplitudes.shape} are not rows for H {matrix.shape}")
+    bras = amplitudes.conj()  # gemv would round a lone row unlike a row of a gemm: pair it
+    bras = bras @ matrix if len(bras) != 1 else (bras.repeat(2, axis=0) @ matrix)[:1]
+    values = (bras * amplitudes).sum(axis=1)
     residue = np.abs(values.imag).max(initial=0.0)
     # rounding leaves a residue in proportion to the entries: a large H is judged by their scale
     if residue > EXPECTATION_IMAG_TOL and residue > EXPECTATION_IMAG_TOL * np.abs(matrix).max():
@@ -251,8 +255,6 @@ def batch_expectation(amplitudes: np.ndarray, matrix: np.ndarray) -> np.ndarray:
 
 def expectation(state: StateVector, h: PauliHamiltonian) -> float:
     """Exact <psi|H|psi> through the dense matrix of H."""
-    if state.n_qubits != h.n_qubits:
-        raise QubitMismatchError(f"state has {state.n_qubits} qubits, Hamiltonian has {h.n_qubits}")
     return float(batch_expectation(state.amplitudes[None], to_matrix(h))[0])
 
 

@@ -272,11 +272,8 @@ def vqe_lockstep(
             stop = start + len(points)
             if matrix is None:
                 energies = sampled_expectation(states[start:stop], h, shots, shot_rng).tolist()
-            elif stop - start > 1:
-                energies = values[start:stop]
             else:
-                # numpy multiplies a lone row by gemv, which rounds unlike a row of a gemm
-                energies = batch_expectation(states[start:stop], matrix).tolist()
+                energies = values[start:stop]
             try:
                 points = search.send([scale * e for e in energies])
             except StopIteration as done:

@@ -24,6 +24,7 @@ from bhvqe.circuits import (
 )
 from bhvqe.errors import ParamLengthMismatchError, QubitMismatchError
 from bhvqe.hamiltonian import (
+    DISJOINT,
     PAPER_CHAIN,
     HamiltonianLayout,
     assemble,
@@ -548,6 +549,38 @@ def test_expectation_matches_term_sum_and_dense_route(n_qubits, seed):
         assert abs(exact - by_terms) < 1e-12
         assert abs(exact - direct) < 1e-12
         assert abs(exact - value) < 1e-12
+
+
+LAYOUTS = {
+    "paper-chain": CHAIN_H,
+    "disjoint-dims2-N8": assemble(None, HamiltonianLayout(variant=DISJOINT, dims=2), LatticeSpec(8)),
+    "disjoint-N64": assemble(None, HamiltonianLayout(variant=DISJOINT, dims=1), LatticeSpec(64)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(layout=st.sampled_from(sorted(LAYOUTS)), batch=st.integers(1, 64), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_rows_energy_does_not_depend_on_its_batch(layout, batch, data, seed):
+    # vqe_lockstep slices one contraction per step, so each run's energies must
+    # equal, bit for bit, the values its rows would get alone
+    h = LAYOUTS[layout]
+    row = data.draw(st.integers(0, batch - 1), label="row")
+    rng = np.random.default_rng(seed)
+    states = rng.normal(size=(batch, 2**h.n_qubits)) + 1j * rng.normal(size=(batch, 2**h.n_qubits))
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    dense = to_matrix(h)
+    value = batch_expectation(states, dense)[row].hex()
+    assert batch_expectation(states[row : row + 1], dense)[0].hex() == value
+    assert expectation(StateVector(h.n_qubits, states[row]), h).hex() == value
+
+
+def test_batch_expectation_rejects_wrong_width():
+    dense = to_matrix(CHAIN_H)
+    state = run(Circuit(4, (), 0), np.array([]))
+    for amplitudes in (state.amplitudes, np.ones((2, 8), dtype=complex)):
+        with pytest.raises(QubitMismatchError):
+            batch_expectation(amplitudes, dense)
 
 
 def test_apply_pauli_string_basics():

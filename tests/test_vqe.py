@@ -502,10 +502,10 @@ GOLDEN_CHAIN_RUNS = [
      "aeecbb0112dff6d4d511f240ce3f3f1c8a1885d7d95c61b53c6384f816b07c57",
      "93b0ea1d1623c5439328a278b69ce7987f3efcc150681efa8506789757a59beb"),
     ("ansatz1", 0, 1, "0x1.cc4309a47b1c8p-3", 500, True,
-     "a76ad3ff869c167e16cfac72adf094a8892eaf81dbbf956a3f2f0bb69fe913d5",
+     "0c00b1a623057f4e1a0f3f9b597cf5aecfaf899a007a762f035db73c1891fcf0",
      "6b348c4dc6d90c4052e2876891afd27ae628d47c7c4e4814a43218dd8645644e"),
     ("ansatz1", 0, 2, "0x1.0fac4cdfd036cp-2", 500, True,
-     "e6e4097d3d55b7f1f3a1abff98dca1ff946b870fedb22b3f1719379a21257c68",
+     "b3096ee9ba762a3d7014a0869bd18ebcb4d4a3c1fd9fa14a127796c7ec7daa20",
      "4e37f32eeb4522acd23c42a3e8f43548fecb2925af1e89faa5f6b529befd3a70"),
     ("ansatz1", 1000, 0, "0x1.2ac7fae97c5c6p-2", 500, False,
      "7916ea59a092f218f84a6be9942ba508d15950baa8084f5cae43c0ef40482923",
@@ -520,10 +520,10 @@ GOLDEN_CHAIN_RUNS = [
      "c0618da39d84045b5bf577a5b57dd7cc5cb8d5486a584fd665831f5d6e3a5a58",
      "f7df010aba71121b605161ab04fc2bd050a5483c9f6e3e94777f25c999e2592f"),
     ("ansatz2", 0, 1, "0x1.a055929f9db94p-2", 500, True,
-     "1d4461835e86e84c64b61e7a9e599d53d5eb765a6092df47dcee8f5b2c02206a",
+     "645708b2631819f35ead561d29ff467c45101d997d13577ea4d0943be6368548",
      "4b7ff99b1de228cbdf7a8dd6020d954fbacc15abb74c7b3ac29f11553e2cabbd"),
     ("ansatz2", 0, 2, "0x1.4925a77dd3434p-2", 500, True,
-     "7d6d2da051c10f5a8b6682c6e031d4520d6f91fd8302b90875a7b9145ff79fcc",
+     "7d8369c1cf92ebb0f16860fd268ab4324f4b6364688cbaddf790aa146ad1eb51",
      "7f9fa375fcb7f83c8c767fd2c5e184f5d26d4fc0616ad7006b6f70b3a40ffe81"),
     ("ansatz2", 1000, 0, "0x1.2444aace131c6p-2", 500, False,
      "cda54978a0d7b2d27a1106fa4565c3351fbf0bb6de9a40bcb9766c366aae1805",
@@ -534,11 +534,11 @@ GOLDEN_CHAIN_RUNS = [
     ("ansatz2", 1000, 2, "0x1.37324b9dbcfeap-2", 500, False,
      "fcc3aeb311f8f9b4dbf6f67dab0b434d4595866e4019375fb23d44344a355fbf",
      "3c30f3be8605a621c5ad58ac36b4c7d3fc6b2f14d563d53e821da0f1ea6a5f1f"),
-    ("ansatz3", 0, 0, "0x1.996be59120a4bp-3", 500, True,
-     "3099112b5b6a78565fa5a33b314c4e2254bc464104a3afb33a49fb77be40396c",
+    ("ansatz3", 0, 0, "0x1.996be59120a4ap-3", 500, True,
+     "e7204927537bdf3d301ba605ce8c3650c63557daaa85f220bc37c86899224752",
      "4e751256ab81afea96674c093f0cf9625291054a884b18e7ce66b99e490da262"),
     ("ansatz3", 0, 1, "0x1.992b9a5f59a15p-3", 500, True,
-     "8edd78e808b72f520af0430820779c6c77f5940980222f10bf32a87cf98e987f",
+     "64eab4f270bb0fda8a593d8b96e9c52dbf36b3b9f69c891df93600bbade33044",
      "dad42fa26c136bd4dea30fd870b99c75d57ccb97efcb33c25566c6d87a1f741a"),
     ("ansatz3", 0, 2, "0x1.9d6478d58a6a4p-3", 500, True,
      "aa8f327a190ae21f96f2182f4867da87a773bc30a078c688c5d22281f5079f48",
