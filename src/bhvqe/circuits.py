@@ -12,7 +12,7 @@ one add. A CNOT is no step; its basis permutation is folded into the indices
 the next step reads, or into one final gather. All U3 entries are built from
 one real cos and sin table, in the layout the steps read. `run` is the batch of one.
 Exact expectation values contract a batch of states with the dense
-Hamiltonian matrix. Shot-noise estimates take the same batch: it is rotated
+Hamiltonian matrix; a row's value does not depend on its batch. Shot-noise estimates take the same batch: it is rotated
 once into each measurement setting of the Hamiltonian, a group of
 qubit-wise-commuting terms, and every row samples its Born distribution
 from the caller's generator.
@@ -240,7 +240,11 @@ def run(circuit: Circuit, params: np.ndarray) -> StateVector:
 
 
 def batch_expectation(amplitudes: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Exact <psi|H|psi> for every row of a (B, 2^n) amplitude batch, H dense."""
+    """Exact <psi|H|psi> for every row of a (B, 2^n) amplitude batch, H dense.
+
+    A row's value is the same bit for bit in a batch of any size, so a caller
+    may contract many states in one call and slice the values.
+    """
     if amplitudes.ndim != 2 or amplitudes.shape[1] != len(matrix):
         raise QubitMismatchError(f"amplitudes {amplitudes.shape} are not rows for H {matrix.shape}")
     bras = amplitudes.conj()  # gemv would round a lone row unlike a row of a gemm: pair it

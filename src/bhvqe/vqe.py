@@ -244,7 +244,10 @@ def vqe_lockstep(
     run_batch call and sends every run its slice of the energies, times its
     scale: a run's screen can share a call with other runs' SPSA steps,
     and a finished run drops out. Each result equals vqe_lockstep(h,
-    [(scale, cfg)], kind, shots) bit for bit. Returns [] for no runs.
+    [(scale, cfg)], kind, shots) bit for bit: exact energies are slices of
+    one batch_expectation call, which gives a row the same value in a batch
+    of any size, and with shots each run samples its slice on its own
+    stream. Returns [] for no runs.
     """
     if not runs:
         return []
