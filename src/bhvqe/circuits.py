@@ -12,10 +12,10 @@ one add. A CNOT is no step; its basis permutation is folded into the indices
 the next step reads, or into one final gather. All U3 entries are built from
 one real cos and sin table, in the layout the steps read. `run` is the batch of one.
 Exact expectation values contract a batch of states with the dense
-Hamiltonian matrix; a row's value does not depend on its batch. Shot-noise estimates take the same batch: it is rotated
-once into each measurement setting of the Hamiltonian, a group of
-qubit-wise-commuting terms, and every row samples its Born distribution
-from the caller's generator.
+Hamiltonian matrix; a row's value does not depend on its batch. Shot-noise
+estimates take the same batch: it is rotated once into each measurement
+setting of the Hamiltonian, a group of qubit-wise-commuting terms, and every
+row samples its Born distribution from the caller's generator.
 """
 
 from __future__ import annotations

@@ -575,14 +575,6 @@ def test_a_rows_energy_does_not_depend_on_its_batch(layout, batch, data, seed):
     assert expectation(StateVector(h.n_qubits, states[row]), h).hex() == value
 
 
-def test_batch_expectation_rejects_wrong_width():
-    dense = to_matrix(CHAIN_H)
-    state = run(Circuit(4, (), 0), np.array([]))
-    for amplitudes in (state.amplitudes, np.ones((2, 8), dtype=complex)):
-        with pytest.raises(QubitMismatchError):
-            batch_expectation(amplitudes, dense)
-
-
 def test_apply_pauli_string_basics():
     np.testing.assert_allclose(apply_pauli_string(np.array([1.0, 0.0]), "X"), [0, 1], atol=1e-15)
     np.testing.assert_allclose(apply_pauli_string(np.array([0.0, 1.0]), "Z"), [0, -1], atol=1e-15)
@@ -613,6 +605,11 @@ def test_expectation_qubit_mismatch():
     state = run(Circuit(2, (), 0), np.array([]))
     with pytest.raises(QubitMismatchError):
         expectation(state, CHAIN_H)
+    # batch_expectation checks its own rows: a 1-D state, 8 columns against 16
+    dense = to_matrix(CHAIN_H)
+    for amplitudes in (run(Circuit(4, (), 0), np.array([])).amplitudes, np.ones((2, 8), dtype=complex)):
+        with pytest.raises(QubitMismatchError):
+            batch_expectation(amplitudes, dense)
 
 
 def test_expectation_matches_dense_matrix():
