@@ -165,6 +165,8 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a single JSON object")
     return data
@@ -324,12 +326,13 @@ def cmd_sweep(cfg: RunConfig, out_path: str | None) -> int:
 
 def cmd_fit(in_path: str, curve: str) -> int:
     """Fit the quartic energy curve to a sweep CSV and print coefficients."""
-    with open(in_path, encoding="utf-8", newline="") as handle:
-        rows = list(csv.DictReader(handle))
     try:
+        with open(in_path, encoding="utf-8", newline="") as handle:
+            rows = list(csv.DictReader(handle))
         exact = [{key: float(row[key]) for key in ("mass", "radius", "energy")}
                  for row in rows if row["method"] == METHOD_EXACT]
-    except (KeyError, TypeError, ValueError) as exc:
+    # a non-UTF-8 file raises UnicodeDecodeError, a ValueError; an overlong field csv.Error
+    except (KeyError, TypeError, ValueError, csv.Error) as exc:
         raise ConfigError(f"input CSV is not a sweep table: {exc}") from exc
     # a curve is one family: exact rows that share the other grid coordinate
     regressor, family = ("mass", "radius") if curve == "mass" else ("radius", "mass")

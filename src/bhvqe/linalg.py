@@ -24,15 +24,10 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Max-norm distance from m to its conjugate transpose."""
-    m = as_matrix(m)
-    return float(np.abs(m - m.conj().T).max())
-
-
 def require_hermitian(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    defect = hermiticity_defect(m)  # validates m through as_matrix
+    """as_matrix(m), or NotHermitianError if max |m - m^dag| exceeds HERMITICITY_TOL."""
+    m = as_matrix(m)
+    defect = float(np.abs(m - m.conj().T).max())
     if defect > HERMITICITY_TOL:
         raise NotHermitianError(f"matrix is not Hermitian: max |m - m^dag| = {defect:.3e}")
     return m

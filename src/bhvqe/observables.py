@@ -86,7 +86,6 @@ class SweepRecord:
     method: str
     ansatz: str
     seed: int | None
-    shots: int
     iterations: int
     converged: bool | None
 
@@ -342,7 +341,6 @@ def records(
                 method=METHOD_EXACT if result is None else METHOD_VQE,
                 ansatz="" if result is None else ansatz.family.value,
                 seed=seed,
-                shots=shots,
                 iterations=0 if result is None else result.iterations_used,
                 converged=None if result is None else result.converged,
             )

@@ -24,6 +24,7 @@ and `spsa_minimize` drives one segment with a scalar objective, point by point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Callable, Sequence
@@ -95,10 +96,12 @@ INIT_CANDIDATES = 16
 MAX_LOCKSTEP_RUNS = 256
 
 
-def _gains(cfg: SpsaConfig) -> tuple[list[float], list[float]]:
-    """The gain sequences a_k and c_k for every iteration index k < cfg.max_iter."""
-    a_k = [cfg.a / (cfg.stability_a + k + 1) ** cfg.alpha for k in range(cfg.max_iter)]
-    c_k = [cfg.c / (k + 1) ** cfg.gamma for k in range(cfg.max_iter)]
+@functools.cache  # one pair of tables per gain setting per process; the seed plays no part
+def _gains(a: float, c: float, alpha: float, gamma: float, stability_a: float,
+           max_iter: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The gain sequences a_k and c_k for every iteration index k < max_iter."""
+    a_k = tuple(a / (stability_a + k + 1) ** alpha for k in range(max_iter))
+    c_k = tuple(c / (k + 1) ** gamma for k in range(max_iter))
     return a_k, c_k
 
 
@@ -130,8 +133,7 @@ class _Best:
         return energies
 
 
-def _segment(cfg: SpsaConfig, gains, directions, theta: np.ndarray, trace: list[float],
-             best: _Best):
+def _segment(cfg: SpsaConfig, directions, theta: np.ndarray, trace: list[float], best: _Best):
     """SPSA from theta: yields each batch of points and is sent their energies, in order.
 
     The first batch is theta with iteration 0's two probes. After each update
@@ -148,7 +150,8 @@ def _segment(cfg: SpsaConfig, gains, directions, theta: np.ndarray, trace: list[
     a last iterate so large that theta + c_k delta == theta raises
     DomainError: its probes no longer move it, so neither end means anything.
     """
-    (a_k, c_k), see = gains, best.see
+    a_k, c_k = _gains(cfg.a, cfg.c, cfg.alpha, cfg.gamma, cfg.stability_a, cfg.max_iter)
+    see = best.see
     window, tol, max_iter = cfg.window, cfg.tol, cfg.max_iter
     k = streak = 0
     c, delta = c_k[0], next(directions)
@@ -186,7 +189,7 @@ def _segment(cfg: SpsaConfig, gains, directions, theta: np.ndarray, trace: list[
             e_plus, e_minus = see(batch, (yield batch))
 
 
-def _vqe_search(cfg: SpsaConfig, gains, init_rng, spsa_rng, n_params: int):
+def _vqe_search(cfg: SpsaConfig, init_rng, spsa_rng, n_params: int):
     """One VQE run: yields each batch of points, is sent their energies, returns a VqeResult.
 
     Screens INIT_CANDIDATES starts, runs a segment from the lowest, and
@@ -201,7 +204,7 @@ def _vqe_search(cfg: SpsaConfig, gains, init_rng, spsa_rng, n_params: int):
         candidates = init_rng.uniform(-np.pi, np.pi, (INIT_CANDIDATES, n_params))
         # argmin takes the first of tied candidates
         theta = candidates[int(np.argmin((yield candidates)))].copy()
-        converged |= yield from _segment(cfg, gains, directions, theta, trace, best)
+        converged |= yield from _segment(cfg, directions, theta, trace, best)
     return VqeResult(best.params, best.energy, tuple(trace), converged, len(trace))
 
 
@@ -223,7 +226,7 @@ def spsa_minimize(
     theta0 = np.asarray(theta0, dtype=float).copy()
     trace, best = [], _Best()
     # one direction per draw: rng advances only by the iterations that run
-    segment = _segment(cfg, _gains(cfg), _directions(rng, theta0.size, 1), theta0, trace, best)
+    segment = _segment(cfg, _directions(rng, theta0.size, 1), theta0, trace, best)
     points = next(segment)
     try:
         while True:
@@ -255,16 +258,12 @@ def vqe_lockstep(
     matrix = ham.to_matrix(h) if shots == 0 else None
     results: list[VqeResult] = [None] * len(runs)
     waiting = iter(enumerate(runs))
-    gains = {}  # one pair of gain tables per distinct gain setting
     active = []  # (index, scale, shot generator, search, the points it waits on)
     while True:
         for index, (scale, cfg) in itertools.islice(waiting, MAX_LOCKSTEP_RUNS - len(active)):
             streams = np.random.SeedSequence(cfg.seed).spawn(3)
             init_rng, spsa_rng, shot_rng = map(np.random.default_rng, streams)
-            key = (cfg.a, cfg.c, cfg.alpha, cfg.gamma, cfg.stability_a, cfg.max_iter)
-            if key not in gains:
-                gains[key] = _gains(cfg)
-            search = _vqe_search(cfg, gains[key], init_rng, spsa_rng, circuit.n_params)
+            search = _vqe_search(cfg, init_rng, spsa_rng, circuit.n_params)
             active.append((index, float(scale), shot_rng, search, next(search)))
         if not active:
             return results

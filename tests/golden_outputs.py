@@ -3,9 +3,10 @@
 Each entry runs one `bhvqe` subcommand in process and records what a user
 sees: the exit code, the stdout digest, the first stderr line, the CSV digest
 and manifest `config` block of a sweep, and every VQE energy as `float.hex`,
-so a move shows its size. `test_golden_outputs.py` compares a fresh run with
-`golden_outputs.json`. A change that moves outputs on purpose rewrites the
-file in the same commit and lists what moved:
+so a move shows its size. Every config whose sweep exits 0 also gets one
+`fit` entry per curve, fitted to that sweep's CSV. `test_golden_outputs.py`
+compares a fresh run with `golden_outputs.json`. A change that moves outputs
+on purpose rewrites the file in the same commit and lists what moved:
 
     PYTHONPATH=src python tests/golden_outputs.py
 
@@ -74,6 +75,7 @@ CONFIGS = {
     "bad-qubits-kappa": {"layout": "disjoint", "dims": 3, "lattice_n": 16, "kappa_p": 0},
 }
 SUBCOMMANDS = ("hamiltonian", "exact", "vqe", "sweep")
+FIT_COMMANDS = ("fit --curve mass", "fit --curve radius")
 
 
 def _sha256(text: str) -> str:
@@ -81,14 +83,20 @@ def _sha256(text: str) -> str:
 
 
 def run_entry(config: dict, command: str, workdir: pathlib.Path) -> dict:
-    """Run one subcommand on one config; the entry the golden file holds for it."""
-    config_path = workdir / "config.json"
-    config_path.write_text(json.dumps(config), encoding="utf-8")
+    """Run one subcommand on one config; the entry the golden file holds for it.
+
+    A fit command fits the CSV that the config's sweep entry left in workdir.
+    """
     csv_path = workdir / "sweep.csv"
     manifest_path = workdir / "sweep.csv.manifest.json"
-    for path in (csv_path, manifest_path):
-        path.unlink(missing_ok=True)
-    argv = [command, "--config", str(config_path)]
+    if command in FIT_COMMANDS:
+        argv = command.split() + ["--in", str(csv_path)]
+    else:
+        config_path = workdir / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        for path in (csv_path, manifest_path):
+            path.unlink(missing_ok=True)
+        argv = [command, "--config", str(config_path)]
     if command == "sweep":
         argv += ["--out", str(csv_path)]
 
@@ -105,7 +113,7 @@ def run_entry(config: dict, command: str, workdir: pathlib.Path) -> dict:
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     stderr_lines = err.getvalue().splitlines()
-    written = csv_path.exists()
+    written = command == "sweep" and csv_path.exists()
     return {
         "exit": code,
         "stdout_sha256": _sha256(out.getvalue()),
@@ -118,10 +126,20 @@ def run_entry(config: dict, command: str, workdir: pathlib.Path) -> dict:
 
 
 def run_matrix() -> dict:
-    """Every (config, subcommand) entry, keyed `config-name subcommand`."""
+    """Every (config, subcommand) entry, keyed `config-name subcommand`.
+
+    A config whose sweep exits 0 adds one entry per FIT_COMMANDS command.
+    """
+    matrix = {}
     with tempfile.TemporaryDirectory() as tmp:
-        return {f"{name} {command}": run_entry(config, command, pathlib.Path(tmp))
-                for name, config in CONFIGS.items() for command in SUBCOMMANDS}
+        workdir = pathlib.Path(tmp)
+        for name, config in CONFIGS.items():
+            for command in SUBCOMMANDS:
+                matrix[f"{name} {command}"] = run_entry(config, command, workdir)
+            if matrix[f"{name} sweep"]["exit"] == 0:
+                for command in FIT_COMMANDS:
+                    matrix[f"{name} {command}"] = run_entry(config, command, workdir)
+    return matrix
 
 
 def to_text(matrix: dict) -> str:

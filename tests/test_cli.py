@@ -495,6 +495,26 @@ def test_fit_rejects_malformed_csv(tmp_path, capsys):
     assert code == 2
 
 
+NOT_UTF8 = b"\xff\xfe{}"
+
+
+@pytest.mark.parametrize("argv, name, content", [
+    *[([command, "--config"], "config.json", NOT_UTF8)
+      for command in ("hamiltonian", "exact", "vqe", "sweep")],
+    (["fit", "--curve", "mass", "--in"], "sweep.csv", CSV_COLUMNS.encode() + b"\n" + NOT_UTF8),
+    # the csv module refuses a field over 131072 characters
+    (["fit", "--curve", "mass", "--in"], "sweep.csv",
+     CSV_COLUMNS.encode() + b"\nr0000," + b"x" * 200_000 + b"\n"),
+], ids=["hamiltonian", "exact", "vqe", "sweep", "fit-not-utf8", "fit-field-over-limit"])
+def test_undecodable_input_exits_2_with_one_error_line(tmp_path, capsys, argv, name, content):
+    path = tmp_path / name
+    path.write_bytes(content)
+    extra = ["--out", str(tmp_path / "out.csv")] if argv[0] == "sweep" else []
+    code, out, err = run_cli(capsys, *argv, str(path), *extra)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 INVALID_CONFIGS = [
     {"layout": "ring"},
     {"layout": "paper-chain", "lattice_n": 8},

@@ -5,7 +5,7 @@ import pytest
 
 from bhvqe import linalg
 from bhvqe.errors import DimensionMismatchError, DomainError, NotHermitianError
-from bhvqe.linalg import hermitian_eigensystem, hermiticity_defect
+from bhvqe.linalg import hermitian_eigensystem
 from pauli_helpers import pauli_matrix
 
 I2 = np.eye(2, dtype=complex)
@@ -98,7 +98,9 @@ def test_eigensystem_columns_orthonormal():
 
 def test_eigensystem_rejects_non_hermitian():
     skew = np.array([[0, 1], [0, 0]], dtype=complex)
-    assert hermiticity_defect(skew) == 1.0
+    # the gate reports the max-norm defect it measured: |m - m^dag| peaks at 1
+    with pytest.raises(NotHermitianError, match=r"max \|m - m\^dag\| = 1\.000e\+00$"):
+        linalg.require_hermitian(skew)
     with pytest.raises(NotHermitianError):
         hermitian_eigensystem(skew)
     # defects below the 1e-10 gate pass through

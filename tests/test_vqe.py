@@ -112,6 +112,16 @@ def test_spsa_config_accepts_numpy_integers():
     assert (cfg.max_iter, cfg.window, cfg.seed) == (7, 2, 2**63)
 
 
+def test_gain_tables_are_shared_by_configs_that_differ_only_in_seed():
+    fields = ("a", "c", "alpha", "gamma", "stability_a", "max_iter")
+    one, two = SpsaConfig(max_iter=7, seed=1), SpsaConfig(max_iter=7, seed=2)
+    a_k, c_k = vqe._gains(*(getattr(one, name) for name in fields))
+    again = vqe._gains(*(getattr(two, name) for name in fields))
+    assert again[0] is a_k and again[1] is c_k
+    assert type(a_k) is tuple and type(c_k) is tuple and len(a_k) == len(c_k) == 7
+    assert a_k[3] == 1.0 / (10.0 + 4) ** 0.602 and c_k[3] == 0.1 / 4**0.101
+
+
 def test_spsa_minimizes_quadratic_bowl():
     cfg = SpsaConfig(max_iter=200)
     result = spsa_minimize(lambda th: float(np.sum(th**2)), np.array([1.0, 1.0]), cfg,
