@@ -1,12 +1,16 @@
-"""The committed output matrix: every CLI subcommand over a fixed set of configs.
+"""The committed seeded-output pins: every CLI subcommand over a fixed set of configs,
+plus the library's seeded VQE runs and `run_batch` schedules.
 
-Each entry runs one `bhvqe` subcommand in process and records what a user
+Each CLI entry runs one `bhvqe` subcommand in process and records what a user
 sees: the exit code, the stdout digest, the first stderr line, the CSV digest
 and manifest `config` block of a sweep, and every VQE energy as `float.hex`,
 so a move shows its size. Every config whose sweep exits 0 also gets one
-`fit` entry per curve, fitted to that sweep's CSV. `test_golden_outputs.py`
-compares a fresh run with `golden_outputs.json`. A change that moves outputs
-on purpose rewrites the file in the same commit and lists what moved:
+`fit` entry per curve, fitted to that sweep's CSV. Each library entry, keyed
+`library ...`, pins one seeded `vqe_run` (CHAIN_RUNS) or one sequence of
+`run_batch` sizes (BATCH_SCHEDULES). `test_golden_outputs.py` compares a fresh
+CLI run with `golden_outputs.json`, and `test_vqe.py` each library case. A
+change that moves outputs on purpose rewrites the file in the same commit and
+lists what moved:
 
     PYTHONPATH=src python tests/golden_outputs.py
 
@@ -28,8 +32,15 @@ import pathlib
 import tempfile
 from unittest import mock
 
-from bhvqe import observables
+import numpy as np
+
+from bhvqe import observables, vqe
+from bhvqe.ansatz import AnsatzKind
+from bhvqe.circuits import run_batch
 from bhvqe.cli import main
+from bhvqe.hamiltonian import PAPER_CHAIN, BlackHoleParams, HamiltonianLayout, assemble
+from bhvqe.lattice import LatticeSpec
+from bhvqe.vqe import SpsaConfig
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_outputs.json")
 
@@ -77,9 +88,76 @@ CONFIGS = {
 SUBCOMMANDS = ("hamiltonian", "exact", "vqe", "sweep")
 FIT_COMMANDS = ("fit --curve mass", "fit --curve radius")
 
+# Seeded paper-chain runs (M=1, r=10, default SpsaConfig) as (family, shots, seed):
+# any change to how a seeded run is optimized or sampled moves their entries.
+CHAIN_RUNS = {f"library chain-run {family} shots={shots} seed={seed}": (family, shots, seed)
+              for family in ("ansatz1", "ansatz2", "ansatz3") for shots in (0, 1000)
+              for seed in range(3)}
+# ansatz3 lockstep calls on the unit paper chain, as (runs, shots), with two lockstep
+# slots. Which rows share a batch sets both the speed and the shot stream, so a
+# rewrite that keeps every output but splits or merges batches moves their entries.
+BATCH_SCHEDULES = {
+    "library batch-schedule exact-run": ([(1.0, SpsaConfig(seed=0))], 0),
+    "library batch-schedule shots-run-restarting":
+        ([(1.0, SpsaConfig(seed=0, window=2, tol=1e-2))], 200),
+    "library batch-schedule exact-lockstep-2-slots":
+        ([(0.5, SpsaConfig(seed=0, max_iter=40)), (1.0, SpsaConfig(seed=1, max_iter=90)),
+          (2.0, SpsaConfig(seed=2, max_iter=60))], 0),
+}
+LIBRARY_CASES = [*CHAIN_RUNS, *BATCH_SCHEDULES]
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+def _sha256(data: str | bytes) -> str:
+    return hashlib.sha256(data.encode("utf-8") if isinstance(data, str) else data).hexdigest()
+
+
+def _paper_chain(params: BlackHoleParams | None = None):
+    return assemble(params, HamiltonianLayout(variant=PAPER_CHAIN), LatticeSpec(4))
+
+
+def chain_run_entry(family: str, shots: int, seed: int) -> dict:
+    """The golden entry of one CHAIN_RUNS case: best energy as `float.hex`, trace and parameter digests."""
+    result = vqe.vqe_run(_paper_chain(BlackHoleParams(mass=1.0, radius=10.0)),
+                         AnsatzKind.from_name(family), SpsaConfig(seed=seed), shots)
+    return {
+        "best_energy": result.best_energy.hex(),
+        "iterations_used": result.iterations_used,
+        "converged": result.converged,
+        "trace_sha256": _sha256(np.array(result.trace).tobytes()),
+        "best_params_sha256": _sha256(result.best_params.tobytes()),
+    }
+
+
+@contextlib.contextmanager
+def recorded_batches():
+    """A list that gets the rows of every `run_batch` call the library makes, in call order."""
+    batches = []
+
+    def spy(circuit, params):
+        batches.append(np.array(params))
+        return run_batch(circuit, params)
+
+    with mock.patch.object(vqe, "run_batch", spy):
+        yield batches
+
+
+def batch_sizes(key: str) -> list[int]:
+    """The `run_batch` sizes, in call order, of one BATCH_SCHEDULES case."""
+    runs, shots = BATCH_SCHEDULES[key]
+    with recorded_batches() as batches, mock.patch.object(vqe, "MAX_LOCKSTEP_RUNS", 2):
+        vqe.vqe_lockstep(_paper_chain(), runs, AnsatzKind.from_name("ansatz3"), shots)
+    return [len(rows) for rows in batches]
+
+
+def schedule_entry(sizes: list[int]) -> dict:
+    return {"calls": len(sizes), "sizes_sha256": _sha256(",".join(map(str, sizes)))}
+
+
+def run_library() -> dict:
+    """Every library entry, keyed as in LIBRARY_CASES."""
+    entries = {key: chain_run_entry(*case) for key, case in CHAIN_RUNS.items()}
+    entries.update((key, schedule_entry(batch_sizes(key))) for key in BATCH_SCHEDULES)
+    return entries
 
 
 def run_entry(config: dict, command: str, workdir: pathlib.Path) -> dict:
@@ -155,10 +233,12 @@ def moves(old: dict, new: dict) -> list[str]:
             was, now = before.get(field), after.get(field)
             if was == now:
                 continue
-            if field == "energies" and was and now and len(was) == len(now):
+            if field == "best_energy" and was and now:
+                was, now = [was], [now]  # one energy, reported as the lists are
+            if field in ("energies", "best_energy") and was and now and len(was) == len(now):
                 pairs = [(float.fromhex(a), float.fromhex(b)) for a, b in zip(was, now)]
                 rel = [abs(b - a) / (abs(a) or 1.0) for a, b in pairs]
-                lines.append(f"{key} energies: {sum(a != b for a, b in zip(was, now))} of "
+                lines.append(f"{key} {field}: {sum(a != b for a, b in zip(was, now))} of "
                              f"{len(was)} moved, largest relative move {max(rel):.3g}")
             else:
                 lines.append(f"{key} {field}: {was!r} -> {now!r}")
@@ -170,7 +250,7 @@ if __name__ == "__main__":
     parser.add_argument("--check", action="store_true",
                         help="print what moved and leave the file alone; exit 1 if anything moved")
     check = parser.parse_args().check
-    current = run_matrix()
+    current = {**run_matrix(), **run_library()}
     previous = json.loads(GOLDEN_PATH.read_text(encoding="utf-8")) if GOLDEN_PATH.exists() else {}
     moved = moves(previous, current)
     print("\n".join(moved) or "no entry moved")

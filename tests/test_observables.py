@@ -41,9 +41,8 @@ from bhvqe.observables import (
     temperature,
     vqe_runs,
 )
-from bhvqe import vqe
-from bhvqe.circuits import run_batch
 from bhvqe.vqe import INIT_CANDIDATES, SpsaConfig, vqe_lockstep
+import golden_outputs
 from pauli_helpers import letter_terms
 
 PI = math.pi
@@ -386,7 +385,7 @@ def test_run_seed_depends_on_seed_and_point_only():
 
 @pytest.mark.parametrize(
     "family, shots", [("ansatz1", 0), ("ansatz3", 200)], ids=["ansatz1-exact", "ansatz3-shots"])
-def test_records_is_the_sweep_table_and_vqe_runs_seeds_each_run(monkeypatch, family, shots):
+def test_records_is_the_sweep_table_and_vqe_runs_seeds_each_run(family, shots):
     # window=2 at a coarse tol restarts segments often, so runs fall out of step
     cfg = SpsaConfig(max_iter=60, window=2, tol=1e-2)
     kind = AnsatzKind.from_name(family)
@@ -404,15 +403,8 @@ def test_records_is_the_sweep_table_and_vqe_runs_seeds_each_run(monkeypatch, fam
     assert exact_rows == sweep(masses, radii, METHOD_EXACT, cfg, shots)
     assert vqe_rows == sweep(masses, radii, METHOD_VQE, cfg, shots, ansatz=kind, seeds=seeds)
 
-    calls = []
-
-    def spy(circuit, params):
-        calls.append(np.array(params))
-        return run_batch(circuit, params)
-
-    monkeypatch.setattr(vqe, "run_batch", spy)
-    runs = vqe_runs(planned, kind, cfg, shots, seeds)
-    monkeypatch.undo()
+    with golden_outputs.recorded_batches() as calls:
+        runs = vqe_runs(planned, kind, cfg, shots, seeds)
     assert [(point.index, seed) for point, seed, _ in runs] == [
         (point.index, seed) for point in planned.points for seed in seeds]
     run_cfgs = [replace(cfg, seed=run_seed(seed, point.index)) for point, seed, _ in runs]

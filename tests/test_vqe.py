@@ -1,5 +1,5 @@
-import hashlib
 import itertools
+import json
 import math
 from unittest import mock
 
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from bhvqe import hamiltonian as ham
 from bhvqe import vqe
 from bhvqe.ansatz import AnsatzKind, build
-from bhvqe.circuits import expectation, run, run_batch
+from bhvqe.circuits import expectation, run
 from bhvqe.errors import DomainError, NonFiniteObjectiveError
 from bhvqe.hamiltonian import (
     DISJOINT,
@@ -24,12 +24,15 @@ from bhvqe.hamiltonian import (
 )
 from bhvqe.lattice import LatticeSpec
 from bhvqe.vqe import SpsaConfig, spsa_minimize, vqe_lockstep, vqe_run
+import golden_outputs
 import pauli_helpers
 
 PI = math.pi
 
 CHAIN_H = assemble(None, HamiltonianLayout(variant=PAPER_CHAIN), LatticeSpec(4))
 A3 = AnsatzKind.from_name("ansatz3")
+# seeded runs and batch schedules are pinned in the golden file, rewritten by golden_outputs.py
+GOLDEN = json.loads(golden_outputs.GOLDEN_PATH.read_text(encoding="utf-8"))
 
 
 def test_spsa_config_defaults():
@@ -301,15 +304,9 @@ def test_vqe_respects_variational_bound():
 
 
 @pytest.mark.parametrize("h", [pauli_helpers.from_letters(4, ()), CHAIN_H], ids=["all-tied", "chain"])
-def test_vqe_screen_picks_first_lowest_candidate(monkeypatch, h):
-    batches = []
-
-    def spy(circuit, params):
-        batches.append(np.array(params))
-        return run_batch(circuit, params)
-
-    monkeypatch.setattr(vqe, "run_batch", spy)
-    vqe_run(h, A3, SpsaConfig(seed=4, max_iter=1))
+def test_vqe_screen_picks_first_lowest_candidate(h):
+    with golden_outputs.recorded_batches() as batches:
+        vqe_run(h, A3, SpsaConfig(seed=4, max_iter=1))
     # a segment's first batch opens with its start point, after the screen it follows
     starts = [after[0] for before, after in zip(batches, batches[1:])
               if len(before) == vqe.INIT_CANDIDATES]
@@ -327,50 +324,34 @@ def test_lockstep_of_no_runs_builds_nothing():
     assert vqe_lockstep(CHAIN_H, [], None) == []
 
 
-@pytest.mark.parametrize("shots", [0, 100], ids=["exact", "shots"])
-def test_lockstep_starts_waiting_runs_as_others_finish(monkeypatch, shots):
-    # five runs of five scales through two slots, of different lengths: in exact
-    # mode they share one contraction per step, and each equals its run alone
-    sizes = []
-
-    def spy(circuit, params):
-        sizes.append(len(params))
-        return run_batch(circuit, params)
-
-    monkeypatch.setattr(vqe, "MAX_LOCKSTEP_RUNS", 2)
-    monkeypatch.setattr(vqe, "run_batch", spy)
-    scales = [0.3, 1.0, 1.7, 2.55, 4.1]
-    runs = [(scale, SpsaConfig(seed=seed, max_iter=10 + 7 * seed)) for seed, scale in enumerate(scales)]
-    results = vqe_lockstep(CHAIN_H, runs, A3, shots=shots)
-    assert max(sizes) == 2 * vqe.INIT_CANDIDATES
-    for result, (scale, cfg) in zip(results, runs):
-        (direct,) = vqe_lockstep(CHAIN_H, [(scale, cfg)], A3, shots=shots)
-        assert result.trace == direct.trace
-        assert result.best_energy == direct.best_energy
-        np.testing.assert_array_equal(result.best_params, direct.best_params)
-
-
 def _lockstep_equals_each_run_alone(runs, kind, shots):
-    """Run `runs` through two lockstep slots, check each against its run alone; return segment counts."""
-    segments = []
-    with mock.patch.object(vqe, "MAX_LOCKSTEP_RUNS", 2):
+    """Run `runs` through two lockstep slots and check each against its run alone.
+
+    Returns the lockstep's run_batch sizes and each run's segment count.
+    """
+    with mock.patch.object(vqe, "MAX_LOCKSTEP_RUNS", 2), golden_outputs.recorded_batches() as batches:
         results = vqe_lockstep(CHAIN_H, runs, kind, shots=shots)
+    segments = []
     for result, run_spec in zip(results, runs):
-        sizes = []
-
-        def spy(circuit, params):
-            sizes.append(len(params))
-            return run_batch(circuit, params)
-
-        with mock.patch.object(vqe, "run_batch", spy):
+        with golden_outputs.recorded_batches() as alone:
             (direct,) = vqe_lockstep(CHAIN_H, [run_spec], kind, shots=shots)
         assert result.trace == direct.trace
         assert result.best_energy == direct.best_energy
         assert (result.iterations_used, result.converged) == (direct.iterations_used, direct.converged)
         np.testing.assert_array_equal(result.best_params, direct.best_params)
         # a run alone sends INIT_CANDIDATES rows only to screen a segment's starts
-        segments.append(sizes.count(vqe.INIT_CANDIDATES))
-    return segments
+        segments.append(sum(len(rows) == vqe.INIT_CANDIDATES for rows in alone))
+    return [len(rows) for rows in batches], segments
+
+
+@pytest.mark.parametrize("shots", [0, 100], ids=["exact", "shots"])
+def test_lockstep_starts_waiting_runs_as_others_finish(shots):
+    # five runs of five scales through two slots, of different lengths: in exact
+    # mode they share one contraction per step, and each equals its run alone
+    scales = [0.3, 1.0, 1.7, 2.55, 4.1]
+    runs = [(scale, SpsaConfig(seed=seed, max_iter=10 + 7 * seed)) for seed, scale in enumerate(scales)]
+    sizes, _ = _lockstep_equals_each_run_alone(runs, A3, shots)
+    assert max(sizes) == 2 * vqe.INIT_CANDIDATES
 
 
 @settings(max_examples=15, deadline=None)
@@ -396,41 +377,16 @@ def test_lockstep_through_restarts_equals_each_run_alone(family, window, tol, ru
 def test_lockstep_restart_example_restarts(shots):
     specs = [(scale, SpsaConfig(seed=seed, max_iter=60, window=2, tol=1e-1))
              for seed, scale in enumerate([0.4, 1.0, 2.3, 3.1])]
-    segments = _lockstep_equals_each_run_alone(specs, A3, shots)
+    _, segments = _lockstep_equals_each_run_alone(specs, A3, shots)
     assert max(segments) >= 2
 
 
-# run_batch sizes, in call order, captured before the SPSA loop became generators.
-# Which rows share a batch sets both the speed and the shot stream, so a rewrite
-# that keeps every output but splits or merges batches fails here.
-BATCH_SCHEDULES = {
-    "exact-run": (511, "fad611d75f911247b73e2988625965485b78929f7dff70fb64c2ec72f3dcb3d6"),
-    "shots-run-restarting": (603, "dab55ad33fd8fa86914b3e02ffa13cd1a6f6b6d1b9ca33fb9847c2a10d11c01e"),
-    "exact-lockstep-2-slots": (104, "802df6d0d095dcf0bfb80b40b3a54a4208895a14f49887ec96031923e2a772cb"),
-}
-
-
-@pytest.mark.parametrize("case", list(BATCH_SCHEDULES))
-def test_batch_schedule_is_pinned(monkeypatch, case):
-    sizes = []
-
-    def spy(circuit, params):
-        sizes.append(len(params))
-        return run_batch(circuit, params)
-
-    monkeypatch.setattr(vqe, "run_batch", spy)
-    monkeypatch.setattr(vqe, "MAX_LOCKSTEP_RUNS", 2)
-    if case == "exact-run":
-        vqe_run(CHAIN_H, A3, SpsaConfig(seed=0))
-    elif case == "shots-run-restarting":
-        vqe_run(CHAIN_H, A3, SpsaConfig(seed=0, window=2, tol=1e-2), shots=200)
+@pytest.mark.parametrize("key", list(golden_outputs.BATCH_SCHEDULES))
+def test_batch_schedule_is_pinned(key):
+    sizes = golden_outputs.batch_sizes(key)
+    assert golden_outputs.schedule_entry(sizes) == GOLDEN[key]
+    if "restarting" in key:
         assert sizes.count(vqe.INIT_CANDIDATES) >= 2
-    else:
-        runs = [(0.5, SpsaConfig(seed=0, max_iter=40)), (1.0, SpsaConfig(seed=1, max_iter=90)),
-                (2.0, SpsaConfig(seed=2, max_iter=60))]
-        vqe_lockstep(CHAIN_H, runs, A3)
-    digest = hashlib.sha256(",".join(map(str, sizes)).encode()).hexdigest()
-    assert (len(sizes), digest) == BATCH_SCHEDULES[case]
 
 
 def test_ansatz1_chain_hit_rate_over_fixed_seeds():
@@ -503,75 +459,6 @@ def test_ground_energy_linearity_supports_prefactor_scaling():
     assert abs(scaled - lam * base) < 1e-10
 
 
-# Seeded paper-chain runs (M=1, r=10, default SpsaConfig), pinned bit for bit:
-# (family, shots, seed, best_energy.hex(), iterations_used, converged,
-#  sha256 of the trace as float64 bytes, sha256 of best_params' bytes).
-# Any change to how a seeded run is optimized or sampled shows here.
-GOLDEN_CHAIN_RUNS = [
-    ("ansatz1", 0, 0, "0x1.005e928289d46p-2", 500, True,
-     "aeecbb0112dff6d4d511f240ce3f3f1c8a1885d7d95c61b53c6384f816b07c57",
-     "93b0ea1d1623c5439328a278b69ce7987f3efcc150681efa8506789757a59beb"),
-    ("ansatz1", 0, 1, "0x1.cc4309a47b1c8p-3", 500, True,
-     "0c00b1a623057f4e1a0f3f9b597cf5aecfaf899a007a762f035db73c1891fcf0",
-     "6b348c4dc6d90c4052e2876891afd27ae628d47c7c4e4814a43218dd8645644e"),
-    ("ansatz1", 0, 2, "0x1.0fac4cdfd036cp-2", 500, True,
-     "b3096ee9ba762a3d7014a0869bd18ebcb4d4a3c1fd9fa14a127796c7ec7daa20",
-     "4e37f32eeb4522acd23c42a3e8f43548fecb2925af1e89faa5f6b529befd3a70"),
-    ("ansatz1", 1000, 0, "0x1.2ac7fae97c5c6p-2", 500, False,
-     "7916ea59a092f218f84a6be9942ba508d15950baa8084f5cae43c0ef40482923",
-     "daef990167acec553d215ef2ebf4ae1c783fea167d936a8e96c318fe6cf1684f"),
-    ("ansatz1", 1000, 1, "0x1.a47de3e9bb3acp-3", 500, False,
-     "11781eb40df8e939d9071deb70f52e45bff000559325d70d14c1ab37fe71a699",
-     "d63f04d332aceca26f1fbbe9542441148ff4e0b5bdd380eb2b2d6d231045701b"),
-    ("ansatz1", 1000, 2, "0x1.2752385aec726p-2", 500, False,
-     "f149c15ca3f68bb8394cf8ef337f2d03798607bf9452f30742766b7bc6d5ff84",
-     "3e49212355f0561ced109f80e03de8c613c36c2cda76be63e609356ca0416338"),
-    ("ansatz2", 0, 0, "0x1.54a9993efb156p-2", 500, True,
-     "c0618da39d84045b5bf577a5b57dd7cc5cb8d5486a584fd665831f5d6e3a5a58",
-     "f7df010aba71121b605161ab04fc2bd050a5483c9f6e3e94777f25c999e2592f"),
-    ("ansatz2", 0, 1, "0x1.a055929f9db94p-2", 500, True,
-     "645708b2631819f35ead561d29ff467c45101d997d13577ea4d0943be6368548",
-     "4b7ff99b1de228cbdf7a8dd6020d954fbacc15abb74c7b3ac29f11553e2cabbd"),
-    ("ansatz2", 0, 2, "0x1.4925a77dd3434p-2", 500, True,
-     "7d8369c1cf92ebb0f16860fd268ab4324f4b6364688cbaddf790aa146ad1eb51",
-     "7f9fa375fcb7f83c8c767fd2c5e184f5d26d4fc0616ad7006b6f70b3a40ffe81"),
-    ("ansatz2", 1000, 0, "0x1.2444aace131c6p-2", 500, False,
-     "cda54978a0d7b2d27a1106fa4565c3351fbf0bb6de9a40bcb9766c366aae1805",
-     "ac3ec8fca2ae96954d9dd8495b3bfc761104fcf304e2a16d0e8fd47c877ac81e"),
-    ("ansatz2", 1000, 1, "0x1.12277401d6622p-2", 500, False,
-     "06f35dfdc924eaab11405085de41aa62e9f37e3a0fd1d8d02f3f7b5c90886c01",
-     "7b7e59eae8a6d6b65ba87b7bec06989669584c3d843e949c9ed56db1d47d7017"),
-    ("ansatz2", 1000, 2, "0x1.37324b9dbcfeap-2", 500, False,
-     "fcc3aeb311f8f9b4dbf6f67dab0b434d4595866e4019375fb23d44344a355fbf",
-     "3c30f3be8605a621c5ad58ac36b4c7d3fc6b2f14d563d53e821da0f1ea6a5f1f"),
-    ("ansatz3", 0, 0, "0x1.996be59120a4ap-3", 500, True,
-     "e7204927537bdf3d301ba605ce8c3650c63557daaa85f220bc37c86899224752",
-     "4e751256ab81afea96674c093f0cf9625291054a884b18e7ce66b99e490da262"),
-    ("ansatz3", 0, 1, "0x1.992b9a5f59a15p-3", 500, True,
-     "64eab4f270bb0fda8a593d8b96e9c52dbf36b3b9f69c891df93600bbade33044",
-     "dad42fa26c136bd4dea30fd870b99c75d57ccb97efcb33c25566c6d87a1f741a"),
-    ("ansatz3", 0, 2, "0x1.9d6478d58a6a4p-3", 500, True,
-     "aa8f327a190ae21f96f2182f4867da87a773bc30a078c688c5d22281f5079f48",
-     "d7f3d0af25882628dc051b4e644bcd6bb0056d53820a7a00ef6038d3b9a5a2d3"),
-    ("ansatz3", 1000, 0, "0x1.970f0eb132264p-3", 500, True,
-     "324c94179b669f4e92d86a2f33bedbc27f8dba85b69e07b4446c5bb6290a24b3",
-     "a3cbce30fa59ea36f545427d9b6cd8480fb04579affbc0ab493f6217143e4a3a"),
-    ("ansatz3", 1000, 1, "0x1.970f0eb132264p-3", 500, False,
-     "cca565caf8ae3f5b24e50aa69861bc00d39d691dee2ac6a47047e6b467cf5a6e",
-     "5086532c9a28ac077abcb9e90d9a3b327dc4d6c354f27e848d6c5fa3c79c4d99"),
-    ("ansatz3", 1000, 2, "0x1.970f0eb132264p-3", 500, False,
-     "3f74b4c6813520367504f2a523f24d86e49231c246d25536f2b7ace02526b258",
-     "c5c8ec382d6f9831d8b3eca587eec391559629cbb1ad2a33e6bd306e4f8c022c"),
-]
-
-
-@pytest.mark.parametrize("family, shots, seed, energy, iterations, converged, trace_sha, params_sha",
-                         GOLDEN_CHAIN_RUNS)
-def test_paper_chain_runs_match_pinned_results(
-        family, shots, seed, energy, iterations, converged, trace_sha, params_sha):
-    h = assemble(BlackHoleParams(mass=1.0, radius=10.0), HamiltonianLayout(variant=PAPER_CHAIN), LatticeSpec(4))
-    result = vqe_run(h, AnsatzKind.from_name(family), SpsaConfig(seed=seed), shots)
-    assert result.best_energy.hex() == energy
-    assert (result.iterations_used, result.converged) == (iterations, converged)
-    assert hashlib.sha256(np.array(result.trace).tobytes()).hexdigest() == trace_sha
-    assert hashlib.sha256(result.best_params.tobytes()).hexdigest() == params_sha
+@pytest.mark.parametrize("key", list(golden_outputs.CHAIN_RUNS))
+def test_paper_chain_runs_match_pinned_results(key):
+    assert golden_outputs.chain_run_entry(*golden_outputs.CHAIN_RUNS[key]) == GOLDEN[key]
