@@ -11,7 +11,8 @@ lower_snake_case (the `spsa` entry nests SpsaConfig's tuning fields); CLI
 flags override file values. All masses are converted to Planck units on
 input; the solar-mass constant used is recorded in every manifest.
 
-Exit codes: 0 success, 2 config validation, 3 numerical failure, 4 I/O.
+Exit codes: 0 success, 2 invalid config or input content, 3 numerical failure,
+4 I/O (a named input file that cannot be opened or read).
 """
 
 from __future__ import annotations
@@ -158,11 +159,10 @@ def _positive_floats(name: str, value) -> tuple[float, ...]:
 
 
 def _load_config_file(path: str) -> dict:
+    """The config file's JSON object; a file that cannot be opened or read raises its OSError."""
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:

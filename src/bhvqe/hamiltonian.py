@@ -260,15 +260,15 @@ def pauli_decompose(m: np.ndarray) -> PauliHamiltonian:
     """Expand a Hermitian 2^n x 2^n matrix over Pauli strings.
 
     The coefficient of string s is Tr[P_s m] / 2^n; magnitudes at or below
-    COEFF_PRUNE_TOL are dropped. Raises NotPowerOfTwoError for incompatible
-    dimensions and NotHermitianError for non-Hermitian input.
+    COEFF_PRUNE_TOL are dropped. Raises NotHermitianError for non-Hermitian
+    input and NotPowerOfTwoError for incompatible dimensions; Hermiticity is
+    checked first, so an input that fails both raises NotHermitianError.
     """
-    m = linalg.as_matrix(m)
+    m = linalg.require_hermitian(m)
     dim = m.shape[0]
     n = dim.bit_length() - 1
     if dim < 2 or 2**n != dim:
         raise NotPowerOfTwoError(f"matrix dimension {dim} is not a power of two")
-    linalg.require_hermitian(m)
 
     # v[k, x] = m[k, k^x]; the transform over k gives every phase mask z at once, as traces[z, x]
     traces = _walsh_hadamard(m.take(_flip_index(dim)[0]))

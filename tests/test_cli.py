@@ -483,11 +483,6 @@ def test_fit_refuses_a_zero_ground_energy_family(tmp_path, capsys, curve, dims, 
     assert "zero" in err
 
 
-def test_fit_missing_input(tmp_path, capsys):
-    code, _, _ = run_cli(capsys, "fit", "--in", str(tmp_path / "nope.csv"), "--curve", "mass")
-    assert code == 4
-
-
 def test_fit_rejects_malformed_csv(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("alpha,beta\n1,2\n")
@@ -512,6 +507,20 @@ def test_undecodable_input_exits_2_with_one_error_line(tmp_path, capsys, argv, n
     extra = ["--out", str(tmp_path / "out.csv")] if argv[0] == "sweep" else []
     code, out, err = run_cli(capsys, *argv, str(path), *extra)
     assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("argv", [[command, "--config"] for command in ("hamiltonian", "exact", "vqe", "sweep")]
+                         + [["fit", "--curve", "mass", "--in"]], ids=["hamiltonian", "exact", "vqe", "sweep", "fit"])
+def test_unreadable_input_exits_4_with_one_error_line(tmp_path, capsys, argv, kind):
+    # a named input that cannot be opened is an I/O failure, whichever flag names it
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    extra = ["--out", str(tmp_path / "out.csv")] if argv[0] == "sweep" else []
+    code, out, err = run_cli(capsys, *argv, str(path), *extra)
+    assert (code, out) == (4, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
@@ -728,7 +737,7 @@ def test_invalid_masses_radii_and_kappas_exit_2(key, bad, command):
 
 def test_config_file_errors(tmp_path, capsys):
     missing = str(tmp_path / "absent.json")
-    assert run_cli(capsys, "exact", "--config", missing)[0] == 2
+    assert run_cli(capsys, "exact", "--config", missing)[0] == 4
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     assert run_cli(capsys, "exact", "--config", str(broken))[0] == 2

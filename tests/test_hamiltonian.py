@@ -29,7 +29,7 @@ from bhvqe.hamiltonian import (
     to_text,
 )
 from bhvqe.lattice import LatticeSpec, momentum_squared
-from bhvqe.linalg import HERMITICITY_TOL, hermitian_eigensystem, require_hermitian
+from bhvqe.linalg import HERMITICITY_TOL, as_matrix, hermitian_eigensystem, require_hermitian
 from pauli_helpers import (
     LETTERS,
     coefficient,
@@ -300,6 +300,16 @@ def test_pauli_decompose_rejects_bad_inputs():
         pauli_decompose(np.eye(3))
     with pytest.raises(NotHermitianError):
         pauli_decompose(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+def test_pauli_decompose_validates_its_input_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr("bhvqe.linalg.as_matrix", lambda m: calls.append(m) or as_matrix(m))
+    pauli_decompose(np.eye(4))
+    assert len(calls) == 1
+    # an input that is neither Hermitian nor of a power-of-two size fails the Hermiticity gate
+    with pytest.raises(NotHermitianError):
+        pauli_decompose(np.triu(np.ones((3, 3))))
 
 
 @pytest.mark.parametrize("n_qubits", [1, 3, 6])
