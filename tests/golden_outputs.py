@@ -220,6 +220,11 @@ def run_matrix() -> dict:
     return matrix
 
 
+def load() -> dict:
+    """The entries of the committed golden file."""
+    return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+
+
 def to_text(matrix: dict) -> str:
     return json.dumps(matrix, indent=1) + "\n"
 
@@ -251,7 +256,7 @@ if __name__ == "__main__":
                         help="print what moved and leave the file alone; exit 1 if anything moved")
     check = parser.parse_args().check
     current = {**run_matrix(), **run_library()}
-    previous = json.loads(GOLDEN_PATH.read_text(encoding="utf-8")) if GOLDEN_PATH.exists() else {}
+    previous = load() if GOLDEN_PATH.exists() else {}
     moved = moves(previous, current)
     print("\n".join(moved) or "no entry moved")
     if check:

@@ -511,15 +511,14 @@ def test_undecodable_input_exits_2_with_one_error_line(tmp_path, capsys, argv, n
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory"])
-@pytest.mark.parametrize("argv", [[command, "--config"] for command in ("hamiltonian", "exact", "vqe", "sweep")]
-                         + [["fit", "--curve", "mass", "--in"]], ids=["hamiltonian", "exact", "vqe", "sweep", "fit"])
-def test_unreadable_input_exits_4_with_one_error_line(tmp_path, capsys, argv, kind):
+@pytest.mark.parametrize("command", ["hamiltonian", "exact", "vqe", "sweep", "fit"])
+def test_unreadable_input_exits_4_with_one_error_line(tmp_path, capsys, command, kind):
     # a named input that cannot be opened is an I/O failure, whichever flag names it
     path = tmp_path / "input"
     if kind == "directory":
         path.mkdir()
-    extra = ["--out", str(tmp_path / "out.csv")] if argv[0] == "sweep" else []
-    code, out, err = run_cli(capsys, *argv, str(path), *extra)
+    flags = {"fit": ["--curve", "mass", "--in"], "sweep": ["--out", str(tmp_path / "out.csv"), "--config"]}
+    code, out, err = run_cli(capsys, command, *flags.get(command, ["--config"]), str(path))
     assert (code, out) == (4, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 

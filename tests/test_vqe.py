@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 from unittest import mock
 
@@ -31,8 +30,6 @@ PI = math.pi
 
 CHAIN_H = assemble(None, HamiltonianLayout(variant=PAPER_CHAIN), LatticeSpec(4))
 A3 = AnsatzKind.from_name("ansatz3")
-# seeded runs and batch schedules are pinned in the golden file, rewritten by golden_outputs.py
-GOLDEN = json.loads(golden_outputs.GOLDEN_PATH.read_text(encoding="utf-8"))
 
 
 def test_spsa_config_defaults():
@@ -384,7 +381,7 @@ def test_lockstep_restart_example_restarts(shots):
 @pytest.mark.parametrize("key", list(golden_outputs.BATCH_SCHEDULES))
 def test_batch_schedule_is_pinned(key):
     sizes = golden_outputs.batch_sizes(key)
-    assert golden_outputs.schedule_entry(sizes) == GOLDEN[key]
+    assert golden_outputs.schedule_entry(sizes) == golden_outputs.load()[key]
     if "restarting" in key:
         assert sizes.count(vqe.INIT_CANDIDATES) >= 2
 
@@ -461,4 +458,5 @@ def test_ground_energy_linearity_supports_prefactor_scaling():
 
 @pytest.mark.parametrize("key", list(golden_outputs.CHAIN_RUNS))
 def test_paper_chain_runs_match_pinned_results(key):
-    assert golden_outputs.chain_run_entry(*golden_outputs.CHAIN_RUNS[key]) == GOLDEN[key]
+    # pinned in the golden file; a deliberate move re-pins it with golden_outputs.py
+    assert golden_outputs.chain_run_entry(*golden_outputs.CHAIN_RUNS[key]) == golden_outputs.load()[key]
