@@ -12,7 +12,7 @@ flags override file values. All masses are converted to Planck units on
 input; the solar-mass constant used is recorded in every manifest.
 
 Exit codes: 0 success, 2 invalid config or input content, 3 numerical failure,
-4 I/O (a named input file that cannot be opened or read).
+4 I/O (a named input that cannot be read, or an output that cannot be written).
 """
 
 from __future__ import annotations
@@ -214,16 +214,29 @@ def _point_prefix(point: GridPoint) -> str:
     return f"{_fmt(point.params.mass)} {_fmt(point.params.radius)} {_fmt(point.params.rho)}"
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write text to path + '.partial', then rename it to path; a failed write or rename removes it."""
-    partial = path + ".partial"
+@contextlib.contextmanager
+def _claimed(*paths: str):
+    """Create each output's path + '.partial' before any work; rename them onto the paths after.
+
+    Yields the open partial files. One that cannot be created raises OSError naming
+    the path given, not the partial file; any failure removes every partial file.
+    """
+    handles = []
     try:
-        with open(partial, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-        os.replace(partial, path)
-    except OSError:
-        with contextlib.suppress(OSError):
-            os.remove(partial)
+        for path in paths:
+            try:
+                handles.append(open(path + ".partial", "w", encoding="utf-8", newline=""))
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from exc
+        yield handles
+        for path, handle in zip(paths, handles):
+            handle.close()
+            os.replace(handle.name, path)
+    except BaseException:
+        for handle in handles:
+            handle.close()
+            with contextlib.suppress(OSError):
+                os.remove(handle.name)
         raise
 
 
@@ -254,43 +267,37 @@ def cmd_vqe(cfg: RunConfig, trace_path: str | None) -> int:
     n_runs = len(cfg.mass_grid) * len(cfg.radius_grid) * len(cfg.seeds)
     if trace_path is not None and n_runs != 1:
         raise ConfigError("--trace needs a single-point, single-seed run")
-    runs = vqe_runs(_plan(cfg), _ansatz_kind(cfg), cfg.spsa, cfg.shots, cfg.seeds)
-    for point, seed, result in runs:
-        print(
-            f"{_point_prefix(point)} {seed} {_fmt_energy(result.best_energy)} "
-            f"{_fmt_energy(point.energy_exact)} "
-            f"{result.iterations_used} {str(result.converged).lower()}"
-        )
-    if trace_path is not None:
-        lines = ["iteration,energy"]
-        lines += [f"{i},{_fmt(e)}" for i, e in enumerate(result.trace, start=1)]
-        _atomic_write(trace_path, "\n".join(lines) + "\n")
+    trace_paths = [] if trace_path is None else [trace_path]
+    with _claimed(*trace_paths) as trace_files:
+        runs = vqe_runs(_plan(cfg), _ansatz_kind(cfg), cfg.spsa, cfg.shots, cfg.seeds)
+        for point, seed, result in runs:
+            print(
+                f"{_point_prefix(point)} {seed} {_fmt_energy(result.best_energy)} "
+                f"{_fmt_energy(point.energy_exact)} "
+                f"{result.iterations_used} {str(result.converged).lower()}"
+            )
+        for handle in trace_files:
+            handle.write("iteration,energy\n")
+            handle.writelines(f"{i},{_fmt(e)}\n" for i, e in enumerate(result.trace, start=1))
     return EXIT_OK
 
 
+def _cell(value) -> str:
+    """A CSV cell: None empty, a bool true/false, a float by _fmt, anything else by str."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return _fmt(value) if isinstance(value, float) else str(value)
+
+
 def _records_to_csv(cfg: RunConfig, records: list[SweepRecord]) -> str:
-    rows = [CSV_COLUMNS.split(",")]
+    rows = [CSV_COLUMNS]
     for i, rec in enumerate(records):
-        rows.append(
-            [
-                f"r{i:04d}",
-                rec.method,
-                rec.ansatz,
-                cfg.layout,
-                str(cfg.lattice_n),
-                _fmt(rec.mass),
-                _fmt(rec.radius),
-                _fmt(rec.rho),
-                _fmt(rec.energy),
-                _fmt(rec.energy_exact),
-                _fmt(rec.temperature),
-                _fmt(rec.power),
-                str(rec.iterations),
-                "" if rec.seed is None else str(rec.seed),
-                "" if rec.converged is None else str(rec.converged).lower(),
-            ]
-        )
-    return "\n".join(",".join(row) for row in rows) + "\n"
+        cells = {"run_id": f"r{i:04d}", "layout": cfg.layout, "lattice_n": cfg.lattice_n}
+        rows.append(",".join(_cell(cells[name] if name in cells else getattr(rec, name))
+                             for name in CSV_COLUMNS.split(",")))
+    return "\n".join(rows) + "\n"
 
 
 def _config_snapshot(cfg: RunConfig) -> dict:
@@ -307,20 +314,21 @@ def cmd_sweep(cfg: RunConfig, out_path: str | None) -> int:
     """Write the sweep CSV and its manifest."""
     if not out_path:
         raise ConfigError("sweep needs --out PATH for the CSV")
-    table = records(_plan(cfg), cfg.spsa, cfg.shots, ansatz=_ansatz_kind(cfg), seeds=cfg.seeds,
-                    kappa_t=cfg.kappa_t, kappa_p=cfg.kappa_p)
-    text = _records_to_csv(cfg, table)
-    _atomic_write(out_path, text)
-    manifest = {
-        "config": _config_snapshot(cfg),
-        "version": __version__,
-        "timestamp_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "seeds": list(cfg.seeds),
-        "outputs": [
-            {"path": out_path, "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
-        ],
-    }
-    _atomic_write(out_path + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
+    with _claimed(out_path, out_path + ".manifest.json") as (csv_file, manifest_file):
+        table = records(_plan(cfg), cfg.spsa, cfg.shots, ansatz=_ansatz_kind(cfg), seeds=cfg.seeds,
+                        kappa_t=cfg.kappa_t, kappa_p=cfg.kappa_p)
+        text = _records_to_csv(cfg, table)
+        csv_file.write(text)
+        manifest = {
+            "config": _config_snapshot(cfg),
+            "version": __version__,
+            "timestamp_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+            "seeds": list(cfg.seeds),
+            "outputs": [
+                {"path": out_path, "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
+            ],
+        }
+        manifest_file.write(json.dumps(manifest, indent=2) + "\n")
     return EXIT_OK
 
 

@@ -24,7 +24,6 @@ and `spsa_minimize` drives one segment with a scalar objective, point by point.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections.abc import Callable, Sequence
@@ -96,23 +95,14 @@ INIT_CANDIDATES = 16
 MAX_LOCKSTEP_RUNS = 256
 
 
-@functools.cache  # one pair of tables per gain setting per process; the seed plays no part
-def _gains(a: float, c: float, alpha: float, gamma: float, stability_a: float,
-           max_iter: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The gain sequences a_k and c_k for every iteration index k < max_iter."""
-    a_k = tuple(a / (stability_a + k + 1) ** alpha for k in range(max_iter))
-    c_k = tuple(c / (k + 1) ** gamma for k in range(max_iter))
-    return a_k, c_k
-
-
-def _directions(rng: np.random.Generator, n_params: int, block: int):
-    """Rademacher rows, drawn `block` rows per integers call.
+def _directions(rng: np.random.Generator, n_params: int):
+    """Rademacher rows, drawn DIRECTION_BLOCK rows per integers call.
 
     rng.integers(0, 2) takes one 32-bit draw per entry whatever the shape, so the
-    rows equal one draw per row and leave rng in the same state after whole blocks.
+    rows equal one draw per row, the same stream an iteration-by-iteration draw gives.
     """
     while True:
-        yield from rng.integers(0, 2, size=(block, n_params)) * 2.0 - 1.0
+        yield from rng.integers(0, 2, size=(DIRECTION_BLOCK, n_params)) * 2.0 - 1.0
 
 
 class _Best:
@@ -150,42 +140,43 @@ def _segment(cfg: SpsaConfig, directions, theta: np.ndarray, trace: list[float],
     a last iterate so large that theta + c_k delta == theta raises
     DomainError: its probes no longer move it, so neither end means anything.
     """
-    a_k, c_k = _gains(cfg.a, cfg.c, cfg.alpha, cfg.gamma, cfg.stability_a, cfg.max_iter)
-    see = best.see
+    a, c, alpha, gamma, stability_a = cfg.a, cfg.c, cfg.alpha, cfg.gamma, cfg.stability_a
     window, tol, max_iter = cfg.window, cfg.tol, cfg.max_iter
+    see = best.see
+
+    def probes(k, theta, lead):
+        # iteration k's gain c_k and direction, and the batch lead + its probes theta +/- c_k delta
+        c_k, delta = c / (k + 1) ** gamma, next(directions)
+        shift = c_k * delta
+        return c_k, delta, [*lead, theta + shift, theta - shift]
+
     k = streak = 0
-    c, delta = c_k[0], next(directions)
-    shift = c * delta
-    batch = [theta, theta + shift, theta - shift]
+    c_k, delta, batch = probes(0, theta, [theta])
     e_prev, e_plus, e_minus = see(batch, (yield batch))
     while True:
         # iteration k's update; delta is +/-1, so this equals dividing by 2 c_k delta
-        theta = theta - a_k[k] * ((e_plus - e_minus) / (2.0 * c)) * delta
+        a_k = a / (stability_a + k + 1) ** alpha
+        theta = theta - a_k * ((e_plus - e_minus) / (2.0 * c_k)) * delta
         ahead = streak + 1 < window and len(trace) + 1 < max_iter
+        batch = [theta]
         if ahead:
-            c, delta = c_k[k + 1], next(directions)
-            shift = c * delta
-            batch = [theta, theta + shift, theta - shift]
-        else:
-            batch = [theta]
+            c_k, delta, batch = probes(k + 1, theta, batch)
         energies = see(batch, (yield batch))
         e_new = energies[0]
         trace.append(e_new)
         streak = streak + 1 if abs(e_new - e_prev) < tol else 0
         e_prev = e_new
         if streak >= window or len(trace) == max_iter:
-            if np.array_equal(theta + shift, theta):
+            if np.array_equal(theta + c_k * delta, theta):
                 size = np.abs(theta).max()
                 raise DomainError(f"SPSA iterate ran away to |theta| = {size:.3g}, "
-                                  f"where its probes theta +/- {c:.3g} delta no longer move it")
+                                  f"where its probes theta +/- {c_k:.3g} delta no longer move it")
             return streak >= window
         k += 1
         if ahead:
             e_plus, e_minus = energies[1], energies[2]
         else:
-            c, delta = c_k[k], next(directions)
-            shift = c * delta
-            batch = [theta + shift, theta - shift]
+            c_k, delta, batch = probes(k, theta, [])
             e_plus, e_minus = see(batch, (yield batch))
 
 
@@ -198,7 +189,7 @@ def _vqe_search(cfg: SpsaConfig, init_rng, spsa_rng, n_params: int):
     DIRECTION_BLOCK rows at a time, and share one best energy, which never
     sees the screens.
     """
-    directions = _directions(spsa_rng, n_params, DIRECTION_BLOCK)
+    directions = _directions(spsa_rng, n_params)
     trace, best, converged = [], _Best(), False
     while len(trace) < cfg.max_iter:
         candidates = init_rng.uniform(-np.pi, np.pi, (INIT_CANDIDATES, n_params))
@@ -208,25 +199,20 @@ def _vqe_search(cfg: SpsaConfig, init_rng, spsa_rng, n_params: int):
     return VqeResult(best.params, best.energy, tuple(trace), converged, len(trace))
 
 
-def spsa_minimize(
-    objective: Callable[[np.ndarray], float],
-    theta0: np.ndarray,
-    cfg: SpsaConfig,
-    rng: np.random.Generator | None = None,
-) -> VqeResult:
+def spsa_minimize(objective: Callable[[np.ndarray], float], theta0: np.ndarray,
+                  cfg: SpsaConfig) -> VqeResult:
     """Minimize `objective` from `theta0` with simultaneous-perturbation SPSA.
 
     One segment, no screen: evaluates the segment's points one at a time, in
-    order, so the objective is called 1 + 3 * iterations_used times.
-    Deterministic for a fixed cfg.seed. Raises NonFiniteObjectiveError if
+    order, so the objective is called 1 + 3 * iterations_used times. The
+    directions come from np.random.default_rng(cfg.seed), so the result is
+    deterministic for a fixed cfg.seed. Raises NonFiniteObjectiveError if
     the objective ever returns NaN or Inf, DomainError if the iterate runs away.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     theta0 = np.asarray(theta0, dtype=float).copy()
     trace, best = [], _Best()
-    # one direction per draw: rng advances only by the iterations that run
-    segment = _segment(cfg, _directions(rng, theta0.size, 1), theta0, trace, best)
+    directions = _directions(np.random.default_rng(cfg.seed), theta0.size)
+    segment = _segment(cfg, directions, theta0, trace, best)
     points = next(segment)
     try:
         while True:

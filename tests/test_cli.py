@@ -395,6 +395,20 @@ def test_sweep_unwritable_path(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, flag", [("sweep", "--out"), ("vqe", "--trace")])
+def test_unwritable_output_fails_before_any_run(tmp_path, capsys, monkeypatch, command, flag):
+    calls = []
+    monkeypatch.setattr(observables, "vqe_lockstep", lambda *args: calls.append(args))
+    cfg = write_config(tmp_path, {**RHO_ZERO_CONFIG, "seeds": [0], "spsa": {"max_iter": 3}})
+    missing = tmp_path / "missing" / "out.csv"
+    code, out, err = run_cli(capsys, command, "--config", cfg, flag, str(missing))
+    assert (code, out, calls) == (4, "", [])
+    # one line, naming the path given rather than the temporary file behind it
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and repr(str(missing)) in line and ".partial" not in line
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("command, flag", [("sweep", "--out"), ("vqe", "--trace")])
 def test_failed_rename_leaves_no_partial_file(tmp_path, capsys, command, flag):
     cfg = write_config(tmp_path, {**RHO_ZERO_CONFIG, "seeds": [0], "spsa": {"max_iter": 3}})
     taken = tmp_path / "taken"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -112,29 +113,17 @@ def test_spsa_config_accepts_numpy_integers():
     assert (cfg.max_iter, cfg.window, cfg.seed) == (7, 2, 2**63)
 
 
-def test_gain_tables_are_shared_by_configs_that_differ_only_in_seed():
-    fields = ("a", "c", "alpha", "gamma", "stability_a", "max_iter")
-    one, two = SpsaConfig(max_iter=7, seed=1), SpsaConfig(max_iter=7, seed=2)
-    a_k, c_k = vqe._gains(*(getattr(one, name) for name in fields))
-    again = vqe._gains(*(getattr(two, name) for name in fields))
-    assert again[0] is a_k and again[1] is c_k
-    assert type(a_k) is tuple and type(c_k) is tuple and len(a_k) == len(c_k) == 7
-    assert a_k[3] == 1.0 / (10.0 + 4) ** 0.602 and c_k[3] == 0.1 / 4**0.101
-
-
 def test_spsa_minimizes_quadratic_bowl():
-    cfg = SpsaConfig(max_iter=200)
-    result = spsa_minimize(lambda th: float(np.sum(th**2)), np.array([1.0, 1.0]), cfg,
-                           rng=np.random.default_rng(0))
+    cfg = SpsaConfig(max_iter=200, seed=0)
+    result = spsa_minimize(lambda th: float(np.sum(th**2)), np.array([1.0, 1.0]), cfg)
     assert result.best_energy < 1e-3
     assert result.iterations_used <= 200
     assert len(result.trace) == result.iterations_used
 
 
 def test_spsa_constant_objective_stops_at_window():
-    cfg = SpsaConfig(window=10)
-    result = spsa_minimize(lambda th: 4.2, np.array([0.3, -0.8]), cfg,
-                           rng=np.random.default_rng(1))
+    cfg = SpsaConfig(window=10, seed=1)
+    result = spsa_minimize(lambda th: 4.2, np.array([0.3, -0.8]), cfg)
     assert result.converged
     assert result.iterations_used == 10
     assert result.best_energy == 4.2
@@ -142,34 +131,31 @@ def test_spsa_constant_objective_stops_at_window():
 
 
 def test_spsa_deterministic_for_seeded_rng():
-    cfg = SpsaConfig(max_iter=50)
+    cfg = SpsaConfig(max_iter=50, seed=3)
     objective = lambda th: float(np.sum(th**2))  # noqa: E731
-    first = spsa_minimize(objective, np.array([1.0, -1.0]), cfg, rng=np.random.default_rng(3))
-    second = spsa_minimize(objective, np.array([1.0, -1.0]), cfg, rng=np.random.default_rng(3))
+    first = spsa_minimize(objective, np.array([1.0, -1.0]), cfg)
+    second = spsa_minimize(objective, np.array([1.0, -1.0]), cfg)
     assert first.trace == second.trace
     np.testing.assert_array_equal(first.best_params, second.best_params)
 
 
 def test_spsa_rejects_non_finite_objective():
-    cfg = SpsaConfig(max_iter=10)
+    cfg = SpsaConfig(max_iter=10, seed=0)
     with pytest.raises(NonFiniteObjectiveError):
-        spsa_minimize(lambda th: float("nan"), np.array([1.0]), cfg,
-                      rng=np.random.default_rng(0))
+        spsa_minimize(lambda th: float("nan"), np.array([1.0]), cfg)
 
 
 def test_spsa_raises_when_its_iterate_runs_away():
     # a slope of 1e80 throws theta to ~2e79 on the first update, where theta +/- c delta ==
     # theta: every later energy is the same, so the stopping rule fires on a frozen point
-    cfg = SpsaConfig(max_iter=50)
+    cfg = SpsaConfig(max_iter=50, seed=0)
     with pytest.raises(DomainError, match=r"ran away to \|theta\| = "):
-        spsa_minimize(lambda th: 1e80 * float(th[0]), np.array([1.0]), cfg,
-                      rng=np.random.default_rng(0))
+        spsa_minimize(lambda th: 1e80 * float(th[0]), np.array([1.0]), cfg)
 
 
 def test_spsa_best_tracks_every_evaluation():
-    cfg = SpsaConfig(max_iter=40)
-    result = spsa_minimize(lambda th: float(np.sum(th**2)), np.array([0.5, 0.5]), cfg,
-                           rng=np.random.default_rng(4))
+    cfg = SpsaConfig(max_iter=40, seed=4)
+    result = spsa_minimize(lambda th: float(np.sum(th**2)), np.array([0.5, 0.5]), cfg)
     # best_energy also sees the probe evaluations, so it lower-bounds the trace
     assert result.best_energy <= min(result.trace) + 1e-15
 
@@ -211,32 +197,50 @@ def serial_spsa(objective, theta0, cfg, rng):
     tol=st.sampled_from([0.0, 1e-6, 1e-2, 1.0]),
     constant=st.booleans(),
     seed=st.integers(0, 2**16),
+    a=st.floats(0.01, 0.3),
+    c=st.floats(0.01, 0.5),
+    alpha=st.floats(0.2, 1.0),
+    gamma_share=st.floats(0.01, 0.99),
+    stability_a=st.floats(0.0, 50.0),
 )
-def test_spsa_evaluates_and_draws_only_what_it_uses(window, max_iter, tol, constant, seed):
+@example(window=3, max_iter=40, tol=1e-6, constant=False, seed=0,
+         a=1.0, c=0.1, alpha=0.602, gamma_share=0.101 / 0.602, stability_a=10.0)
+def test_spsa_evaluates_and_draws_only_what_it_uses(window, max_iter, tol, constant, seed,
+                                                    a, c, alpha, gamma_share, stability_a):
     # no look-ahead probe past the last iteration: the objective runs 1 + 3 per
-    # iteration, and the rng has drawn exactly one direction per iteration
+    # iteration, at the points of the serial loop with its gains written out
     def recorded(calls):
         def objective(th):
             calls.append(th.copy())
             return 1.5 if constant else float(np.sum(th**2))
         return objective
 
-    cfg = SpsaConfig(max_iter=max_iter, window=window, tol=tol)
+    cfg = SpsaConfig(a=a, c=c, alpha=alpha, gamma=alpha * gamma_share, stability_a=stability_a,
+                     max_iter=max_iter, window=window, tol=tol, seed=seed)
     theta0 = np.array([0.4, -0.7, 0.2])
     calls, serial_calls = [], []
-    rng = np.random.default_rng(seed)
-    result = spsa_minimize(recorded(calls), theta0, cfg, rng=rng)
+    result = spsa_minimize(recorded(calls), theta0, cfg)
     assert len(calls) == 1 + 3 * result.iterations_used
-    fresh = np.random.default_rng(seed)
-    for _ in range(result.iterations_used):
-        fresh.integers(0, 2, size=3)
-    assert rng.bit_generator.state == fresh.bit_generator.state
     # and the same points, in the same order, as the serial loop
     best_energy, best_params, trace = serial_spsa(
-        recorded(serial_calls), theta0, cfg, np.random.default_rng(seed))
+        recorded(serial_calls), theta0, cfg, np.random.default_rng(cfg.seed))
     np.testing.assert_array_equal(np.array(calls), np.array(serial_calls))
     assert (result.best_energy, result.trace) == (best_energy, trace)
     np.testing.assert_array_equal(result.best_params, best_params)
+
+
+def test_spsa_allocates_nothing_per_unrun_iteration():
+    # a budget of a million iterations that stops after three costs three iterations;
+    # the short run first loads numpy.random, which numpy imports on first use
+    spsa_minimize(lambda th: 2.0, np.zeros(4), SpsaConfig(max_iter=5, window=3))
+    tracemalloc.start()
+    try:
+        result = spsa_minimize(lambda th: 2.0, np.zeros(4), SpsaConfig(max_iter=10**6, window=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.iterations_used, result.converged) == (3, True)
+    assert peak < 2**20
 
 
 @settings(max_examples=15, deadline=None)
@@ -249,7 +253,8 @@ def test_directions_drawn_in_blocks_equal_one_draw_per_iteration(n_params, count
     # a VQE run draws its directions in blocks; SPSA's serial loop drew one per iteration
     for block in range(1, 71):
         blocked, serial = np.random.default_rng(seed), np.random.default_rng(seed)
-        rows = list(itertools.islice(vqe._directions(blocked, n_params, block), count))
+        with mock.patch.object(vqe, "DIRECTION_BLOCK", block):
+            rows = list(itertools.islice(vqe._directions(blocked, n_params), count))
         expected = [serial.integers(0, 2, size=n_params) * 2.0 - 1.0 for _ in range(count)]
         np.testing.assert_array_equal(np.reshape(rows, (count, n_params)),
                                       np.reshape(expected, (count, n_params)))
