@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache, cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -120,6 +120,7 @@ class Circuit:
             slots.append((zero,) * 3)
         m = len(slots)
         prefix_matrices = np.array(prefix, dtype=int).reshape(len(touched), length).T
+        width, t = len(touched), np.arange(len(touched))[:, None]
         product_indices = np.zeros(1, dtype=int)
         for q in touched:
             product_indices = (product_indices[:, None] + [0, 1 << (n - 1 - q)]).reshape(-1)
@@ -127,6 +128,7 @@ class Circuit:
             np.array(slots, dtype=int).reshape(m, 3)[:, [0, 2, 1, 1]].T,
             touched,
             prefix_matrices[:, None, None] + m * np.arange(4).reshape(2, 2, 1),
+            (np.arange(2**width) >> (width - 1 - t) & 1) * width + t,
             product_indices,
             tuple(m * entry + k for k, entry in steps),
             tuple(sources),
@@ -145,8 +147,10 @@ class Program:
     Each touched qubit starts as column 0 of the product of its prefix
     matrices in gate order, padded with the identity; prefix[j] (2, 2, T)
     holds the table rows of each touched qubit's j-th prefix matrix. Their
-    kron sits at product_indices, where every untouched qubit is 0; all
-    other amplitudes are 0. Each later gate on qubit q is one step s:
+    kron is the product over t of the rows kron_rows[t] of the (2T, B)
+    columns, kron_rows[t, i] = T * (bit of touched qubit t in i) + t; it sits
+    at product_indices, where every untouched qubit is 0, and all other
+    amplitudes are 0. Each later gate on qubit q is one step s:
     amplitude i becomes the sum over c = 0, 1 of table row coef_index[s][c,
     i] = (2 * (bit q of i) + c) * M + matrix (a CU3 reads the identity where
     its control bit is 0) times amplitude sources[s][c, i], i with bit q set
@@ -157,6 +161,7 @@ class Program:
     angle_slots: np.ndarray
     touched: tuple[int, ...]
     prefix: np.ndarray
+    kron_rows: np.ndarray
     product_indices: np.ndarray
     coef_index: tuple[np.ndarray, ...]
     sources: tuple[np.ndarray, ...]
@@ -173,15 +178,6 @@ class StateVector:
     def __post_init__(self):
         if self.amplitudes.shape != (2**self.n_qubits,):
             raise ValueError("amplitude count must be 2^n_qubits")
-
-
-@cache  # one entry per touched-qubit count
-def _kron_rows(touched: int) -> np.ndarray:
-    """(T, 2^T) rows of the (2T, B) prefix columns: entry [t, i] is T * (bit of qubit t in i) + t."""
-    t = np.arange(touched)[:, None]
-    rows = (np.arange(2**touched) >> (touched - 1 - t) & 1) * touched + t
-    rows.flags.writeable = False
-    return rows
 
 
 def run_batch(circuit: Circuit, params: np.ndarray) -> np.ndarray:
@@ -219,7 +215,7 @@ def run_batch(circuit: Circuit, params: np.ndarray) -> np.ndarray:
     touched = len(program.touched)
     rows = columns[:, 0] if touched else np.ones((1, batch), dtype=complex)
     if touched > 1:  # the kron in qubit order, ((c0 c1) c2) c3, from c0: 1 + 0j would turn -0j to +0j
-        rows = columns.reshape(2 * touched, batch).take(_kron_rows(touched), axis=0)
+        rows = columns.reshape(2 * touched, batch).take(program.kron_rows, axis=0)
         rows = rows.prod(axis=0, initial=None)  # rebound: the (T, 2^T, B) factors are freed
     if touched < circuit.n_qubits:  # else product_indices is every index in order
         product, rows = rows, np.zeros((dim, batch), dtype=complex)
@@ -265,24 +261,6 @@ def expectation(state: StateVector, h: PauliHamiltonian) -> float:
 # Largest shot count numpy's multinomial takes: it draws counts as C longs.
 MAX_SHOTS = 2**63 - 1
 
-# Basis changes that map each Pauli's eigenbasis onto the computational basis,
-# indexed by the qubit's z bit where its x bit is set: H for X, H S^dagger for Y.
-_HAD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-_MEASURE_ROTATIONS = (_HAD, _HAD @ np.diag([1, -1j]))
-
-
-@cache  # one entry per distinct setting measured, built on its first use
-def _measurement_rotation(n_qubits: int, x: int, z: int) -> np.ndarray:
-    """Transpose of the (2^n, 2^n) basis change of setting (x, z): rows @ it rotate each row."""
-    factors = [
-        _MEASURE_ROTATIONS[z >> bit & 1] if x >> bit & 1 else np.eye(2)
-        for bit in range(n_qubits - 1, -1, -1)
-    ]
-    rotation = reduce(np.kron, factors).T.copy()
-    rotation.flags.writeable = False
-    return rotation
-
-
 def sampled_expectation(
     amplitudes: np.ndarray, h: PauliHamiltonian, shots: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -305,7 +283,7 @@ def sampled_expectation(
     totals = np.full(amplitudes.shape[0], h.identity_offset)
     counts = np.empty(amplitudes.shape, dtype=np.int64)  # every setting's draws, row by row
     for setting in h.settings:
-        rotated = amplitudes @ _measurement_rotation(h.n_qubits, setting.x, setting.z)
+        rotated = amplitudes @ setting.rotation
         probs = np.abs(rotated) ** 2
         probs /= probs.sum(axis=1, keepdims=True)
         # one 1-D draw per row: the 2-D call's stream, without its fixed cost

@@ -21,6 +21,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import errno
 import functools
 import hashlib
 import json
@@ -218,12 +219,16 @@ def _point_prefix(point: GridPoint) -> str:
 def _claimed(*paths: str):
     """Create each output's path + '.partial' before any work; rename them onto the paths after.
 
-    Yields the open partial files. One that cannot be created raises OSError naming
-    the path given, not the partial file; any failure removes every partial file.
+    Yields the open partial files. An empty path, an existing directory, or a partial
+    file that cannot be created raises OSError naming the path given, not the partial
+    file; any failure removes every partial file.
     """
     handles = []
     try:
         for path in paths:
+            if not path or (os.path.isdir(path) and not os.path.islink(path)):
+                code = errno.EISDIR if path else errno.ENOENT  # os.replace would fail after the run
+                raise OSError(code, os.strerror(code), path)
             try:
                 handles.append(open(path + ".partial", "w", encoding="utf-8", newline=""))
             except OSError as exc:
@@ -301,13 +306,9 @@ def _records_to_csv(cfg: RunConfig, records: list[SweepRecord]) -> str:
 
 
 def _config_snapshot(cfg: RunConfig) -> dict:
-    # every field is an immutable value except spsa, copied to a dict of its own
-    snapshot = dict(vars(cfg), spsa=dict(vars(cfg.spsa)))
-    # spsa.seed is never consumed (per-run seeds derive from `seeds`), so it
-    # would only mislead in the manifest
-    snapshot["spsa"].pop("seed", None)
-    snapshot["solar_mass_planck"] = SOLAR_MASS_PLANCK
-    return snapshot
+    # every field is an immutable value except spsa, written as the keys a config may set
+    spsa = {key: getattr(cfg.spsa, key) for key in _SPSA_KEYS}
+    return dict(vars(cfg), spsa=spsa, solar_mass_planck=SOLAR_MASS_PLANCK)
 
 
 def cmd_sweep(cfg: RunConfig, out_path: str | None) -> int:

@@ -51,6 +51,11 @@ _SYMPLECTIC_LETTERS = "IZXY"
 _LETTER_RANKS = np.array([0, 3, 1, 2])
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
+# The basis change that maps a qubit's measured eigenbasis onto Z's, by its code 2x + z:
+# none for I and Z, H for X, H S^dagger for Y.
+_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+_MEASURE_ROTATIONS = (np.eye(2), np.eye(2), _HADAMARD, _HADAMARD @ np.diag([1, -1j]))
+
 
 @dataclass(frozen=True)
 class BlackHoleParams:
@@ -131,7 +136,8 @@ class PauliHamiltonian:
                 members.append([row])
         parities = parity_eigenvalues(2**self.n_qubits)[self.x | self.z]
         return tuple(
-            MeasurementSetting(x, z, self.coeffs[rows] @ parities[rows])
+            MeasurementSetting(x, z, self.coeffs[rows] @ parities[rows],
+                               _basis_change(self.n_qubits, x, z))
             for (x, z), rows in zip(bases, members)
         )
 
@@ -141,14 +147,22 @@ class MeasurementSetting:
     """One tensor-product basis that reads a group of qubit-wise-commuting rows at once.
 
     A qubit whose x bit is set is measured in X (z clear) or Y (z set), every
-    other qubit in Z. weights[k] = sum over the Hamiltonian rows the setting
-    measures of coeffs[i] * (-1)^popcount((x[i] | z[i]) & k) is the energy
-    they assign to outcome k of the rotated state.
+    other qubit in Z; amplitude rows @ rotation, the read-only transpose of
+    that basis change, are the rotated rows. weights[k] = sum over the rows
+    the setting measures of coeffs[i] * (-1)^popcount((x[i] | z[i]) & k) is
+    the energy they assign to outcome k of the rotated state.
     """
 
     x: int
     z: int
     weights: np.ndarray = field(repr=False)
+    rotation: np.ndarray = field(repr=False)
+
+
+def _basis_change(n_qubits: int, x: int, z: int) -> np.ndarray:
+    """MeasurementSetting(x, z).rotation: the kron of each qubit's 2x2 change, qubit 0 first."""
+    codes = _codes(np.array([x]), np.array([z]), n_qubits)[0]
+    return _read_only(functools.reduce(np.kron, [_MEASURE_ROTATIONS[c] for c in codes]).T.copy())
 
 
 def _merged(n_qubits: int, x: np.ndarray, z: np.ndarray, coeffs: np.ndarray) -> PauliHamiltonian:
@@ -181,7 +195,7 @@ def energy_scale(params: BlackHoleParams | None, inner_half: bool = False) -> fl
 
 
 def _read_only(table: np.ndarray) -> np.ndarray:
-    """The table, marked read-only: a table cached per dimension is shared by every caller."""
+    """The table, marked read-only: it is built once and shared by every reader."""
     table.flags.writeable = False
     return table
 
@@ -288,18 +302,23 @@ def to_matrix(h: PauliHamiltonian) -> np.ndarray:
     return _walsh_hadamard(grid).take(_flip_index(dim)[1])
 
 
+def _block_starts(layout: HamiltonianLayout, spec: LatticeSpec) -> list[int]:
+    """First qubit of each block: 0, 1, 2 for paper-chain (N = 4 only), d log2(N) for disjoint."""
+    if layout.variant == DISJOINT:
+        return [d * spec.n_qubits for d in range(layout.dims)]
+    if spec.n_points != 4:
+        raise UnsupportedLatticeError(
+            f"paper-chain layout is defined for N=4 only, got N={spec.n_points}"
+        )
+    return [0, 1, 2]
+
+
 def layout_qubits(layout: HamiltonianLayout, spec: LatticeSpec) -> int:
     """Width of the assembled Hamiltonian: 4 for paper-chain, dims * log2(N) for disjoint.
 
     Raises UnsupportedLatticeError for a paper chain with N != 4.
     """
-    if layout.variant == DISJOINT:
-        return layout.dims * spec.n_qubits
-    if spec.n_points != 4:
-        raise UnsupportedLatticeError(
-            f"paper-chain layout is defined for N=4 only, got N={spec.n_points}"
-        )
-    return 4
+    return _block_starts(layout, spec)[-1] + spec.n_qubits
 
 
 @functools.cache
@@ -326,16 +345,11 @@ def assemble(
         PauliHamiltonian with merged coefficients, every block scaled by
         energy_scale(params).
     """
-    n_qubits = layout_qubits(layout, spec)
+    starts = _block_starts(layout, spec)
+    n_qubits = starts[-1] + spec.n_qubits
     block = _momentum_block(spec)
-    block_qubits = spec.n_qubits
-    if layout.variant == PAPER_CHAIN:
-        starts = [0, 1, 2]
-    else:
-        starts = [d * block_qubits for d in range(layout.dims)]
-
-    # block qubit j sits at qubit start + j, so its mask bits move up by n - start - b
-    shifts = [n_qubits - start - block_qubits for start in starts]
+    # block qubit j sits at qubit start + j: its mask bits move up by n - start - log2(N)
+    shifts = [starts[-1] - start for start in starts]
     x = np.concatenate([block.x << shift for shift in shifts])
     z = np.concatenate([block.z << shift for shift in shifts])
     coeffs = energy_scale(params) * block.coeffs

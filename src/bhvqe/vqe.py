@@ -105,44 +105,36 @@ def _directions(rng: np.random.Generator, n_params: int):
         yield from rng.integers(0, 2, size=(DIRECTION_BLOCK, n_params)) * 2.0 - 1.0
 
 
-class _Best:
-    """The lowest SPSA energy seen and its point, over the batches `see` takes.
-
-    A strict < in row order keeps the first of ties; a NaN or Inf energy
-    raises NonFiniteObjectiveError.
-    """
-
-    energy, params = math.inf, None
-
-    def see(self, points, energies: list[float]) -> list[float]:
-        for point, e in zip(points, energies):
-            if not math.isfinite(e):
-                raise NonFiniteObjectiveError(f"objective returned {e}")
-            if e < self.energy:
-                self.energy, self.params = e, point
-        return energies
-
-
-def _segment(cfg: SpsaConfig, directions, theta: np.ndarray, trace: list[float], best: _Best):
-    """SPSA from theta: yields each batch of points and is sent their energies, in order.
+def _segment(cfg: SpsaConfig, directions, theta: np.ndarray, budget: int):
+    """SPSA from theta: yields each batch of points, is sent their energies, returns a VqeResult.
 
     The first batch is theta with iteration 0's two probes. After each update
     the segment sends the new iterate, and if iteration k + 1 runs whatever
     that energy turns out to be (streak + 1 < window and len(trace) + 1 <
-    max_iter), also iteration k + 1's probes, taking its direction first.
+    budget), also iteration k + 1's probes, taking its direction first.
     Otherwise the probes follow in a batch of their own once the stopping rule
     has let the iteration run. Nothing is evaluated speculatively: the segment
     takes one direction per iteration it runs, in order. k counts this
-    segment's updates; each iterate's energy is appended to trace, which
-    carries the budget across a run's segments. Every energy goes to best.
-    Returns whether the stopping rule fired: `window` consecutive energy
-    differences below `tol`. Else the segment stops at max_iter. Either way,
-    a last iterate so large that theta + c_k delta == theta raises
-    DomainError: its probes no longer move it, so neither end means anything.
+    segment's updates. It ends when `window` consecutive energy differences
+    fall below `tol`, or after `budget` iterations, and returns its trace of
+    iterate energies, whether the first rule ended it, and the first strictly
+    lowest of all its energies with its point. A NaN or Inf energy raises
+    NonFiniteObjectiveError; a last iterate so large that theta + c_k delta
+    == theta raises DomainError: its probes no longer move it, so neither
+    end means anything.
     """
     a, c, alpha, gamma, stability_a = cfg.a, cfg.c, cfg.alpha, cfg.gamma, cfg.stability_a
-    window, tol, max_iter = cfg.window, cfg.tol, cfg.max_iter
-    see = best.see
+    window, tol = cfg.window, cfg.tol
+    trace, lowest, argmin = [], math.inf, None
+
+    def see(points, energies: list[float]) -> list[float]:
+        nonlocal lowest, argmin
+        for point, e in zip(points, energies):
+            if not math.isfinite(e):
+                raise NonFiniteObjectiveError(f"objective returned {e}")
+            if e < lowest:  # strict, so the first of ties stays
+                lowest, argmin = e, point
+        return energies
 
     def probes(k, theta, lead):
         # iteration k's gain c_k and direction, and the batch lead + its probes theta +/- c_k delta
@@ -157,7 +149,7 @@ def _segment(cfg: SpsaConfig, directions, theta: np.ndarray, trace: list[float],
         # iteration k's update; delta is +/-1, so this equals dividing by 2 c_k delta
         a_k = a / (stability_a + k + 1) ** alpha
         theta = theta - a_k * ((e_plus - e_minus) / (2.0 * c_k)) * delta
-        ahead = streak + 1 < window and len(trace) + 1 < max_iter
+        ahead = streak + 1 < window and len(trace) + 1 < budget
         batch = [theta]
         if ahead:
             c_k, delta, batch = probes(k + 1, theta, batch)
@@ -166,12 +158,12 @@ def _segment(cfg: SpsaConfig, directions, theta: np.ndarray, trace: list[float],
         trace.append(e_new)
         streak = streak + 1 if abs(e_new - e_prev) < tol else 0
         e_prev = e_new
-        if streak >= window or len(trace) == max_iter:
+        if streak >= window or len(trace) == budget:
             if np.array_equal(theta + c_k * delta, theta):
                 size = np.abs(theta).max()
                 raise DomainError(f"SPSA iterate ran away to |theta| = {size:.3g}, "
                                   f"where its probes theta +/- {c_k:.3g} delta no longer move it")
-            return streak >= window
+            return VqeResult(argmin, lowest, tuple(trace), streak >= window, len(trace))
         k += 1
         if ahead:
             e_plus, e_minus = energies[1], energies[2]
@@ -186,39 +178,43 @@ def _vqe_search(cfg: SpsaConfig, init_rng, spsa_rng, n_params: int):
     Screens INIT_CANDIDATES starts, runs a segment from the lowest, and
     screens again after each segment that converges while iterations are
     left. Its segments take their directions in order from one stream, drawn
-    DIRECTION_BLOCK rows at a time, and share one best energy, which never
-    sees the screens.
+    DIRECTION_BLOCK rows at a time; each gets the iterations the run has left.
+    Their results merge here, and only here: the traces in order, converged if
+    any stopping rule fired, and the lowest best (never a screen's), the first of ties.
     """
     directions = _directions(spsa_rng, n_params)
-    trace, best, converged = [], _Best(), False
+    trace, best, converged = [], None, False
     while len(trace) < cfg.max_iter:
         candidates = init_rng.uniform(-np.pi, np.pi, (INIT_CANDIDATES, n_params))
         # argmin takes the first of tied candidates
         theta = candidates[int(np.argmin((yield candidates)))].copy()
-        converged |= yield from _segment(cfg, directions, theta, trace, best)
-    return VqeResult(best.params, best.energy, tuple(trace), converged, len(trace))
+        found = yield from _segment(cfg, directions, theta, cfg.max_iter - len(trace))
+        trace.extend(found.trace)
+        converged |= found.converged
+        if best is None or found.best_energy < best.best_energy:
+            best = found
+    return VqeResult(best.best_params, best.best_energy, tuple(trace), converged, len(trace))
 
 
 def spsa_minimize(objective: Callable[[np.ndarray], float], theta0: np.ndarray,
                   cfg: SpsaConfig) -> VqeResult:
     """Minimize `objective` from `theta0` with simultaneous-perturbation SPSA.
 
-    One segment, no screen: evaluates the segment's points one at a time, in
-    order, so the objective is called 1 + 3 * iterations_used times. The
-    directions come from np.random.default_rng(cfg.seed), so the result is
-    deterministic for a fixed cfg.seed. Raises NonFiniteObjectiveError if
-    the objective ever returns NaN or Inf, DomainError if the iterate runs away.
+    Returns one segment's result, with the whole budget and no screen: its
+    points are evaluated one at a time, in order, so the objective is called
+    1 + 3 * iterations_used times. Directions come from np.random.default_rng(cfg.seed),
+    so a fixed cfg.seed gives a fixed result. Raises NonFiniteObjectiveError if the
+    objective ever returns NaN or Inf, DomainError if the iterate runs away.
     """
     theta0 = np.asarray(theta0, dtype=float).copy()
-    trace, best = [], _Best()
     directions = _directions(np.random.default_rng(cfg.seed), theta0.size)
-    segment = _segment(cfg, directions, theta0, trace, best)
+    segment = _segment(cfg, directions, theta0, cfg.max_iter)
     points = next(segment)
     try:
         while True:
             points = segment.send([float(objective(point)) for point in points])
     except StopIteration as stop:
-        return VqeResult(best.params, best.energy, tuple(trace), stop.value, len(trace))
+        return stop.value
 
 
 def vqe_lockstep(

@@ -394,18 +394,26 @@ def test_sweep_unwritable_path(tmp_path, capsys):
     assert code == 4
 
 
-@pytest.mark.parametrize("command, flag", [("sweep", "--out"), ("vqe", "--trace")])
-def test_unwritable_output_fails_before_any_run(tmp_path, capsys, monkeypatch, command, flag):
+@pytest.mark.parametrize("command, flag, target", [
+    ("sweep", "--out", "missing/out.csv"), ("vqe", "--trace", "missing/out.csv"),
+    # no file can be renamed onto a directory or onto the empty path
+    ("sweep", "--out", "taken"), ("vqe", "--trace", "taken"), ("vqe", "--trace", ""),
+])
+def test_unwritable_output_fails_before_any_run(tmp_path, capsys, monkeypatch, command, flag,
+                                                target):
     calls = []
     monkeypatch.setattr(observables, "vqe_lockstep", lambda *args: calls.append(args))
+    monkeypatch.chdir(tmp_path)  # a partial file of the empty path would land here
     cfg = write_config(tmp_path, {**RHO_ZERO_CONFIG, "seeds": [0], "spsa": {"max_iter": 3}})
-    missing = tmp_path / "missing" / "out.csv"
-    code, out, err = run_cli(capsys, command, "--config", cfg, flag, str(missing))
+    (tmp_path / "taken").mkdir()
+    path = str(tmp_path / target) if target else ""
+    code, out, err = run_cli(capsys, command, "--config", cfg, flag, path)
     assert (code, out, calls) == (4, "", [])
     # one line, naming the path given rather than the temporary file behind it
     (line,) = err.splitlines()
-    assert line.startswith("error: ") and repr(str(missing)) in line and ".partial" not in line
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+    assert line.startswith("error: ") and repr(path) in line and ".partial" not in line
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
+    assert list((tmp_path / "taken").iterdir()) == []
 
 
 @pytest.mark.parametrize("command, flag", [("sweep", "--out"), ("vqe", "--trace")])

@@ -532,6 +532,9 @@ def test_dimension_tables_are_built_once_and_read_only(dim):
             first[0, 0] = 1
     # each to_matrix result is the caller's own array
     h = pauli_decompose(random_hermitian(np.random.default_rng(dim), dim.bit_length() - 1))
+    for setting in h.settings:  # every reader of a setting shares its rotation
+        with pytest.raises(ValueError):
+            setting.rotation[0, 0] = 1
     expected = to_matrix(h)
     changed = to_matrix(h)
     changed[:] = 7.0

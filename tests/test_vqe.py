@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -289,6 +290,59 @@ def test_ansatz2_default_depth_stays_above_chain_ground_state():
         assert vqe_run(CHAIN_H, kind, SpsaConfig(seed=seed)).best_energy >= PI / 8 + 0.05
 
 
+@pytest.mark.parametrize("family, ground", [("ansatz1", 15), ("ansatz3", 5)])
+def test_closed_form_floor_without_an_optimizer(family, ground):
+    # the first single-qubit gate on each qubit prepares |+> or |->, every other gate is
+    # the identity: pattern bit 3 - q picks qubit q's sign. The unit chain is diagonal in
+    # the X basis, so one pattern lands on the ground outcome (ansatz1's CNOTs permute
+    # X-basis outcomes, so its pattern differs from ansatz3's +-+-)
+    circuit = build(AnsatzKind.from_name(family), 4)
+    first: dict[int, int] = {}
+    for gate in circuit.gates:
+        if len(gate.qubits) == 1:
+            first.setdefault(gate.qubits[0], gate.param_slots[0])  # the U3 theta slot
+    assert sorted(first) == [0, 1, 2, 3]
+    thetas = np.zeros((16, circuit.n_params))
+    for pattern, q in itertools.product(range(16), range(4)):
+        thetas[pattern, first[q]] = -PI / 2 if pattern >> (3 - q) & 1 else PI / 2
+    for scale in (1e-3, 0.506, 1.0, 3.0, 1e6):
+        h = dataclasses.replace(CHAIN_H, coeffs=scale * CHAIN_H.coeffs)
+        floor = scale * PI / 8
+        hits = [pattern for pattern, theta in enumerate(thetas)
+                if abs(expectation(run(circuit, theta), h) - floor) <= 1e-15 * floor]
+        assert hits == [ground]
+
+
+def test_x_basis_landscape_has_one_floor_and_a_stuck_edge():
+    # outcome k of the X-basis measurement has energy weights[k] + offset; a single-qubit
+    # flip moves to k ^ 2^b. Energies within `tie` of each other are equal but for rounding
+    (setting,) = CHAIN_H.settings
+    energy = setting.weights + CHAIN_H.identity_offset
+    e0 = exact_ground_energy(CHAIN_H)
+    tie = 1e-12 * e0
+    flips = [[k ^ 1 << b for b in range(4)] for k in range(16)]
+
+    def downhill(start):  # the outcomes single flips reach without raising the energy
+        seen, todo = {start}, [start]
+        while todo:
+            k = todo.pop()
+            step = {j for j in flips[k] if energy[j] <= energy[k] + tie} - seen
+            seen |= step
+            todo.extend(step)
+        return seen
+
+    strict = [k for k in range(16) if all(energy[j] > energy[k] + tie for j in flips[k])]
+    assert strict == [5] and abs(energy[5] - e0) <= tie
+    no_lower = [k for k in range(16) if all(energy[j] >= energy[k] - tie for j in flips[k])]
+    assert no_lower == [5, 6, 10, 11]
+    # the 2 E0 edge: no flip that keeps the energy from rising leaves {10, 11}
+    assert all(abs(energy[k] - 2 * e0) <= tie for k in (10, 11))
+    assert downhill(10) == downhill(11) == {10, 11}
+    # 6 sits at the same 2 E0, but its tie 7 has the ground outcome as a neighbour
+    assert abs(energy[7] - energy[6]) <= tie and energy[5] < energy[7] - tie
+    assert downhill(6) == {5, 6, 7}
+
+
 def test_vqe_physical_point():
     params = BlackHoleParams(mass=1.0, radius=2.0)
     h = assemble(params, HamiltonianLayout(variant=PAPER_CHAIN), LatticeSpec(4))
@@ -319,6 +373,18 @@ def test_vqe_screen_picks_first_lowest_candidate(h):
     expected = min(candidates, key=lambda th: expectation(run(circuit, th), h))
     assert len(starts) == 1
     np.testing.assert_array_equal(starts[0], expected)
+
+
+def test_ties_across_segments_keep_the_earliest_best():
+    # every energy is 0 and window=1 ends each segment after one iteration: six segments
+    # whose bests all tie, so the run's best is the first point evaluated
+    with golden_outputs.recorded_batches() as batches:
+        result = vqe_run(pauli_helpers.from_letters(4, ()), A3,
+                         SpsaConfig(seed=4, max_iter=6, window=1))
+    assert sum(len(batch) == vqe.INIT_CANDIDATES for batch in batches) == 6
+    assert (result.iterations_used, result.converged, result.best_energy) == (6, True, 0.0)
+    # batches[0] is the first screen; the first segment's batch opens with its start point
+    np.testing.assert_array_equal(result.best_params, batches[1][0])
 
 
 def test_lockstep_of_no_runs_builds_nothing():
