@@ -4,7 +4,7 @@ ansatz1: per repetition, for every qubit pair (i < j) in lexicographic order,
 U3 on i, U3 on j, then CNOT(i -> j). ansatz2: same pair sweep with U3 on i
 followed by a controlled U3(i -> j). ansatz3: per repetition, U3 then RY on
 every qubit, so it never entangles and only reaches product states. Every
-gate instance gets fresh parameter slots.
+gate instance has its own angles, in gate order (see `circuits.Circuit`).
 """
 
 from __future__ import annotations
@@ -31,27 +31,24 @@ _MIN_QUBITS = {AnsatzFamily.U3_CNOT: 2, AnsatzFamily.U3_CU3: 2, AnsatzFamily.U3_
 @dataclass(frozen=True)
 class AnsatzKind:
     family: AnsatzFamily
-    reps: int | None = None  # None picks the family default
+    reps: int
 
     def __post_init__(self):
-        if self.reps is not None:
-            require_int("reps", self.reps, 1)
-
-    @property
-    def repetitions(self) -> int:
-        return DEFAULT_REPS[self.family] if self.reps is None else self.reps
+        require_int("reps", self.reps, 1)
 
     @classmethod
     def from_name(cls, name: str, reps: int | None = None) -> "AnsatzKind":
+        """The family named `name` with `reps` layers; None picks DEFAULT_REPS[family]."""
         names = [family.value for family in AnsatzFamily]
         if name not in names:
             raise ValueError(f"ansatz must be {', '.join(names[:-1])} or {names[-1]}, got {name!r}")
-        return cls(AnsatzFamily(name), reps)
+        family = AnsatzFamily(name)
+        return cls(family, DEFAULT_REPS[family] if reps is None else reps)
 
 
 @cache
 def build(kind: AnsatzKind, n_qubits: int) -> Circuit:
-    """Construct the ansatz circuit with one fresh slot per gate parameter.
+    """Construct the ansatz circuit; its parameters are its gates' angles in gate order.
 
     Built once per (kind, n_qubits), so its program compiles once per process.
     """
@@ -59,25 +56,17 @@ def build(kind: AnsatzKind, n_qubits: int) -> Circuit:
     if n_qubits < need:
         raise TooFewQubitsError(f"{kind.family.value} needs at least {need} qubits, got {n_qubits}")
     gates: list[Gate] = []
-    slot = 0
-
-    def take(count: int) -> tuple[int, ...]:
-        nonlocal slot
-        slots = tuple(range(slot, slot + count))
-        slot += count
-        return slots
-
-    for _ in range(kind.repetitions):
+    for _ in range(kind.reps):
         if kind.family is AnsatzFamily.U3_RY:
             for q in range(n_qubits):
-                gates.append(Gate(GateKind.U3, (q,), take(3)))
-                gates.append(Gate(GateKind.RY, (q,), take(1)))
+                gates.append(Gate(GateKind.U3, (q,)))
+                gates.append(Gate(GateKind.RY, (q,)))
         else:
             for i, j in combinations(range(n_qubits), 2):
-                gates.append(Gate(GateKind.U3, (i,), take(3)))
+                gates.append(Gate(GateKind.U3, (i,)))
                 if kind.family is AnsatzFamily.U3_CNOT:
-                    gates.append(Gate(GateKind.U3, (j,), take(3)))
+                    gates.append(Gate(GateKind.U3, (j,)))
                     gates.append(Gate(GateKind.CNOT, (i, j)))
                 else:
-                    gates.append(Gate(GateKind.CU3, (i, j), take(3)))
-    return Circuit(n_qubits, tuple(gates), slot)
+                    gates.append(Gate(GateKind.CU3, (i, j)))
+    return Circuit(n_qubits, tuple(gates))

@@ -45,51 +45,43 @@ N_QUBITS_USED = {GateKind.U3: 1, GateKind.RY: 1, GateKind.CNOT: 2, GateKind.CU3:
 
 @dataclass(frozen=True)
 class Gate:
-    """One gate instance: kind, target qubit(s), and its parameter-slot indices.
-
-    Two-qubit gates list the control qubit first.
-    """
+    """One gate instance: kind and target qubit(s). Two-qubit gates list the control qubit first."""
 
     kind: GateKind
     qubits: tuple[int, ...]
-    param_slots: tuple[int, ...] = ()
 
     def __post_init__(self):
         if len(self.qubits) != N_QUBITS_USED[self.kind]:
             raise ValueError(f"{self.kind.value} acts on {N_QUBITS_USED[self.kind]} qubit(s)")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError("gate qubits must be distinct")
-        if len(self.param_slots) != N_PARAM_SLOTS[self.kind]:
-            raise ValueError(f"{self.kind.value} takes {N_PARAM_SLOTS[self.kind]} parameter slot(s)")
 
 
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered gate list over n_qubits with n_params free parameter slots."""
+    """Ordered gate list over n_qubits.
+
+    Its parameter vector holds each gate's N_PARAM_SLOTS[kind] angles in gate
+    order: a U3's (theta, phi, lam), an RY's theta, a CU3's (theta, phi, lam).
+    """
 
     n_qubits: int
     gates: tuple[Gate, ...]
-    n_params: int
 
     def __post_init__(self):
-        seen: set[int] = set()
         for g in self.gates:
             for q in g.qubits:
                 if not 0 <= q < self.n_qubits:
                     raise ValueError(f"gate qubit {q} out of range for {self.n_qubits} qubits")
-            for s in g.param_slots:
-                if not 0 <= s < self.n_params:
-                    raise ValueError(f"parameter slot {s} out of range")
-                if s in seen:
-                    raise ValueError(f"parameter slot {s} referenced twice")
-                seen.add(s)
-        if len(seen) != self.n_params:
-            raise ValueError("every parameter slot must be referenced exactly once")
+
+    @cached_property
+    def n_params(self) -> int:
+        return sum(N_PARAM_SLOTS[g.kind] for g in self.gates)
 
     @cached_property
     def program(self) -> Program:
         """The circuit compiled for run_batch, built once per circuit."""
-        n, zero = self.n_qubits, self.n_params
+        n, zero, offset = self.n_qubits, self.n_params, 0
         identity = sum(g.kind is not GateKind.CNOT for g in self.gates)  # U3(0, 0, 0), if used
         slots: list[tuple[int, ...]] = []
         prefixes: dict[int, list[int]] = {}
@@ -103,8 +95,9 @@ class Circuit:
                 entangled.update(g.qubits)
                 perm = perm[np.where(index & bits[0], index ^ bits[1], index)]
                 continue
-            matrix = len(slots)
-            slots.append((g.param_slots + (zero,) * 3)[:3])  # RY is U3(theta, 0, 0)
+            matrix, count = len(slots), N_PARAM_SLOTS[g.kind]
+            slots.append((*range(offset, offset + count), zero, zero)[:3])  # RY is U3(theta, 0, 0)
+            offset += count
             if g.kind is GateKind.CU3 or g.qubits[0] in entangled:
                 entangled.update(g.qubits)
                 k = np.where(index & bits[0], matrix, identity) if g.kind is GateKind.CU3 else matrix

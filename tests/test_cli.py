@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -505,6 +506,26 @@ def test_fit_refuses_a_zero_ground_energy_family(tmp_path, capsys, curve, dims, 
     assert "zero" in err
 
 
+def test_fit_reports_a_curve_that_falls_below_zero(tmp_path, capsys):
+    # E^4 = 10, 5, 1e-4, 1e-4: a positive intercept, but the line falls below 0 at M = 4
+    energies = [10**0.25, 5**0.25, 0.1, 0.1]
+    rows = tmp_path / "falling.csv"
+    rows.write_text("mass,radius,method,energy\n"
+                    + "".join(f"{m}.0,10.0,exact,{e!r}\n" for m, e in enumerate(energies, 1)))
+    code, out, err = run_cli(capsys, "fit", "--in", str(rows), "--curve", "mass")
+    assert (code, out) == (3, "")
+    assert err == "error: NegativeInterceptError: fitted curve is nonpositive at a sample point\n"
+
+
+def test_linear_algebra_failure_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    code, out, err = run_cli(capsys, "exact", "--config", write_config(tmp_path, {}))
+    assert (code, out) == (3, "")
+    assert err == "error: linear algebra failure: Eigenvalues did not converge\n"
+
+
 def test_fit_rejects_malformed_csv(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("alpha,beta\n1,2\n")
@@ -551,6 +572,7 @@ INVALID_CONFIGS = [
     {"lattice_n": 6},
     {"ansatz": "ansatz9"},
     {"seeds": [-1]},
+    {"seeds": 3},
     {"mass_grid": []},
     {"mass_grid": [0.0]},
     {"dims": 4},
@@ -581,6 +603,7 @@ def test_config_validation_exit_codes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("data, named", [
+    ({"seeds": 3}, "seeds must be a list of non-negative integers"),
     ({"lattice_n": 6}, "got 6"),
     ({"layout": "disjoint", "dims": 2.0}, "got 2.0"),
     ({"reps": True}, "got True"),

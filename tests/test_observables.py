@@ -112,6 +112,9 @@ def test_fit_degenerate_inputs():
 def test_fit_negative_intercept():
     with pytest.raises(NegativeInterceptError):
         fit_energy_vs_mass([(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)])
+    # E^4 = 10, 5, 1e-4, 1e-4: a positive intercept, but the line falls below 0 at M = 4
+    with pytest.raises(NegativeInterceptError, match="^fitted curve is nonpositive at a sample point$"):
+        fit_energy_vs_mass([(1.0, 10**0.25), (2.0, 5**0.25), (3.0, 0.1), (4.0, 0.1)])
 
 
 def test_mass_inversion_roundtrip():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from bhvqe import hamiltonian as ham
 from bhvqe import vqe
 from bhvqe.ansatz import AnsatzKind, build
-from bhvqe.circuits import expectation, run
+from bhvqe.circuits import N_PARAM_SLOTS, expectation, run
 from bhvqe.errors import DomainError, NonFiniteObjectiveError
 from bhvqe.hamiltonian import (
     DISJOINT,
@@ -298,9 +298,11 @@ def test_closed_form_floor_without_an_optimizer(family, ground):
     # X-basis outcomes, so its pattern differs from ansatz3's +-+-)
     circuit = build(AnsatzKind.from_name(family), 4)
     first: dict[int, int] = {}
+    offset = 0  # a gate's angles start here in the parameter vector
     for gate in circuit.gates:
         if len(gate.qubits) == 1:
-            first.setdefault(gate.qubits[0], gate.param_slots[0])  # the U3 theta slot
+            first.setdefault(gate.qubits[0], offset)  # the U3 theta
+        offset += N_PARAM_SLOTS[gate.kind]
     assert sorted(first) == [0, 1, 2, 3]
     thetas = np.zeros((16, circuit.n_params))
     for pattern, q in itertools.product(range(16), range(4)):
