@@ -87,7 +87,7 @@ _SPSA_KEYS = tuple(f.name for f in dataclasses.fields(SpsaConfig) if f.name != "
 class RunConfig:
     """Run settings in the units the user wrote; construction checks them in a fixed order.
 
-    Grids and couplings are stored as floats, `spsa` as a SpsaConfig and `seeds` as a tuple.
+    Grids and couplings are floats, `spsa` a SpsaConfig, `seeds` a tuple, `reps` the depth that runs.
     """
 
     layout: str = PAPER_CHAIN
@@ -126,7 +126,7 @@ class RunConfig:
         # the library objects check their own fields; building them is the validation
         layout = HamiltonianLayout(self.layout, self.dims)
         n_qubits = layout_qubits(layout, LatticeSpec(self.lattice_n))
-        AnsatzKind.from_name(self.ansatz, self.reps)
+        object.__setattr__(self, "reps", AnsatzKind.from_name(self.ansatz, self.reps).reps)
         if not isinstance(self.spsa, SpsaConfig):
             object.__setattr__(self, "spsa", SpsaConfig(**self.spsa))
         for seed in self.seeds:

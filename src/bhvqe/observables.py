@@ -10,10 +10,10 @@ power. `sweep` chains `plan` and `records`; the CLI calls them directly.
 
 The conversion prefers the quartic curve fit E^4 = b0 + b1 * M inverted
 back to an effective mass; whenever a fit is impossible or unstable for a
-record (too few distinct masses, degenerate data, nonpositive inverted
-mass) the record falls back to the definitional values kappa_t / M and
-kappa_p / M^2. Both routes are kept on every record so they can be
-compared downstream.
+record (too few distinct masses, more than one radius, degenerate data,
+nonpositive inverted mass) the record falls back to the definitional values
+kappa_t / M and kappa_p / M^2. Both routes are kept on every record so they
+can be compared downstream.
 """
 
 from __future__ import annotations
@@ -98,15 +98,17 @@ class SweepRecord:
 def _fit_quartic(x: np.ndarray, energies: np.ndarray) -> FitResult:
     if x.size < MIN_FIT_POINTS:
         raise DegenerateDataError(f"need at least {MIN_FIT_POINTS} points, got {x.size}")
-    if np.unique(x).size < 2:
-        raise DegenerateDataError("regressor values are all identical")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(energies))):
         raise DegenerateDataError("fit inputs must be finite")
+    span = x.max() - x.min()
+    if span == 0:
+        raise DegenerateDataError("regressor values are all identical")
     if np.any(energies <= 0):
         raise DegenerateDataError("energies must be positive to fit the quartic model")
-    design = np.column_stack([np.ones_like(x), x])
-    beta, *_ = np.linalg.lstsq(design, energies**4, rcond=None)
-    b0, b1 = float(beta[0]), float(beta[1])
+    dx = (x - x.mean()) / span  # least squares on centred values; unit span keeps dx @ dx in range
+    quartic = energies**4
+    b1 = float(dx @ (quartic - quartic.mean()) / (dx @ dx) / span)
+    b0 = float(quartic.mean() - b1 * x.mean())
     if b0 <= 0:
         raise NegativeInterceptError(f"fitted intercept {b0:.6g} is not positive")
     predicted_quartic = b0 + b1 * x
@@ -118,15 +120,13 @@ def _fit_quartic(x: np.ndarray, energies: np.ndarray) -> FitResult:
 
 def fit_energy_vs_mass(points: list[tuple[float, float]]) -> FitResult:
     """Fit E^4 linear in mass; returns E = a * (1 + c * M)^(1/4) coefficients."""
-    masses = np.array([p[0] for p in points], dtype=float)
-    energies = np.array([p[1] for p in points], dtype=float)
+    masses, energies = np.array(points, dtype=float).reshape(-1, 2).T
     return _fit_quartic(masses, energies)
 
 
 def fit_energy_vs_radius(points: list[tuple[float, float]]) -> FitResult:
     """Fit E^4 linear in 1/radius; returns E = a * (1 + c / r)^(1/4) coefficients."""
-    radii = np.array([p[0] for p in points], dtype=float)
-    energies = np.array([p[1] for p in points], dtype=float)
+    radii, energies = np.array(points, dtype=float).reshape(-1, 2).T
     if np.any(radii <= 0):
         raise DomainError("radii must be positive")
     return _fit_quartic(1.0 / radii, energies)
@@ -245,12 +245,12 @@ def _fitted_observables(
 ) -> dict[int, tuple[float, float]]:
     """Fit E vs M over one (seed, radius) family; map point index -> (T, P).
 
-    Points whose inversion fails, or gives no mass with a finite nonzero T
-    and P, are simply omitted; the caller falls back to the direct values
-    for them. A family that require_nonzero_energies refuses gets no fit.
+    Points whose inversion fails, or gives no mass with a finite nonzero T and P,
+    are omitted; the caller falls back to the direct values for them. No fit is made
+    unless the points share one radius and require_nonzero_energies accepts them.
     """
-    masses = [p.params.mass for p, _ in group]
-    if len(set(masses)) < MIN_FIT_POINTS:
+    if (len({p.params.mass for p, _ in group}) < MIN_FIT_POINTS
+            or len({p.params.radius for p, _ in group}) > 1):
         return {}
     try:
         require_nonzero_energies((e, p.scale) for p, e in group)

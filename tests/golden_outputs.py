@@ -63,6 +63,9 @@ CONFIGS = {
                           "kappa_t": 1 / (8 * math.pi), "kappa_p": 1 / (15360 * math.pi),
                           "spsa": {"max_iter": 10, "a": 2.0}},
     "exact-only": {**_CHAIN, "seeds": []},
+    # a depth other than the family default: pins that the CLI passes reps to the ansatz
+    "chain-reps2": {**_CHAIN, "ansatz": "ansatz1", "reps": 2, "seeds": [0],
+                    "spsa": {"max_iter": 20}},
     # valid, but a numerical failure (exit 3)
     "power-overflows": {"mass_grid": [1e200], "spsa": {"max_iter": 3}},
     # energies ~1e74: SPSA's first step throws theta where its probes no longer move it (exit 3)

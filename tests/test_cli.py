@@ -636,6 +636,14 @@ def test_replace_cannot_make_an_invalid_run_config(change):
         dataclasses.replace(RunConfig(), **change)
 
 
+@pytest.mark.parametrize("data, reps", [
+    ({}, 2), ({"ansatz": "ansatz1"}, 1), ({"ansatz": "ansatz2"}, 1), ({"reps": 3}, 3),
+])
+def test_run_config_stores_the_ansatz_depth_that_runs(data, reps):
+    # the manifest's config.reps is the depth the VQE rows used, never null
+    assert RunConfig(**data).reps == reps
+
+
 def test_json_shaped_config_equals_the_tuple_and_float_shaped_one():
     from_json = RunConfig(mass_grid=[1, 2.5], radius_grid=[10], seeds=[0, 3],
                           spsa={"max_iter": 10, "a": 2}, kappa_t=2, kappa_p=1)

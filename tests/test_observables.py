@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bhvqe.ansatz import AnsatzKind
@@ -29,6 +29,7 @@ from bhvqe.observables import (
     RADIUS_ABSOLUTE,
     RADIUS_GM_MULTIPLE,
     FitResult,
+    _fit_quartic,
     fit_energy_vs_mass,
     fit_energy_vs_radius,
     mass_from_energy,
@@ -80,8 +81,9 @@ def test_radius_fit_rejects_nonpositive_radii():
         fit_energy_vs_radius([(-1.0, 0.2), (2.0, 0.2), (3.0, 0.2)])
 
 
-def test_constant_energy_fit_has_zero_slope():
-    fit = fit_energy_vs_mass([(m, 0.25) for m in (1.0, 2.0, 3.0, 4.0)])
+@pytest.mark.parametrize("unit", [1.0, 1e-200, 1e200])  # dx @ dx would underflow or overflow
+def test_constant_energy_fit_has_zero_slope(unit):
+    fit = fit_energy_vs_mass([(m * unit, 0.25) for m in (1.0, 2.0, 3.0, 4.0)])
     assert abs(fit.c) < 1e-12
     assert abs(fit.a - 0.25) < 1e-12
     assert fit.rms_residual < 1e-12
@@ -115,6 +117,73 @@ def test_fit_negative_intercept():
     # E^4 = 10, 5, 1e-4, 1e-4: a positive intercept, but the line falls below 0 at M = 4
     with pytest.raises(NegativeInterceptError, match="^fitted curve is nonpositive at a sample point$"):
         fit_energy_vs_mass([(1.0, 10**0.25), (2.0, 5**0.25), (3.0, 0.1), (4.0, 0.1)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    units=st.lists(st.integers(10, 1000), min_size=3, max_size=8, unique=True),
+    unit=st.sampled_from([0.01, 1e36]),  # masses 0.1-10 (Planck range) or 1e37-1e39 (solar)
+    slope=st.floats(0.0, 5.0),
+    noise=st.lists(st.floats(-0.01, 0.01), min_size=8, max_size=8),
+)
+def test_closed_form_line_agrees_with_lstsq(units, unit, slope, noise):
+    x = np.array(units, dtype=float) * unit
+    energies = (1.0 + slope * x / x.max()) ** 0.25 * (1.0 + np.array(noise[:x.size]))
+    quartic = energies**4
+    # oracle: the SVD least-squares solver the fit no longer calls, on x / x.max(); on raw
+    # solar masses rcond=None drops the design's small singular value and fits a line
+    # through the origin
+    design = np.column_stack([np.ones_like(x), x / x.max()])
+    (b0, b1), *_ = np.linalg.lstsq(design, quartic, rcond=None)
+    b1 /= x.max()
+    assume(b0 > 0 and np.all(b0 + b1 * x > 0))
+    fit = _fit_quartic(x, energies)
+    scale = np.abs(quartic).max()  # the data's scale; the intercept also carries b1 * x
+    assert abs(fit.a**4 - b0) <= 1e-12 * (scale + abs(b1) * x.max())
+    assert abs(fit.c * fit.a**4 - b1) * (x.max() - x.min()) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("masses, message", [
+    ((2.0, 2.0, 2.0), "regressor values are all identical"),
+    ((1e38, 1e38, 1e38), "regressor values are all identical"),
+    ((math.nan,) * 3, "fit inputs must be finite"),  # finiteness is checked first
+    ((1.0, math.inf, 1.0), "fit inputs must be finite"),
+])
+def test_fit_names_why_the_regressor_is_unusable(masses, message):
+    with pytest.raises(DegenerateDataError, match=f"^{message}$"):
+        fit_energy_vs_mass([(m, 0.2) for m in masses])
+
+
+def test_sweep_fits_without_a_sort_or_an_svd(monkeypatch):
+    planned = plan([1.0, 2.0, 3.5, 5.0], [10.0], CHAIN, N4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a two-parameter line needs neither a sort nor an SVD")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    table = records(planned, SpsaConfig(max_iter=30), ansatz=A3, seeds=[0])
+    exact_rows = [rec for rec in table if rec.method == METHOD_EXACT]
+    assert any(rec.temperature != rec.temperature_direct for rec in exact_rows)  # fitted
+    for rec in exact_rows:
+        assert rec.temperature == pytest.approx(rec.temperature_direct, rel=1e-9)
+        assert rec.power == pytest.approx(rec.power_direct, rel=1e-9)
+
+
+def test_gm_multiple_rows_carry_the_direct_observables():
+    # with radius = 20 GM the energies do not depend on M: a mass fit would fit rounding noise
+    solar_masses = [m * 9.136e37 for m in (1.0, 2.0, 3.5)]
+    cfg = SpsaConfig(max_iter=20)
+    gm = plan(solar_masses, [20.0], CHAIN, N4, inner_half=True, radius_mode=RADIUS_GM_MULTIPLE)
+    for rec in records(gm, cfg, ansatz=A3, seeds=[0, 1]):
+        assert rec.temperature == rec.temperature_direct
+        assert rec.power == rec.power_direct
+    # one absolute radius still gets its fit, also at solar masses
+    absolute = plan(solar_masses, [20.0 * 9.136e37], CHAIN, N4, inner_half=True)
+    exact_rows = [rec for rec in records(absolute, cfg) if rec.method == METHOD_EXACT]
+    assert any(rec.temperature != rec.temperature_direct for rec in exact_rows)
+    for rec in exact_rows:
+        assert rec.temperature == pytest.approx(rec.temperature_direct, rel=1e-6)
 
 
 def test_mass_inversion_roundtrip():
