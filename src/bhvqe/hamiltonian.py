@@ -12,8 +12,8 @@ Operators are stored in symplectic form (Aaronson & Gottesman, PRA 70, 052328,
 2004): per Pauli string a bit-flip mask x, a phase mask z (per qubit I=(0,0),
 Z=(0,1), X=(1,0), Y=(1,1), qubit 0 the most significant bit) and a real
 coefficient. Only this module maps masks to letters, and only one way: letters
-are a view for `to_text`, never an input. Rows sort in letter order by an
-integer key, each qubit's letter rank as one base-4 digit. The string with
+are a view for `to_text`, never an input. Rows are summed over the 4^n keys (x << n) | z
+and read out in letter order through one table of those keys, with no sort. The string with
 masks (x, z) is P(x, z) = i^popcount(x&z) X^x Z^z, so one Walsh-Hadamard
 transform converts matrices both ways (Hantzko, Binkowski & Gupta, arXiv:2310.13421):
 
@@ -46,9 +46,8 @@ COEFF_PRUNE_TOL = 1e-12
 # Largest Hamiltonian that exact diagonalization (and hence every run) accepts.
 MAX_EXACT_QUBITS = 6
 
-# Letter of a single-qubit (x, z) pair at index 2x + z, and that letter's rank in I < X < Y < Z.
+# Letter of a single-qubit (x, z) pair at index 2x + z.
 _SYMPLECTIC_LETTERS = "IZXY"
-_LETTER_RANKS = np.array([0, 3, 1, 2])
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
 # The basis change that maps a qubit's measured eigenbasis onto Z's, by its code 2x + z:
@@ -166,16 +165,16 @@ def _basis_change(n_qubits: int, x: int, z: int) -> np.ndarray:
 
 
 def _merged(n_qubits: int, x: np.ndarray, z: np.ndarray, coeffs: np.ndarray) -> PauliHamiltonian:
-    """Rows summed per distinct string, pruned at COEFF_PRUNE_TOL and sorted by letters."""
-    keys, slots = np.unique((x << n_qubits) | z, return_inverse=True)
+    """Rows summed per distinct string, pruned at COEFF_PRUNE_TOL, in letter order."""
     # bincount adds each string's coefficients in row order from 0.0, like a running sum
-    sums = np.bincount(slots, weights=coeffs, minlength=keys.size)
-    kept = np.abs(sums) > COEFF_PRUNE_TOL
-    keys, sums = keys[kept], sums[kept]
-    x, z = keys >> n_qubits, keys & ((1 << n_qubits) - 1)
-    # rows are distinct, so sorting their base-4 letter ranks orders them as their letters do
-    order = np.argsort(_LETTER_RANKS[_codes(x, z, n_qubits)] @ 4 ** np.arange(n_qubits - 1, -1, -1))
-    return PauliHamiltonian(n_qubits, x[order], z[order], sums[order])
+    return _read_out(n_qubits, np.bincount((x << n_qubits) | z, coeffs, 4**n_qubits))
+
+
+def _read_out(n_qubits: int, dense: np.ndarray) -> PauliHamiltonian:
+    """The rows whose coefficient dense[(x << n) | z] exceeds COEFF_PRUNE_TOL, in letter order."""
+    keys = _letter_order(n_qubits)
+    keys = keys[np.abs(dense[keys]) > COEFF_PRUNE_TOL]
+    return PauliHamiltonian(n_qubits, keys >> n_qubits, keys & ((1 << n_qubits) - 1), dense[keys])
 
 
 def metric_prefactor(params: BlackHoleParams) -> float:
@@ -259,6 +258,15 @@ def _flip_index(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(gather), _read_only(np.ascontiguousarray(gather.T))
 
 
+@functools.cache
+def _letter_order(n_qubits: int) -> np.ndarray:
+    """Every key (x << n) | z in letter order, read-only: each pass appends one qubit's I, X, Y, Z."""
+    x = z = np.zeros(1, dtype=np.int64)
+    for _ in range(n_qubits):
+        x, z = (2 * x[:, None] + [0, 1, 1, 0]).ravel(), (2 * z[:, None] + [0, 0, 1, 1]).ravel()
+    return _read_only((x << n_qubits) | z)
+
+
 def _codes(x: np.ndarray, z: np.ndarray, n_qubits: int) -> np.ndarray:
     """(rows, n_qubits) array of each qubit's code 2x + z (I, Z, X, Y = 0-3), qubit 0 first."""
     shifts = np.arange(n_qubits - 1, -1, -1)
@@ -288,8 +296,8 @@ def pauli_decompose(m: np.ndarray) -> PauliHamiltonian:
     traces = _walsh_hadamard(m.take(_flip_index(dim)[0]))
     # the imaginary parts are at most half the Hermiticity defect, so they are dropped
     coeffs = _phases(dim) * traces / dim
-    z, x = np.nonzero(np.abs(coeffs.real) > COEFF_PRUNE_TOL)
-    return _merged(n, x, z, coeffs.real[z, x])
+    # coeffs[z, x] transposed and flattened sits at key (x << n) | z
+    return _read_out(n, coeffs.real.T.ravel())
 
 
 def to_matrix(h: PauliHamiltonian) -> np.ndarray:
@@ -344,9 +352,13 @@ def assemble(
     Returns:
         PauliHamiltonian with merged coefficients, every block scaled by
         energy_scale(params).
+
+    Raises DomainError above MAX_EXACT_QUBITS qubits: the merge's key space is 4^n.
     """
     starts = _block_starts(layout, spec)
     n_qubits = starts[-1] + spec.n_qubits
+    if n_qubits > MAX_EXACT_QUBITS:
+        raise DomainError(f"assembly limited to {MAX_EXACT_QUBITS} qubits, got {n_qubits}")
     block = _momentum_block(spec)
     # block qubit j sits at qubit start + j: its mask bits move up by n - start - log2(N)
     shifts = [starts[-1] - start for start in starts]

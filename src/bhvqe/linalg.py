@@ -39,7 +39,7 @@ def hermitian_eigensystem(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Raises NotHermitianError if the input deviates from Hermiticity by more
     than 1e-10 in max norm. Nothing in the package calls it: exact ground
     energies need eigenvalues alone (np.linalg.eigvalsh). It stays until the
-    benchmark's layer list stops tracing it (ROADMAP item 1).
+    benchmark's layer list stops tracing it (ROADMAP item 2).
     """
     # eigh already returns eigenvalues in ascending order with orthonormal columns
     return np.linalg.eigh(require_hermitian(m))

@@ -11,8 +11,8 @@ with the parameters that produced it.
 
 Every optimization is a generator that yields the batch of points it waits
 on and is sent their energies: `_segment` runs SPSA from one start (its
-docstring states the look-ahead rule), and `_vqe_search` chains 16-candidate
-screens and segments until a run's iteration budget is spent. `vqe_lockstep`
+docstring states the look-ahead rule), and `_vqe_search` chains screens of
+INIT_CANDIDATES starts and segments until a run's budget is spent. `vqe_lockstep`
 drives many runs on scale * h at once: each step it simulates the pending
 batches of all active runs in one `run_batch` call, contracts them with the
 matrix of h in one product (or each run samples its slice from its own shot

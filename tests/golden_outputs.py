@@ -4,8 +4,9 @@ plus the library's seeded VQE runs and `run_batch` schedules.
 Each CLI entry runs one `bhvqe` subcommand in process and records what a user
 sees: the exit code, the stdout digest, the first stderr line, the CSV digest
 and manifest `config` block of a sweep, and every VQE energy as `float.hex`,
-so a move shows its size. Every config whose sweep exits 0 also gets one
-`fit` entry per curve, fitted to that sweep's CSV. Each library entry, keyed
+so a move shows its size. Every config whose `hamiltonian` exits 0 also gets
+a `hamiltonian --format matrix` entry, and every config whose sweep exits 0
+one `fit` entry per curve, fitted to that sweep's CSV. Each library entry, keyed
 `library ...`, pins one seeded `vqe_run` (CHAIN_RUNS) or one sequence of
 `run_batch` sizes (BATCH_SCHEDULES). `test_golden_outputs.py` compares a fresh
 CLI run with `golden_outputs.json`, and `test_vqe.py` each library case. A
@@ -89,6 +90,7 @@ CONFIGS = {
     "bad-qubits-kappa": {"layout": "disjoint", "dims": 3, "lattice_n": 16, "kappa_p": 0},
 }
 SUBCOMMANDS = ("hamiltonian", "exact", "vqe", "sweep")
+MATRIX_COMMAND = "hamiltonian --format matrix"
 FIT_COMMANDS = ("fit --curve mass", "fit --curve radius")
 
 # Seeded paper-chain runs (M=1, r=10, default SpsaConfig) as (family, shots, seed):
@@ -177,7 +179,7 @@ def run_entry(config: dict, command: str, workdir: pathlib.Path) -> dict:
         config_path.write_text(json.dumps(config), encoding="utf-8")
         for path in (csv_path, manifest_path):
             path.unlink(missing_ok=True)
-        argv = [command, "--config", str(config_path)]
+        argv = command.split() + ["--config", str(config_path)]
     if command == "sweep":
         argv += ["--out", str(csv_path)]
 
@@ -209,7 +211,8 @@ def run_entry(config: dict, command: str, workdir: pathlib.Path) -> dict:
 def run_matrix() -> dict:
     """Every (config, subcommand) entry, keyed `config-name subcommand`.
 
-    A config whose sweep exits 0 adds one entry per FIT_COMMANDS command.
+    A config whose sweep exits 0 adds one entry per FIT_COMMANDS command, and
+    a config whose `hamiltonian` exits 0 a MATRIX_COMMAND entry.
     """
     matrix = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -220,6 +223,9 @@ def run_matrix() -> dict:
             if matrix[f"{name} sweep"]["exit"] == 0:
                 for command in FIT_COMMANDS:
                     matrix[f"{name} {command}"] = run_entry(config, command, workdir)
+            # after the fits: every non-fit command clears the sweep's CSV first
+            if matrix[f"{name} hamiltonian"]["exit"] == 0:
+                matrix[f"{name} {MATRIX_COMMAND}"] = run_entry(config, MATRIX_COMMAND, workdir)
     return matrix
 
 

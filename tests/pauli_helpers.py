@@ -6,7 +6,8 @@ and Z setting the z bit. The library holds only the masks.
 
 It also keeps a second route between masks and dense matrices, with
 butterflies along the last axis and 2-D fancy indexing: the bit-for-bit
-oracle of `to_matrix` and `pauli_decompose`.
+oracle of `to_matrix` and `pauli_decompose`; and a merge of rows through a
+dict of letter strings, the bit-for-bit oracle of `_merged`.
 """
 
 from functools import reduce
@@ -47,13 +48,29 @@ def from_letters(n_qubits: int, terms) -> PauliHamiltonian:
     return PauliHamiltonian(n_qubits, x, z, np.array([float(c) for _, c in kept]))
 
 
+def letters(n_qubits: int, x: int, z: int) -> str:
+    """The letter string of one (x, z) mask pair."""
+    bits = [(x >> b & 1, z >> b & 1) for b in range(n_qubits - 1, -1, -1)]
+    return "".join("IZXY"[2 * xb + zb] for xb, zb in bits)
+
+
 def letter_terms(h: PauliHamiltonian) -> list[tuple[float, str]]:
     """(coefficient, letters) per row of h, in stored order."""
-    out = []
-    for x, z, c in zip(h.x.tolist(), h.z.tolist(), h.coeffs.tolist()):
-        bits = [(x >> b & 1, z >> b & 1) for b in range(h.n_qubits - 1, -1, -1)]
-        out.append((c, "".join("IZXY"[2 * xb + zb] for xb, zb in bits)))
-    return out
+    return [(c, letters(h.n_qubits, x, z))
+            for x, z, c in zip(h.x.tolist(), h.z.tolist(), h.coeffs.tolist())]
+
+
+def merged_by_letters(n_qubits: int, x, z, coeffs) -> PauliHamiltonian:
+    """The oracle of `_merged`: parallel rows summed per letter string in a dict.
+
+    Each string's sum starts at 0.0 and adds its rows in row order; the sums
+    are then pruned and sorted by letters through `from_letters`.
+    """
+    sums: dict[str, float] = {}
+    for row_x, row_z, c in zip(x, z, coeffs):
+        string = letters(n_qubits, row_x, row_z)
+        sums[string] = sums.get(string, 0.0) + c
+    return from_letters(n_qubits, [(c, string) for string, c in sums.items()])
 
 
 def pauli_matrix(string: str) -> np.ndarray:

@@ -10,10 +10,12 @@ from bhvqe.errors import DomainError, NotHermitianError, NotPowerOfTwoError, Uns
 from bhvqe.hamiltonian import (
     COEFF_PRUNE_TOL,
     DISJOINT,
+    MAX_EXACT_QUBITS,
     PAPER_CHAIN,
     BlackHoleParams,
     HamiltonianLayout,
     _flip_index,
+    _letter_order,
     _letters,
     _merged,
     _phases,
@@ -36,6 +38,7 @@ from pauli_helpers import (
     from_letters,
     letter_terms,
     masks,
+    merged_by_letters,
     pauli_decompose_by_last_axis,
     pauli_matrix,
     scaled,
@@ -513,6 +516,47 @@ def test_merged_integer_key_orders_rows_as_their_letters(n_qubits, data):
     assert sorted(zip(h.x.tolist(), h.z.tolist())) == sorted(zip(x.tolist(), z.tolist()))
 
 
+# row coefficients on both sides of the prune bound, and sums whose rounding depends on row order
+row_coefficients = st.sampled_from([
+    0.0, COEFF_PRUNE_TOL, -COEFF_PRUNE_TOL, COEFF_PRUNE_TOL / 2,
+    math.nextafter(COEFF_PRUNE_TOL, 1), -math.nextafter(COEFF_PRUNE_TOL, 1),
+    0.1, 0.2, -0.3, 1.0,
+]) | st.floats(-10, 10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_qubits=st.integers(1, 6), data=st.data())
+def test_merged_matches_dict_oracle_bit_for_bit(n_qubits, data):
+    # a few distinct strings, so most rows repeat one
+    pool = data.draw(st.lists(st.integers(0, 4**n_qubits - 1), min_size=1, max_size=6,
+                              unique=True))
+    rows = data.draw(st.lists(st.tuples(st.sampled_from(pool), row_coefficients), max_size=30))
+    keys = np.array([key for key, _ in rows], dtype=np.int64)
+    x, z = keys >> n_qubits, keys & (2**n_qubits - 1)
+    coeffs = np.array([c for _, c in rows], dtype=float)
+    h = _merged(n_qubits, x, z, coeffs)
+    expected = merged_by_letters(n_qubits, x.tolist(), z.tolist(), coeffs.tolist())
+    assert h.x.tolist() == expected.x.tolist()
+    assert h.z.tolist() == expected.z.tolist()
+    assert h.coeffs.tolist() == expected.coeffs.tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_qubits=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_decompose_returns_the_rows_of_a_pauli_sum(n_qubits, seed):
+    h = random_pauli_sum(np.random.default_rng(seed), n_qubits)
+    back = pauli_decompose(to_matrix(h))
+    assert back.x.tolist() == h.x.tolist()
+    assert back.z.tolist() == h.z.tolist()
+    np.testing.assert_allclose(back.coeffs, h.coeffs, rtol=0, atol=1e-12)
+
+
+def test_assemble_refuses_more_qubits_than_the_cap():
+    # three 4-qubit blocks: the merge's 4^12 key space is never built
+    with pytest.raises(DomainError, match=f"limited to {MAX_EXACT_QUBITS} qubits, got 12"):
+        assemble(None, HamiltonianLayout(variant=DISJOINT, dims=3), LatticeSpec(16))
+
+
 @pytest.mark.parametrize("shape", ASSEMBLY_SHAPES, ids=lambda shape: repr(shape))
 def test_assembled_rows_follow_sorted_to_text_letters(shape):
     h = assemble(None, *shape)
@@ -530,6 +574,12 @@ def test_dimension_tables_are_built_once_and_read_only(dim):
         assert first.shape == (dim, dim)
         with pytest.raises(ValueError):
             first[0, 0] = 1
+    # the letter-order table holds every key (x << n) | z once
+    order = _letter_order(dim.bit_length() - 1)
+    assert _letter_order(dim.bit_length() - 1) is order
+    assert sorted(order.tolist()) == list(range(dim * dim))
+    with pytest.raises(ValueError):
+        order[0] = 1
     # each to_matrix result is the caller's own array
     h = pauli_decompose(random_hermitian(np.random.default_rng(dim), dim.bit_length() - 1))
     for setting in h.settings:  # every reader of a setting shares its rotation
